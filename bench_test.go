@@ -624,7 +624,7 @@ func BenchmarkKDEGrid(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		bounds, _, err := est.Grid(2) // the [lo, hi] span every variant evaluates
+		bounds, _, err := est.GridContext(context.Background(), 2) // the [lo, hi] span every variant evaluates
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -653,7 +653,7 @@ func BenchmarkKDEGrid(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := est.Grid(gridPoints); err != nil {
+				if _, _, err := est.GridContext(context.Background(), gridPoints); err != nil {
 					b.Fatal(err)
 				}
 			}

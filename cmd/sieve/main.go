@@ -226,7 +226,7 @@ func run(cfg runConfig) error {
 		if err != nil {
 			return err
 		}
-	case method != core.MethodSieve:
+	default:
 		mp := &sieve.MethodProfile{Rows: sieve.ProfileRows(profile)}
 		if method == sampler.MethodPKS {
 			if w == nil {
@@ -244,11 +244,6 @@ func run(cfg runConfig) error {
 			Seed: cfg.Seed,
 			PKS:  pks.Options{Seed: cfg.Seed, Parallelism: cfg.Parallelism},
 		})
-		if err != nil {
-			return err
-		}
-	default:
-		plan, err = sieve.SampleContext(ctx, sieve.ProfileRows(profile), opts)
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@
 package sieve_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -67,7 +68,7 @@ func assertBinnedSplitMatchesExact(t *testing.T, label string, counts []float64)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	binnedValleys, err := est.Valleys(kde.DefaultGridPoints)
+	binnedValleys, err := est.ValleysContext(context.Background(), kde.DefaultGridPoints)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}

@@ -48,7 +48,7 @@ type StratumSpec struct {
 // stratum), and Assemble computes instruction sums, instruction-share
 // weights, tier totals and the prediction indexes so the assembled plan
 // supports Predict, Speedup, WeightedCycleCoV and EstimateErrorBound
-// exactly like a plan built by Stratify.
+// exactly like a plan built by StratifyContext.
 func Assemble(profile []InvocationProfile, specs []StratumSpec, theta float64) (*Result, error) {
 	if theta <= 0 {
 		return nil, fmt.Errorf("core: %w: assemble needs a positive theta, got %g", ErrInvalidTheta, theta)

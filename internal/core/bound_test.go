@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -12,7 +13,7 @@ func TestErrorBoundTier1IsZero(t *testing.T) {
 		[3]interface{}{"b", 500.0, 64},
 		[3]interface{}{"b", 500.0, 64},
 	)
-	res, err := Stratify(p, Options{})
+	res, err := StratifyContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +39,11 @@ func TestErrorBoundGrowsWithDispersion(t *testing.T) {
 		[3]interface{}{"k", 70.0, 64},
 		[3]interface{}{"k", 100.0, 64},
 	)
-	tr, err := Stratify(tight, Options{})
+	tr, err := StratifyContext(context.Background(), tight, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr, err := Stratify(loose, Options{})
+	lr, err := StratifyContext(context.Background(), loose, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestErrorBoundTracksObservedErrorOrder(t *testing.T) {
 	p := profileOf(rows...)
 	prev := -1.0
 	for _, theta := range []float64{0.1, 0.4, 1.0} {
-		res, err := Stratify(p, Options{Theta: theta})
+		res, err := StratifyContext(context.Background(), p, Options{Theta: theta})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,14 +30,9 @@ type KernelSummary struct {
 	Strata int
 }
 
-// Characterize summarizes every kernel of a profile at the given θ
+// CharacterizeContext summarizes every kernel of a profile at the given θ
 // (DefaultTheta if zero), ordered by descending instruction share.
-func Characterize(profile []InvocationProfile, theta float64) ([]KernelSummary, error) {
-	return CharacterizeContext(context.Background(), profile, theta)
-}
-
-// CharacterizeContext is Characterize with cancellation, inherited from the
-// underlying StratifyContext pass.
+// Cancellation is inherited from the underlying StratifyContext pass.
 func CharacterizeContext(ctx context.Context, profile []InvocationProfile, theta float64) ([]KernelSummary, error) {
 	res, err := StratifyContext(ctx, profile, Options{Theta: theta})
 	if err != nil {

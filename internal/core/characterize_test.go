@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestCharacterizeBasics(t *testing.T) {
 		[3]interface{}{"small", 12.0, 64},
 		[3]interface{}{"big", 1000.0, 128},
 	)
-	sums, err := Characterize(p, 0)
+	sums, err := CharacterizeContext(context.Background(), p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestCharacterizeTier3StrataCount(t *testing.T) {
 		rows = append(rows, [3]interface{}{"multi", 100.0 + float64(i%2), 128})
 		rows = append(rows, [3]interface{}{"multi", 50000.0 + float64(i%3), 128})
 	}
-	sums, err := Characterize(profileOf(rows...), 0.4)
+	sums, err := CharacterizeContext(context.Background(), profileOf(rows...), 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestCharacterizeTier3StrataCount(t *testing.T) {
 }
 
 func TestCharacterizeErrors(t *testing.T) {
-	if _, err := Characterize(nil, 0.4); err == nil {
+	if _, err := CharacterizeContext(context.Background(), nil, 0.4); err == nil {
 		t.Fatal("want error on empty profile")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -74,12 +75,12 @@ func TestStratifyParallelMatchesSequential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// MinParallelWork: 1 forces the pool even on these small synthetic
 			// profiles, so the parallel path itself is what gets compared.
-			seq, err := Stratify(tc.profile, Options{Parallelism: 1, Tier3Splitter: tc.splitter, MinParallelWork: 1})
+			seq, err := StratifyContext(context.Background(), tc.profile, Options{Parallelism: 1, Tier3Splitter: tc.splitter, MinParallelWork: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 2, 7, 64} {
-				par, err := Stratify(tc.profile, Options{Parallelism: workers, Tier3Splitter: tc.splitter, MinParallelWork: 1})
+				par, err := StratifyContext(context.Background(), tc.profile, Options{Parallelism: workers, Tier3Splitter: tc.splitter, MinParallelWork: 1})
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", workers, err)
 				}
@@ -92,11 +93,11 @@ func TestStratifyParallelMatchesSequential(t *testing.T) {
 func TestStratifyParallelAcrossSeeds(t *testing.T) {
 	for seed := int64(10); seed < 15; seed++ {
 		profile := synthProfile(seed, 12, 50)
-		seq, err := Stratify(profile, Options{Parallelism: 1, MinParallelWork: 1})
+		seq, err := StratifyContext(context.Background(), profile, Options{Parallelism: 1, MinParallelWork: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Stratify(profile, Options{Parallelism: 8, MinParallelWork: 1})
+		par, err := StratifyContext(context.Background(), profile, Options{Parallelism: 8, MinParallelWork: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,10 +107,10 @@ func TestStratifyParallelAcrossSeeds(t *testing.T) {
 
 func TestStratifyNegativeParallelismRejected(t *testing.T) {
 	profile := synthProfile(1, 2, 5)
-	if _, err := Stratify(profile, Options{Parallelism: -1}); err == nil {
+	if _, err := StratifyContext(context.Background(), profile, Options{Parallelism: -1}); err == nil {
 		t.Fatal("want error for negative parallelism")
 	}
-	if _, err := Stratify(profile, Options{MinParallelWork: -3}); err == nil {
+	if _, err := StratifyContext(context.Background(), profile, Options{MinParallelWork: -3}); err == nil {
 		t.Fatal("want error for negative MinParallelWork")
 	}
 }
@@ -119,11 +120,11 @@ func TestStratifyNegativeParallelismRejected(t *testing.T) {
 // forcing it onto the pool (threshold 1) produce identical plans.
 func TestStratifyWorkGateMatchesForcedPool(t *testing.T) {
 	profile := synthProfile(21, 18, 60)
-	inline, err := Stratify(profile, Options{Parallelism: 4, MinParallelWork: 1 << 30})
+	inline, err := StratifyContext(context.Background(), profile, Options{Parallelism: 4, MinParallelWork: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := Stratify(profile, Options{Parallelism: 4, MinParallelWork: 1})
+	pooled, err := StratifyContext(context.Background(), profile, Options{Parallelism: 4, MinParallelWork: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestStratifyParallelErrorDeterministic(t *testing.T) {
 	profile[3].InstructionCount = -1
 	var msgs []string
 	for _, workers := range []int{1, 8} {
-		_, err := Stratify(profile, Options{Parallelism: workers})
+		_, err := StratifyContext(context.Background(), profile, Options{Parallelism: workers})
 		if err == nil {
 			t.Fatal("want validation error")
 		}

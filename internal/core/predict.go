@@ -117,12 +117,12 @@ func (r *Result) NumInvocations() int {
 
 // golden resolves one invocation Index to its golden cycle count.
 // goldenCycles is positional: entry i belongs to the i-th profile row
-// ingested by Stratify/StratifyStream, NOT to global invocation index i. The
-// two coincide for dense 0..n-1 profiles, but CSV-loaded or filtered profiles
-// with sparse or offset indices must be resolved through the plan's
-// index→position mapping — indexing goldenCycles by Index directly would
-// silently read another invocation's cycles whenever the index happens to be
-// in range.
+// ingested by StratifyContext/StratifyStreamContext, NOT to global invocation
+// index i. The two coincide for dense 0..n-1 profiles, but CSV-loaded or
+// filtered profiles with sparse or offset indices must be resolved through
+// the plan's index→position mapping — indexing goldenCycles by Index directly
+// would silently read another invocation's cycles whenever the index happens
+// to be in range.
 func (r *Result) golden(goldenCycles []float64, idx int) (float64, error) {
 	pos, ok := r.posByIndex[idx]
 	if !ok {
@@ -140,8 +140,8 @@ func (r *Result) golden(goldenCycles []float64, idx int) (float64, error) {
 // count for the entire workload execution divided by the total cycle count
 // for all representative kernel invocations").
 //
-// goldenCycles parallels the profile rows passed to Stratify: entry i is the
-// measured cycle count of the i-th row, whatever its global invocation
+// goldenCycles parallels the profile rows passed to StratifyContext: entry i
+// is the measured cycle count of the i-th row, whatever its global invocation
 // Index. Sampled streaming plans cannot compute a speedup — their membership
 // lists are bounded samples, so the numerator would silently undercount.
 func (r *Result) Speedup(goldenCycles []float64) (float64, error) {
@@ -208,7 +208,7 @@ func (r *Result) WeightedCycleCoV(goldenCycles []float64) (float64, error) {
 func TierFractions(profile []InvocationProfile, thetas []float64) ([][3]float64, error) {
 	out := make([][3]float64, len(thetas))
 	for ti, theta := range thetas {
-		res, err := Stratify(profile, Options{Theta: theta, ThetaSet: true})
+		res, err := StratifyContext(context.Background(), profile, Options{Theta: theta, ThetaSet: true})
 		if err != nil {
 			return nil, fmt.Errorf("theta sweep entry %d (θ=%g): %w", ti, theta, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -33,7 +34,7 @@ func TestPredictExactWhenCPIUniform(t *testing.T) {
 		[3]interface{}{"b", 5200.0, 256},
 		[3]interface{}{"b", 4800.0, 256},
 	)
-	res, err := Stratify(p, Options{})
+	res, err := StratifyContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestPredictWeightsByInstructionShare(t *testing.T) {
 		[3]interface{}{"a", 100.0, 128},
 		[3]interface{}{"b", 900.0, 128},
 	)
-	res, err := Stratify(p, Options{})
+	res, err := StratifyContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestPredictWeightsByInstructionShare(t *testing.T) {
 
 func TestPredictErrors(t *testing.T) {
 	p := profileOf([3]interface{}{"a", 100.0, 128})
-	res, err := Stratify(p, Options{})
+	res, err := StratifyContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestRepresentativeIndicesSortedUnique(t *testing.T) {
 		[3]interface{}{"b", 10.0, 64},
 		[3]interface{}{"c", 30.0, 64},
 	)
-	res, err := Stratify(p, Options{})
+	res, err := StratifyContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestSpeedup(t *testing.T) {
 		[3]interface{}{"a", 100.0, 64},
 		[3]interface{}{"a", 100.0, 64},
 	)
-	res, err := Stratify(p, Options{})
+	res, err := StratifyContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestWeightedCycleCoV(t *testing.T) {
 		[3]interface{}{"b", 900.0, 64},
 		[3]interface{}{"b", 900.0, 64},
 	)
-	res, err := Stratify(p, Options{})
+	res, err := StratifyContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestNumInvocationsAndStrata(t *testing.T) {
 		[3]interface{}{"b", 2.0, 64},
 		[3]interface{}{"a", 1.0, 64},
 	)
-	res, err := Stratify(p, Options{})
+	res, err := StratifyContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,17 +240,17 @@ func TestTierFractionsRejectsThetaZero(t *testing.T) {
 // still select DefaultTheta, while an explicitly-set zero errors.
 func TestThetaZeroExplicit(t *testing.T) {
 	p := profileOf([3]interface{}{"a", 100.0, 64})
-	res, err := Stratify(p, Options{})
+	res, err := StratifyContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Theta != DefaultTheta {
 		t.Fatalf("zero-value options ran at θ=%g, want DefaultTheta", res.Theta)
 	}
-	if _, err := Stratify(p, Options{ThetaSet: true}); err == nil {
+	if _, err := StratifyContext(context.Background(), p, Options{ThetaSet: true}); err == nil {
 		t.Fatal("explicit θ=0 must error")
 	}
-	res, err = Stratify(p, Options{Theta: 0.3, ThetaSet: true})
+	res, err = StratifyContext(context.Background(), p, Options{Theta: 0.3, ThetaSet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestSpeedupSparseIndices(t *testing.T) {
 	)
 	golden := []float64{10, 30, 50, 70}
 	wantSp := func() float64 {
-		res, err := Stratify(dense, Options{})
+		res, err := StratifyContext(context.Background(), dense, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +302,7 @@ func TestSpeedupSparseIndices(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sparse := sparseProfile(dense, c.base, c.stride)
-			res, err := Stratify(sparse, Options{})
+			res, err := StratifyContext(context.Background(), sparse, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +317,7 @@ func TestSpeedupSparseIndices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRes, err := Stratify(dense, Options{})
+			wantRes, err := StratifyContext(context.Background(), dense, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,7 +332,7 @@ func TestSpeedupSparseIndices(t *testing.T) {
 	}
 	// A short golden slice still errors with a position-aware message.
 	sparse := sparseProfile(dense, 1000, 1)
-	res, err := Stratify(sparse, Options{})
+	res, err := StratifyContext(context.Background(), sparse, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

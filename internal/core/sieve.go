@@ -163,20 +163,11 @@ type Options struct {
 	// 0 selects DefaultMinParallelWork; negative is an error. Set to 1 to
 	// force the worker pool on any profile.
 	MinParallelWork int
-	// Method names the sampling methodology that should build the plan.
-	// core.Stratify implements only the paper's stratified sampler and
-	// accepts "" or MethodSieve; every other registered method ("pks",
-	// "twophase", "rss", …) is dispatched by the sieve.Sample entry points
-	// or the internal/sampler registry before core is reached, so a foreign
-	// method arriving here is a programming error and fails loudly instead
-	// of silently producing a default-method plan.
-	Method string
 }
 
 // MethodSieve names the default methodology: the paper's stratified sampler
-// implemented by this package. An empty Options.Method means the same thing,
-// and plans it produces leave Result.Method empty so legacy plan documents
-// and cache keys stay byte-stable.
+// implemented by this package. Plans it produces leave Result.Method empty so
+// legacy plan documents and cache keys stay byte-stable.
 const MethodSieve = "sieve"
 
 // DefaultMinParallelWork is the profile-row threshold below which the
@@ -206,11 +197,6 @@ func (o Options) withDefaults() (Options, error) {
 	case SplitKDE, SplitEqualWidth, SplitGMM:
 	default:
 		return o, fmt.Errorf("core: unknown splitter %d", o.Tier3Splitter)
-	}
-	switch o.Method {
-	case "", MethodSieve:
-	default:
-		return o, fmt.Errorf("core: method %q is not implemented by core.Stratify; dispatch through sieve.Sample or the internal/sampler registry", o.Method)
 	}
 	if o.Parallelism == 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -259,7 +245,7 @@ type Result struct {
 	// Sampled reports that at least one kernel exceeded its streaming
 	// reservoir, so stratum membership lists (and anything derived from
 	// them, e.g. Speedup) cover a bounded sample rather than every
-	// invocation. Plans built by Stratify, and streaming plans where every
+	// invocation. Plans built by StratifyContext, and streaming plans where every
 	// kernel fit its reservoir, are exact and leave this false.
 	Sampled bool
 	// Method names the methodology that produced the plan. Empty means the
@@ -290,16 +276,12 @@ type Result struct {
 	posByIndex map[int]int
 }
 
-// Stratify groups the profiled invocations into strata per Section III-B and
-// selects a weighted representative per stratum per Section III-C.
-func Stratify(profile []InvocationProfile, opts Options) (*Result, error) {
-	return StratifyContext(context.Background(), profile, opts)
-}
-
-// StratifyContext is Stratify with cancellation: the per-kernel worker pool
-// checks ctx between kernels, so a cancelled or timed-out context stops the
-// stratification promptly — partially processed kernels are discarded and the
-// workers return to the runtime — and the call reports ctx.Err().
+// StratifyContext groups the profiled invocations into strata per Section
+// III-B and selects a weighted representative per stratum per Section III-C.
+// The per-kernel worker pool checks ctx between kernels, so a cancelled or
+// timed-out context stops the stratification promptly — partially processed
+// kernels are discarded and the workers return to the runtime — and the call
+// reports ctx.Err().
 func StratifyContext(ctx context.Context, profile []InvocationProfile, opts Options) (*Result, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {

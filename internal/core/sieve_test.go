@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -49,35 +50,35 @@ func TestTierAndPolicyStrings(t *testing.T) {
 }
 
 func TestStratifyValidation(t *testing.T) {
-	if _, err := Stratify(nil, Options{}); err == nil {
+	if _, err := StratifyContext(context.Background(), nil, Options{}); err == nil {
 		t.Fatal("want error for empty profile")
 	}
 	bad := []InvocationProfile{{Kernel: "", Index: 0, InstructionCount: 1, CTASize: 32}}
-	if _, err := Stratify(bad, Options{}); err == nil {
+	if _, err := StratifyContext(context.Background(), bad, Options{}); err == nil {
 		t.Fatal("want error for missing kernel name")
 	}
 	bad[0].Kernel = "k"
 	bad[0].InstructionCount = 0
-	if _, err := Stratify(bad, Options{}); err == nil {
+	if _, err := StratifyContext(context.Background(), bad, Options{}); err == nil {
 		t.Fatal("want error for zero instruction count")
 	}
 	bad[0].InstructionCount = 1
 	bad[0].CTASize = 0
-	if _, err := Stratify(bad, Options{}); err == nil {
+	if _, err := StratifyContext(context.Background(), bad, Options{}); err == nil {
 		t.Fatal("want error for zero CTA size")
 	}
 	dup := profileOf([3]interface{}{"k", 1.0, 32}, [3]interface{}{"k", 2.0, 32})
 	dup[1].Index = 0
-	if _, err := Stratify(dup, Options{}); err == nil {
+	if _, err := StratifyContext(context.Background(), dup, Options{}); err == nil {
 		t.Fatal("want error for duplicate index")
 	}
-	if _, err := Stratify(profileOf([3]interface{}{"k", 1.0, 32}), Options{Theta: -1}); err == nil {
+	if _, err := StratifyContext(context.Background(), profileOf([3]interface{}{"k", 1.0, 32}), Options{Theta: -1}); err == nil {
 		t.Fatal("want error for negative theta")
 	}
-	if _, err := Stratify(profileOf([3]interface{}{"k", 1.0, 32}), Options{Selection: SelectionPolicy(99)}); err == nil {
+	if _, err := StratifyContext(context.Background(), profileOf([3]interface{}{"k", 1.0, 32}), Options{Selection: SelectionPolicy(99)}); err == nil {
 		t.Fatal("want error for unknown policy")
 	}
-	if _, err := Stratify(profileOf([3]interface{}{"k", 1.0, 32}), Options{Tier3Splitter: Splitter(99)}); err == nil {
+	if _, err := StratifyContext(context.Background(), profileOf([3]interface{}{"k", 1.0, 32}), Options{Tier3Splitter: Splitter(99)}); err == nil {
 		t.Fatal("want error for unknown splitter")
 	}
 }
@@ -88,7 +89,7 @@ func TestTier1ConstantKernel(t *testing.T) {
 		[3]interface{}{"k", 100.0, 256},
 		[3]interface{}{"k", 100.0, 128},
 	)
-	res, err := Stratify(p, Options{})
+	res, err := StratifyContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestTier2LowVariabilityKernel(t *testing.T) {
 		[3]interface{}{"k", 100.0, 256},
 		[3]interface{}{"k", 105.0, 256},
 	)
-	res, err := Stratify(p, Options{})
+	res, err := StratifyContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestTier3KernelSplitsIntoTightStrata(t *testing.T) {
 		rows = append(rows, [3]interface{}{"k", 100.0 + float64(i%3), 128})
 		rows = append(rows, [3]interface{}{"k", 10000.0 + float64(i%5), 128})
 	}
-	res, err := Stratify(profileOf(rows...), Options{})
+	res, err := StratifyContext(context.Background(), profileOf(rows...), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestWeightsSumToOneProperty(t *testing.T) {
 				idx++
 			}
 		}
-		res, err := Stratify(profile, Options{})
+		res, err := StratifyContext(context.Background(), profile, Options{})
 		if err != nil {
 			return false
 		}
@@ -271,7 +272,7 @@ func TestThetaMonotonicity(t *testing.T) {
 	prevStrata := -1
 	prevT3 := math.MaxInt
 	for _, theta := range []float64{1.0, 0.5, 0.1} {
-		res, err := Stratify(p, Options{Theta: theta})
+		res, err := StratifyContext(context.Background(), p, Options{Theta: theta})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +295,7 @@ func TestSelectionPolicies(t *testing.T) {
 		[3]interface{}{"k", 101.0, 256},
 	)
 	// first-chronological → index 0.
-	res, err := Stratify(p, Options{Selection: SelectFirstChronological})
+	res, err := StratifyContext(context.Background(), p, Options{Selection: SelectFirstChronological})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestSelectionPolicies(t *testing.T) {
 		t.Fatalf("first-chronological rep = %d", res.Strata[0].Representative)
 	}
 	// dominant CTA (256, twice) → first with 256 is index 2.
-	res, err = Stratify(p, Options{Selection: SelectDominantCTAFirst})
+	res, err = StratifyContext(context.Background(), p, Options{Selection: SelectDominantCTAFirst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestSelectionPolicies(t *testing.T) {
 		t.Fatalf("dominant-cta rep = %d", res.Strata[0].Representative)
 	}
 	// max CTA (512) → index 1.
-	res, err = Stratify(p, Options{Selection: SelectMaxCTA})
+	res, err = StratifyContext(context.Background(), p, Options{Selection: SelectMaxCTA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestSelectionPolicies(t *testing.T) {
 
 func TestSingleInvocationKernel(t *testing.T) {
 	p := profileOf([3]interface{}{"solo", 1234.0, 64})
-	res, err := Stratify(p, Options{})
+	res, err := StratifyContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestMultipleKernelsNeverShareStrata(t *testing.T) {
 		[3]interface{}{"a", 100.0, 128},
 		[3]interface{}{"b", 100.0, 128},
 	)
-	res, err := Stratify(p, Options{})
+	res, err := StratifyContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestEqualWidthSplitterAlsoSatisfiesCoV(t *testing.T) {
 		mode := math.Pow(8, float64(rng.Intn(3)))
 		rows = append(rows, [3]interface{}{"k", 1000 * mode * (1 + 0.03*rng.NormFloat64()), 128})
 	}
-	res, err := Stratify(profileOf(rows...), Options{Tier3Splitter: SplitEqualWidth})
+	res, err := StratifyContext(context.Background(), profileOf(rows...), Options{Tier3Splitter: SplitEqualWidth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +385,7 @@ func TestEqualWidthSplitterAlsoSatisfiesCoV(t *testing.T) {
 
 func TestDefaultThetaApplied(t *testing.T) {
 	p := profileOf([3]interface{}{"k", 1.0, 32})
-	res, err := Stratify(p, Options{})
+	res, err := StratifyContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +401,7 @@ func TestGMMSplitterAlsoSatisfiesCoV(t *testing.T) {
 		mode := math.Pow(8, float64(rng.Intn(3)))
 		rows = append(rows, [3]interface{}{"k", 1000 * mode * (1 + 0.03*rng.NormFloat64()), 128})
 	}
-	res, err := Stratify(profileOf(rows...), Options{Tier3Splitter: SplitGMM})
+	res, err := StratifyContext(context.Background(), profileOf(rows...), Options{Tier3Splitter: SplitGMM})
 	if err != nil {
 		t.Fatal(err)
 	}

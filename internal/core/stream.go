@@ -18,7 +18,7 @@ type StreamOptions struct {
 	// ReservoirSize bounds the rows retained per kernel;
 	// stream.DefaultReservoirSize if zero. Kernels whose invocation count
 	// fits the reservoir are stratified exactly — byte-identical to
-	// Stratify on the same rows; larger kernels fall back to sampled
+	// StratifyContext on the same rows; larger kernels fall back to sampled
 	// Tier-3 splitting and partial membership lists (Result.Sampled).
 	ReservoirSize int
 	// Seed seeds the deterministic reservoir priority hash;
@@ -48,28 +48,25 @@ func (o StreamOptions) streamOptions(parallelism int) stream.Options {
 // duplicate indices without retaining an index set.
 type RowSource func() (InvocationProfile, error)
 
-// StratifyStream is the bounded-memory analogue of Stratify: a single pass
-// over the source feeds per-kernel online accumulators (tier classification
-// without retaining rows), exact streaming dominant-CTA/first-invocation
-// tracking, and a deterministic seeded reservoir per kernel. Memory is
-// O(kernels × ReservoirSize) regardless of how many invocations stream by.
+// StratifyStreamContext is the bounded-memory analogue of StratifyContext: a
+// single pass over the source feeds per-kernel online accumulators (tier
+// classification without retaining rows), exact streaming
+// dominant-CTA/first-invocation tracking, and a deterministic seeded
+// reservoir per kernel. Memory is O(kernels × ReservoirSize) regardless of
+// how many invocations stream by.
 //
 //   - Every kernel fits its reservoir → the plan is byte-identical to
-//     Stratify on the same rows, at any Parallelism.
+//     StratifyContext on the same rows, at any Parallelism.
 //   - A kernel overflows → its tier comes from the merged accumulators, its
 //     representative and instruction totals remain exact (streaming
 //     frequency/first tracking covers every invocation), but Tier-3 KDE
 //     splitting runs on the reservoir sample, stratum membership lists are
 //     partial, and the plan is marked Sampled.
-func StratifyStream(next RowSource, opts StreamOptions) (*Result, error) {
-	return StratifyStreamContext(context.Background(), next, opts)
-}
-
-// StratifyStreamContext is StratifyStream with cancellation: the ingestion
-// pass checks ctx between dispatch batches and the per-kernel stratification
-// loop checks it between kernels, so a cancelled or timed-out context stops
-// the single pass mid-stream, drains the ingestion shards, and reports
-// ctx.Err().
+//
+// The ingestion pass checks ctx between dispatch batches and the per-kernel
+// stratification loop checks it between kernels, so a cancelled or timed-out
+// context stops the single pass mid-stream, drains the ingestion shards, and
+// reports ctx.Err().
 func StratifyStreamContext(ctx context.Context, next RowSource, opts StreamOptions) (*Result, error) {
 	o, err := opts.Options.withDefaults()
 	if err != nil {
@@ -117,7 +114,7 @@ func StratifyStreamContext(ctx context.Context, next RowSource, opts StreamOptio
 		var tier Tier
 		if kd.Complete() {
 			// Exact fallback: the reservoir holds every row, so run the
-			// very same per-kernel stratifier Stratify uses.
+			// very same per-kernel stratifier StratifyContext uses.
 			rows := res.registerRows(kd.Rows())
 			strata, tier, err = stratifyKernel(ctx, kd.Name, rows, o)
 		} else {

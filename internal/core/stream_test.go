@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"io"
 	"math"
 	"math/rand"
@@ -74,7 +75,7 @@ func TestStratifyStreamMatchesStratify(t *testing.T) {
 		{Tier3Splitter: SplitGMM},
 		{Theta: 0.2},
 	} {
-		want, err := Stratify(profile, opts)
+		want, err := StratifyContext(context.Background(), profile, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +83,7 @@ func TestStratifyStreamMatchesStratify(t *testing.T) {
 			for _, reservoir := range []int{300, 1024, 100000} {
 				sopts := StreamOptions{Options: opts, ReservoirSize: reservoir, BatchSize: 64}
 				sopts.Parallelism = p
-				got, err := StratifyStream(rowSource(profile), sopts)
+				got, err := StratifyStreamContext(context.Background(), rowSource(profile), sopts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,11 +101,11 @@ func TestStratifyStreamMatchesStratify(t *testing.T) {
 // accumulators and Tier-3 splits run on the sample.
 func TestStratifyStreamSampledPlan(t *testing.T) {
 	profile := streamProfile(3000, 11)
-	want, err := Stratify(profile, Options{})
+	want, err := StratifyContext(context.Background(), profile, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := StratifyStream(rowSource(profile), StreamOptions{ReservoirSize: 64})
+	got, err := StratifyStreamContext(context.Background(), rowSource(profile), StreamOptions{ReservoirSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,26 +169,26 @@ func TestStratifyStreamSampledPlan(t *testing.T) {
 }
 
 func TestStratifyStreamErrors(t *testing.T) {
-	if _, err := StratifyStream(rowSource(nil), StreamOptions{}); err == nil {
+	if _, err := StratifyStreamContext(context.Background(), rowSource(nil), StreamOptions{}); err == nil {
 		t.Fatal("want error for empty stream")
 	}
 	bad := []InvocationProfile{{Kernel: "k", Index: 0, InstructionCount: -1, CTASize: 32}}
-	if _, err := StratifyStream(rowSource(bad), StreamOptions{}); err == nil {
+	if _, err := StratifyStreamContext(context.Background(), rowSource(bad), StreamOptions{}); err == nil {
 		t.Fatal("want error for invalid row")
 	}
 	outOfOrder := []InvocationProfile{
 		{Kernel: "k", Index: 1, InstructionCount: 1, CTASize: 32},
 		{Kernel: "k", Index: 0, InstructionCount: 1, CTASize: 32},
 	}
-	if _, err := StratifyStream(rowSource(outOfOrder), StreamOptions{}); err == nil {
+	if _, err := StratifyStreamContext(context.Background(), rowSource(outOfOrder), StreamOptions{}); err == nil {
 		t.Fatal("want error for out-of-order indices")
 	}
 	opts := StreamOptions{}
 	opts.Theta = -2
-	if _, err := StratifyStream(rowSource(streamProfile(9, 1)), opts); err == nil {
+	if _, err := StratifyStreamContext(context.Background(), rowSource(streamProfile(9, 1)), opts); err == nil {
 		t.Fatal("want error for bad theta")
 	}
-	if _, err := StratifyStream(rowSource(streamProfile(9, 1)), StreamOptions{ReservoirSize: -3}); err == nil {
+	if _, err := StratifyStreamContext(context.Background(), rowSource(streamProfile(9, 1)), StreamOptions{ReservoirSize: -3}); err == nil {
 		t.Fatal("want error for bad reservoir size")
 	}
 }
@@ -202,11 +203,11 @@ func TestStratifyStreamSparseIndices(t *testing.T) {
 	}
 	dense := streamProfile(300, 3)
 
-	sparsePlan, err := StratifyStream(rowSource(profile), StreamOptions{})
+	sparsePlan, err := StratifyStreamContext(context.Background(), rowSource(profile), StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	densePlan, err := StratifyStream(rowSource(dense), StreamOptions{})
+	densePlan, err := StratifyStreamContext(context.Background(), rowSource(dense), StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

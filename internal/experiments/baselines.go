@@ -46,7 +46,7 @@ func (r *Runner) Baselines() ([]BaselineRow, error) {
 		}
 		row.PKS = relErr(pksPred, p.total)
 
-		tb, err := pks.Select(p.features, p.golden, pks.Options{
+		tb, err := pks.SelectContext(r.cfg.ctx(), p.features, p.golden, pks.Options{
 			Seed: r.cfg.Seed, Clustering: pks.AlgoHierarchical,
 			Parallelism: r.cfg.Parallelism,
 		})

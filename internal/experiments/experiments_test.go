@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -325,7 +326,7 @@ func coreTierFractionsImpl(p *prepared) ([][3]float64, error) {
 }
 
 func coreStratifyAt(p *prepared, theta float64) (*core.Result, error) {
-	return core.Stratify(p.sieveProfile, core.Options{Theta: theta})
+	return core.StratifyContext(context.Background(), p.sieveProfile, core.Options{Theta: theta})
 }
 
 // TestStreamConfigMatchesMaterialized: with the default (exact-at-scale)

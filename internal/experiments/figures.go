@@ -233,7 +233,7 @@ func (r *Runner) Fig5() ([]SelectionRow, error) {
 		} {
 			res := p.pks
 			if pol.policy != pks.SelectFirst {
-				res, err = pks.Select(p.features, p.golden, pks.Options{Seed: r.cfg.Seed, Selection: pol.policy, Parallelism: r.cfg.Parallelism})
+				res, err = pks.SelectContext(r.cfg.ctx(), p.features, p.golden, pks.Options{Seed: r.cfg.Seed, Selection: pol.policy, Parallelism: r.cfg.Parallelism})
 				if err != nil {
 					return nil, fmt.Errorf("%s: pks %v: %w", name, pol.policy, err)
 				}

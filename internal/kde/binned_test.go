@@ -54,7 +54,7 @@ func TestGridBinnedMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gx, gd, err := e.Grid(n)
+			gx, gd, err := e.GridContext(context.Background(), n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestGridNarrowBandwidthFallsBackToExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gx, gd, err := e.Grid(n)
+	gx, gd, err := e.GridContext(context.Background(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestGridEdgeCases(t *testing.T) {
 	})
 }
 
-// checkAgainstDensity compares Grid(n) against per-point Density within the
-// binned tolerance (bitwise when the exact path is active).
+// checkAgainstDensity compares GridContext(n) against per-point Density
+// within the binned tolerance (bitwise when the exact path is active).
 func checkAgainstDensity(t *testing.T, e *Estimator, n int) {
 	t.Helper()
-	gx, gd, err := e.Grid(n)
+	gx, gd, err := e.GridContext(context.Background(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func assertSameValleySplit(t *testing.T, name string, xs []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binned, err := e.Valleys(DefaultGridPoints)
+	binned, err := e.ValleysContext(context.Background(), DefaultGridPoints)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,19 +170,13 @@ func (m *Mixture) Assign(x float64) int {
 	return best
 }
 
-// SplitUnderCoVGMM stratifies xs like SplitUnderCoV, but with an EM-fitted
-// Gaussian mixture instead of KDE valleys: the component count grows until
-// every contiguous run of same-component samples has CoV below threshold
-// (stubborn runs fall back to median bisection). Groups are ascending and
-// partition the input.
-func SplitUnderCoVGMM(xs []float64, threshold float64) ([][]float64, error) {
-	return SplitUnderCoVGMMContext(context.Background(), xs, threshold)
-}
-
-// SplitUnderCoVGMMContext is SplitUnderCoVGMM with observability: a collector
-// attached to ctx records a kde.split_gmm span carrying the sample count and
-// resulting group count. The EM fit itself is uninterruptible; ctx is observed
-// only at span boundaries.
+// SplitUnderCoVGMMContext stratifies xs like SplitUnderCoVContext, but with
+// an EM-fitted Gaussian mixture instead of KDE valleys: the component count
+// grows until every contiguous run of same-component samples has CoV below
+// threshold (stubborn runs fall back to median bisection). Groups are
+// ascending and partition the input. A collector attached to ctx records a
+// kde.split_gmm span carrying the sample count and resulting group count. The
+// EM fit itself is uninterruptible; ctx is observed only at span boundaries.
 func SplitUnderCoVGMMContext(ctx context.Context, xs []float64, threshold float64) ([][]float64, error) {
 	_, sp := obs.StartSpan(ctx, "kde.split_gmm")
 	defer sp.End()

@@ -1,6 +1,7 @@
 package kde
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -104,7 +105,7 @@ func TestFitMixtureDegenerateConstantSample(t *testing.T) {
 }
 
 func TestSplitUnderCoVGMMHomogeneous(t *testing.T) {
-	groups, err := SplitUnderCoVGMM([]float64{100, 101, 99}, 0.4)
+	groups, err := SplitUnderCoVGMMContext(context.Background(), []float64{100, 101, 99}, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestSplitUnderCoVGMMBimodal(t *testing.T) {
 		xs = append(xs, 100+float64(i%3))
 		xs = append(xs, 10000+float64(i%5))
 	}
-	groups, err := SplitUnderCoVGMM(xs, 0.4)
+	groups, err := SplitUnderCoVGMMContext(context.Background(), xs, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +140,10 @@ func TestSplitUnderCoVGMMBimodal(t *testing.T) {
 }
 
 func TestSplitUnderCoVGMMErrors(t *testing.T) {
-	if _, err := SplitUnderCoVGMM(nil, 0.4); err == nil {
+	if _, err := SplitUnderCoVGMMContext(context.Background(), nil, 0.4); err == nil {
 		t.Fatal("want error for empty sample")
 	}
-	if _, err := SplitUnderCoVGMM([]float64{1}, 0); err == nil {
+	if _, err := SplitUnderCoVGMMContext(context.Background(), []float64{1}, 0); err == nil {
 		t.Fatal("want error for non-positive threshold")
 	}
 }
@@ -159,7 +160,7 @@ func TestSplitUnderCoVGMMProperty(t *testing.T) {
 				xs[i] = 1
 			}
 		}
-		groups, err := SplitUnderCoVGMM(xs, 0.4)
+		groups, err := SplitUnderCoVGMMContext(context.Background(), xs, 0.4)
 		if err != nil {
 			return false
 		}

@@ -86,9 +86,9 @@ func (e *Estimator) Density(x float64) float64 {
 // because the per-point window holds few samples.
 const binnedMinBandwidthSteps = 6
 
-// Grid evaluates the density on n evenly spaced points spanning the sample
-// range extended by 3 bandwidths on each side. It returns parallel slices of
-// positions and densities. n must be at least 2.
+// GridContext evaluates the density on n evenly spaced points spanning the
+// sample range extended by 3 bandwidths on each side. It returns parallel
+// slices of positions and densities. n must be at least 2.
 //
 // The evaluator is linear-binned: the n samples are accumulated onto the
 // grid once (O(n)), and the density is then a convolution of the bin weights
@@ -96,14 +96,9 @@ const binnedMinBandwidthSteps = 6
 // in grid steps, cut off at 6σ) — independent of the sample count per grid
 // point. Bandwidths too narrow for the grid to resolve
 // (h < binnedMinBandwidthSteps·step) are evaluated exactly instead; see
-// GridExact for the reference evaluation.
-func (e *Estimator) Grid(n int) (xs, ds []float64, err error) {
-	return e.GridContext(context.Background(), n)
-}
-
-// GridContext is Grid with cancellation, checked between evaluation chunks
-// on the exact fallback path (the binned path is O(n + g·w) and runs in
-// microseconds, so it is checked only on entry).
+// GridExact for the reference evaluation. Cancellation is checked between
+// evaluation chunks on the exact fallback path (the binned path is
+// O(n + g·w) and runs in microseconds, so it is checked only on entry).
 func (e *Estimator) GridContext(ctx context.Context, n int) (xs, ds []float64, err error) {
 	if n < 2 {
 		return nil, nil, fmt.Errorf("kde: grid needs at least 2 points, got %d", n)

@@ -1,6 +1,7 @@
 package kde
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -97,7 +98,7 @@ func TestGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs, ds, err := e.Grid(10)
+	xs, ds, err := e.GridContext(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestGrid(t *testing.T) {
 			t.Fatal("grid not increasing")
 		}
 	}
-	if _, _, err := e.Grid(1); err == nil {
+	if _, _, err := e.GridContext(context.Background(), 1); err == nil {
 		t.Fatal("want error for 1-point grid")
 	}
 }
@@ -162,7 +163,7 @@ func TestValleysBimodal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valleys, err := e.Valleys(DefaultGridPoints)
+	valleys, err := e.ValleysContext(context.Background(), DefaultGridPoints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestValleysUnimodal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valleys, err := e.Valleys(DefaultGridPoints)
+	valleys, err := e.ValleysContext(context.Background(), DefaultGridPoints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestSplitAtValleys(t *testing.T) {
 
 func TestSplitUnderCoVHomogeneousPassThrough(t *testing.T) {
 	xs := []float64{100, 101, 99, 100}
-	groups, err := SplitUnderCoV(xs, 0.4)
+	groups, err := SplitUnderCoVContext(context.Background(), xs, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestSplitUnderCoVBimodal(t *testing.T) {
 		xs = append(xs, 100+float64(i%3))
 		xs = append(xs, 10000+float64(i%5))
 	}
-	groups, err := SplitUnderCoV(xs, 0.4)
+	groups, err := SplitUnderCoVContext(context.Background(), xs, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +263,10 @@ func TestSplitUnderCoVBimodal(t *testing.T) {
 }
 
 func TestSplitUnderCoVErrors(t *testing.T) {
-	if _, err := SplitUnderCoV(nil, 0.4); err == nil {
+	if _, err := SplitUnderCoVContext(context.Background(), nil, 0.4); err == nil {
 		t.Fatal("want error for empty sample")
 	}
-	if _, err := SplitUnderCoV([]float64{1}, 0); err == nil {
+	if _, err := SplitUnderCoVContext(context.Background(), []float64{1}, 0); err == nil {
 		t.Fatal("want error for non-positive threshold")
 	}
 }
@@ -284,7 +285,7 @@ func TestSplitUnderCoVPropertyAllGroupsSatisfyThreshold(t *testing.T) {
 				xs[i] = 1
 			}
 		}
-		groups, err := SplitUnderCoV(xs, 0.4)
+		groups, err := SplitUnderCoVContext(context.Background(), xs, 0.4)
 		if err != nil {
 			return false
 		}
@@ -312,7 +313,7 @@ func TestSplitUnderCoVKeepsDuplicatesTogether(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		xs = append(xs, 5, 50000)
 	}
-	groups, err := SplitUnderCoV(xs, 0.4)
+	groups, err := SplitUnderCoVContext(context.Background(), xs, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,17 +15,12 @@ import (
 // profiling.
 const DefaultGridPoints = 512
 
-// Valleys returns the positions of the local minima of the estimated density
-// evaluated on an n-point grid — the natural cut points between modes.
-// Plateau minima report their midpoint once.
-func (e *Estimator) Valleys(n int) ([]float64, error) {
-	return e.ValleysContext(context.Background(), n)
-}
-
-// ValleysContext is Valleys with cancellation and observability: the density
-// grid underneath observes ctx between evaluation chunks and records a
-// kde.grid span when a collector is attached. The grid itself lives in
-// pooled scratch, so only the (typically tiny) valley slice is allocated.
+// ValleysContext returns the positions of the local minima of the estimated
+// density evaluated on an n-point grid — the natural cut points between
+// modes. Plateau minima report their midpoint once. The density grid
+// underneath observes ctx between evaluation chunks and records a kde.grid
+// span when a collector is attached. The grid itself lives in pooled scratch,
+// so only the (typically tiny) valley slice is allocated.
 func (e *Estimator) ValleysContext(ctx context.Context, n int) ([]float64, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("kde: grid needs at least 2 points, got %d", n)
@@ -97,27 +92,22 @@ func splitSortedAtValleys(sorted []float64, valleys []float64) [][]float64 {
 	return groups
 }
 
-// MaxRecursionDepth bounds SplitUnderCoV's recursive bisection of groups the
-// valley pass could not make homogeneous. 2^32 potential leaves is far beyond
-// any real instruction-count distribution, so hitting the bound means the
-// data is pathological (e.g. heavy mass at zero) and the group is accepted
-// as-is rather than split forever.
+// MaxRecursionDepth bounds SplitUnderCoVContext's recursive bisection of
+// groups the valley pass could not make homogeneous. 2^32 potential leaves is
+// far beyond any real instruction-count distribution, so hitting the bound
+// means the data is pathological (e.g. heavy mass at zero) and the group is
+// accepted as-is rather than split forever.
 const MaxRecursionDepth = 32
 
-// SplitUnderCoV stratifies xs so every returned group has a coefficient of
-// variation below threshold, using as few strata as possible in practice:
-// it first cuts at KDE density valleys (minimizing strata at mode boundaries)
-// and then recursively median-bisects any group still above the threshold.
-// Groups are sorted ascending; together they contain every input sample.
-// threshold must be positive.
-func SplitUnderCoV(xs []float64, threshold float64) ([][]float64, error) {
-	return SplitUnderCoVContext(context.Background(), xs, threshold)
-}
-
-// SplitUnderCoVContext is SplitUnderCoV with context plumbing: a collector
-// attached to ctx records a kde.split span (sample count, bandwidth, valley
-// and group counts) with the density-grid evaluation nested under it, and a
-// cancelled context stops the grid between evaluation chunks.
+// SplitUnderCoVContext stratifies xs so every returned group has a
+// coefficient of variation below threshold, using as few strata as possible
+// in practice: it first cuts at KDE density valleys (minimizing strata at
+// mode boundaries) and then recursively median-bisects any group still above
+// the threshold. Groups are sorted ascending; together they contain every
+// input sample. threshold must be positive. A collector attached to ctx
+// records a kde.split span (sample count, bandwidth, valley and group counts)
+// with the density-grid evaluation nested under it, and a cancelled context
+// stops the grid between evaluation chunks.
 func SplitUnderCoVContext(ctx context.Context, xs []float64, threshold float64) ([][]float64, error) {
 	if threshold <= 0 {
 		return nil, fmt.Errorf("kde: non-positive CoV threshold %g", threshold)

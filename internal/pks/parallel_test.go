@@ -1,6 +1,7 @@
 package pks
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -49,14 +50,14 @@ func TestSelectParallelMatchesSequential(t *testing.T) {
 			features, golden := synthFeatures(tc.opts.Seed, tc.n)
 			seqOpts := tc.opts
 			seqOpts.Parallelism = 1
-			seq, err := Select(features, golden, seqOpts)
+			seq, err := SelectContext(context.Background(), features, golden, seqOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 3, 16} {
 				parOpts := tc.opts
 				parOpts.Parallelism = workers
-				par, err := Select(features, golden, parOpts)
+				par, err := SelectContext(context.Background(), features, golden, parOpts)
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", workers, err)
 				}
@@ -72,11 +73,11 @@ func TestSelectParallelMatchesSequential(t *testing.T) {
 func TestSelectParallelAcrossSeeds(t *testing.T) {
 	features, golden := synthFeatures(42, 250)
 	for seed := int64(1); seed <= 5; seed++ {
-		seq, err := Select(features, golden, Options{Seed: seed, Parallelism: 1})
+		seq, err := SelectContext(context.Background(), features, golden, Options{Seed: seed, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Select(features, golden, Options{Seed: seed, Parallelism: 8})
+		par, err := SelectContext(context.Background(), features, golden, Options{Seed: seed, Parallelism: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,13 +89,13 @@ func TestSelectParallelAcrossSeeds(t *testing.T) {
 
 func TestSelectInvalidParallelismAndRestarts(t *testing.T) {
 	features, golden := synthFeatures(1, 10)
-	if _, err := Select(features, golden, Options{Parallelism: -2}); err == nil {
+	if _, err := SelectContext(context.Background(), features, golden, Options{Parallelism: -2}); err == nil {
 		t.Fatal("want error for negative parallelism")
 	}
-	if _, err := Select(features, golden, Options{Restarts: -1}); err == nil {
+	if _, err := SelectContext(context.Background(), features, golden, Options{Restarts: -1}); err == nil {
 		t.Fatal("want error for negative restarts")
 	}
-	if _, err := Select(features, golden, Options{MinParallelWork: -5}); err == nil {
+	if _, err := SelectContext(context.Background(), features, golden, Options{MinParallelWork: -5}); err == nil {
 		t.Fatal("want error for negative MinParallelWork")
 	}
 }
@@ -104,11 +105,11 @@ func TestSelectInvalidParallelismAndRestarts(t *testing.T) {
 // it onto the pool (threshold 1) produce identical results.
 func TestSelectWorkGateMatchesForcedPool(t *testing.T) {
 	features, golden := synthFeatures(11, 350)
-	inline, err := Select(features, golden, Options{Seed: 11, Parallelism: 4, MinParallelWork: 1 << 62})
+	inline, err := SelectContext(context.Background(), features, golden, Options{Seed: 11, Parallelism: 4, MinParallelWork: 1 << 62})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := Select(features, golden, Options{Seed: 11, Parallelism: 4, MinParallelWork: 1})
+	pooled, err := SelectContext(context.Background(), features, golden, Options{Seed: 11, Parallelism: 4, MinParallelWork: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestSelectWorkGateMatchesForcedPool(t *testing.T) {
 func TestSelectRestartsNeverWorsenDistortion(t *testing.T) {
 	features, golden := synthFeatures(9, 200)
 	for _, restarts := range []int{1, 2, 5} {
-		res, err := Select(features, golden, Options{Seed: 3, Restarts: restarts})
+		res, err := SelectContext(context.Background(), features, golden, Options{Seed: 3, Restarts: restarts})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -224,18 +224,13 @@ type Result struct {
 	KSelectionError float64
 }
 
-// Select runs the PKS pipeline. features[i] is the 12-characteristic vector
-// of invocation i (chronological); goldenCycles[i] is that invocation's
-// measured cycle count on the reference hardware, required by PKS's
-// k-selection step.
-func Select(features [][]float64, goldenCycles []float64, opts Options) (*Result, error) {
-	return SelectContext(context.Background(), features, goldenCycles, opts)
-}
-
-// SelectContext is Select with cancellation: the k = 1..MaxK sweep checks ctx
-// between candidate clusterings, so a cancelled or timed-out context stops
-// the sweep — already-running candidates finish, queued ones never start, the
-// worker pool drains — and the call reports ctx.Err().
+// SelectContext runs the PKS pipeline. features[i] is the 12-characteristic
+// vector of invocation i (chronological); goldenCycles[i] is that
+// invocation's measured cycle count on the reference hardware, required by
+// PKS's k-selection step. The k = 1..MaxK sweep checks ctx between candidate
+// clusterings, so a cancelled or timed-out context stops the sweep —
+// already-running candidates finish, queued ones never start, the worker pool
+// drains — and the call reports ctx.Err().
 func SelectContext(ctx context.Context, features [][]float64, goldenCycles []float64, opts Options) (*Result, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {

@@ -1,6 +1,7 @@
 package pks
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -44,19 +45,19 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Select(f, g, c.opts); err == nil {
+			if _, err := SelectContext(context.Background(), f, g, c.opts); err == nil {
 				t.Fatal("want error")
 			}
 		})
 	}
-	if _, err := Select(nil, nil, Options{}); err == nil {
+	if _, err := SelectContext(context.Background(), nil, nil, Options{}); err == nil {
 		t.Fatal("want error for empty input")
 	}
-	if _, err := Select(f, g[:1], Options{}); err == nil {
+	if _, err := SelectContext(context.Background(), f, g[:1], Options{}); err == nil {
 		t.Fatal("want error for length mismatch")
 	}
 	g[0] = 0
-	if _, err := Select(f, g, Options{}); err == nil {
+	if _, err := SelectContext(context.Background(), f, g, Options{}); err == nil {
 		t.Fatal("want error for non-positive golden cycles")
 	}
 }
@@ -73,7 +74,7 @@ func TestPolicyString(t *testing.T) {
 
 func TestSelectPartitionsInvocations(t *testing.T) {
 	f, g := syntheticProfile(4, 25, 2)
-	res, err := Select(f, g, Options{Seed: 11})
+	res, err := SelectContext(context.Background(), f, g, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestSelectPartitionsInvocations(t *testing.T) {
 
 func TestSelectFirstPicksEarliest(t *testing.T) {
 	f, g := syntheticProfile(3, 10, 3)
-	res, err := Select(f, g, Options{Selection: SelectFirst, Seed: 5})
+	res, err := SelectContext(context.Background(), f, g, Options{Selection: SelectFirst, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +128,11 @@ func TestSelectFirstPicksEarliest(t *testing.T) {
 
 func TestSelectDeterministicForSeed(t *testing.T) {
 	f, g := syntheticProfile(3, 20, 4)
-	a, err := Select(f, g, Options{Seed: 42, Selection: SelectRandom})
+	a, err := SelectContext(context.Background(), f, g, Options{Seed: 42, Selection: SelectRandom})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Select(f, g, Options{Seed: 42, Selection: SelectRandom})
+	b, err := SelectContext(context.Background(), f, g, Options{Seed: 42, Selection: SelectRandom})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestKSelectionUsesGoldenReference(t *testing.T) {
 	// enough clusters make the prediction near-exact; PKS must find a k
 	// with small error.
 	f, g := syntheticProfile(4, 30, 6)
-	res, err := Select(f, g, Options{Seed: 9})
+	res, err := SelectContext(context.Background(), f, g, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestSpeedupAndCoV(t *testing.T) {
 
 func TestRepresentativeIndicesSorted(t *testing.T) {
 	f, g := syntheticProfile(3, 15, 8)
-	res, err := Select(f, g, Options{Seed: 2})
+	res, err := SelectContext(context.Background(), f, g, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestRepresentativeIndicesSorted(t *testing.T) {
 
 func TestSubsamplingStillCoversAllInvocations(t *testing.T) {
 	f, g := syntheticProfile(4, 500, 10) // 2000 invocations
-	res, err := Select(f, g, Options{Seed: 3, ClusterSampleCap: 100})
+	res, err := SelectContext(context.Background(), f, g, Options{Seed: 3, ClusterSampleCap: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestSubsamplingStillCoversAllInvocations(t *testing.T) {
 
 func TestSingleInvocation(t *testing.T) {
 	f, g := syntheticProfile(1, 1, 12)
-	res, err := Select(f, g, Options{Seed: 1})
+	res, err := SelectContext(context.Background(), f, g, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestCentroidPolicyPicksCentralMember(t *testing.T) {
 		make12(0), make12(10), make12(20),
 	}
 	golden := []float64{100, 100, 100}
-	res, err := Select(features, golden, Options{Seed: 7, MaxK: 1, Selection: SelectCentroid})
+	res, err := SelectContext(context.Background(), features, golden, Options{Seed: 7, MaxK: 1, Selection: SelectCentroid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func make12(v float64) []float64 {
 
 func TestHierarchicalClusteringOption(t *testing.T) {
 	f, g := syntheticProfile(4, 40, 21)
-	res, err := Select(f, g, Options{Seed: 3, Clustering: AlgoHierarchical})
+	res, err := SelectContext(context.Background(), f, g, Options{Seed: 3, Clustering: AlgoHierarchical})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestHierarchicalClusteringOption(t *testing.T) {
 
 func TestHierarchicalSampleCapEnforced(t *testing.T) {
 	f, g := syntheticProfile(3, 400, 22) // 1200 invocations
-	res, err := Select(f, g, Options{Seed: 4, Clustering: AlgoHierarchical})
+	res, err := SelectContext(context.Background(), f, g, Options{Seed: 4, Clustering: AlgoHierarchical})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestClusteringAlgoString(t *testing.T) {
 	if ClusteringAlgo(9).String() != "ClusteringAlgo(9)" {
 		t.Fatal("unknown algo string")
 	}
-	if _, err := Select([][]float64{make12(1)}, []float64{1}, Options{Clustering: ClusteringAlgo(9)}); err == nil {
+	if _, err := SelectContext(context.Background(), [][]float64{make12(1)}, []float64{1}, Options{Clustering: ClusteringAlgo(9)}); err == nil {
 		t.Fatal("want error for unknown clustering algorithm")
 	}
 }

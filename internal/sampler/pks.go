@@ -13,12 +13,12 @@ const MethodPKS = "pks"
 
 // pksSampler adapts the PKS baseline (12-characteristic PCA + k-means sweep
 // calibrated against golden cycles) to the Sampler interface. The selection
-// is exactly pks.Select's — same clusters, same representatives, pinned by
-// tests — re-expressed as a core plan: one stratum per cluster (synthetic
-// "pks-cluster-NNN" labels, since clusters span kernels) with the
-// CountWeighted flag set so Predict reproduces the PKS estimator
-// (Σ cluster size × representative cycles) rather than Sieve's
-// instruction-share harmonic mean.
+// is exactly pks.SelectContext's — same clusters, same representatives,
+// pinned by tests — re-expressed as a core plan: one stratum per cluster
+// (synthetic "pks-cluster-NNN" labels, since clusters span kernels) with the
+// CountWeighted flag set so Predict reproduces the PKS estimator (Σ cluster
+// size × representative cycles) rather than Sieve's instruction-share
+// harmonic mean.
 type pksSampler struct{}
 
 func (pksSampler) Name() string { return MethodPKS }

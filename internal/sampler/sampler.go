@@ -2,8 +2,8 @@
 // Sampler interface, a registry of named strategies, and the option/profile
 // types every strategy shares.
 //
-// The paper's stratified sampler (core.Stratify) and the PKS baseline are
-// the first two registered strategies; internal/sampler/twophase and
+// The paper's stratified sampler (core.StratifyContext) and the PKS baseline
+// are the first two registered strategies; internal/sampler/twophase and
 // internal/sampler/rss add the two NVIDIA CPU-sampling methodologies from
 // the related work (two-phase stratified sampling with Neyman allocation,
 // and ranked-set sampling with repeated subsampling). Adding a methodology
@@ -58,9 +58,7 @@ const (
 // default sampler (θ, selection policy, splitter, parallelism); the rest are
 // methodology-specific and ignored by strategies that don't use them.
 type Options struct {
-	// Core holds the stratification options. Core.Method is ignored — the
-	// methodology is chosen by which Sampler runs, not by this field — and
-	// cleared before the options reach core.Stratify.
+	// Core holds the stratification options.
 	Core core.Options
 	// Seed drives every randomized draw a strategy makes (two-phase pilot
 	// subsampling, ranked-set draws, resampling). Same seed ⇒ byte-identical
@@ -79,16 +77,15 @@ type Options struct {
 	// intervals (DefaultResamples if zero; minimum 2).
 	Resamples int
 	// PKS carries the PKS baseline's own options, forwarded verbatim to
-	// pks.Select — a zero value keeps pks's historical defaults (including
-	// its zero seed), so registry-built PKS plans match the legacy call
-	// paths exactly.
+	// pks.SelectContext — a zero value keeps pks's historical defaults
+	// (including its zero seed), so registry-built PKS plans match the legacy
+	// call paths exactly.
 	PKS pks.Options
 }
 
 // WithDefaults validates the options and fills defaults. Strategies call it
 // at the top of Plan, so callers may pass a zero Options.
 func (o Options) WithDefaults() (Options, error) {
-	o.Core.Method = ""
 	if o.Core.Theta == 0 && !o.Core.ThetaSet {
 		o.Core.Theta = core.DefaultTheta
 	}
@@ -196,6 +193,9 @@ func Names() []string {
 // Run resolves the named strategy and builds its plan under a sampler.plan
 // observability span (method, rows and strata attributes). It is the entry
 // point the root API, the service and the experiments harness share.
+// Strategy errors are returned as the strategy reported them: they already
+// name their layer, so the default method fails with exactly the errors
+// core.StratifyContext reports.
 func Run(ctx context.Context, method string, p *Profile, opts Options) (*core.Result, error) {
 	s, err := New(method)
 	if err != nil {
@@ -209,7 +209,7 @@ func Run(ctx context.Context, method string, p *Profile, opts Options) (*core.Re
 	}
 	res, err := s.Plan(ctx, p, opts)
 	if err != nil {
-		return nil, fmt.Errorf("sampler: %s: %w", s.Name(), err)
+		return nil, err
 	}
 	if sp.Active() {
 		sp.SetAttr("strata", len(res.Strata))

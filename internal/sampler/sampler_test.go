@@ -2,6 +2,7 @@ package sampler_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -86,11 +87,11 @@ func TestRegistryHasAllFourMethods(t *testing.T) {
 // TestSieveIdentity pins the refactor's core acceptance criterion: a plan
 // built through the registry's sieve strategy is identical — every field,
 // including the unexported prediction indexes — to one built by calling
-// core.Stratify directly, so pre-registry golden fixtures and cache keys
-// keep working without re-goldening.
+// core.StratifyContext directly, so pre-registry golden fixtures and cache
+// keys keep working without re-goldening.
 func TestSieveIdentity(t *testing.T) {
 	p := testProfile(t, "lmc", 0.02)
-	direct, err := core.Stratify(p.Rows, core.Options{})
+	direct, err := core.StratifyContext(context.Background(), p.Rows, core.Options{})
 	if err != nil {
 		t.Fatalf("direct: %v", err)
 	}
@@ -99,7 +100,7 @@ func TestSieveIdentity(t *testing.T) {
 		t.Fatalf("registry: %v", err)
 	}
 	if !reflect.DeepEqual(direct, viaRegistry) {
-		t.Fatalf("registry sieve plan differs from direct core.Stratify plan")
+		t.Fatalf("registry sieve plan differs from direct core.StratifyContext plan")
 	}
 	if viaRegistry.Method != "" {
 		t.Fatalf("sieve plan Method = %q, want empty (wire back-compat)", viaRegistry.Method)
@@ -110,13 +111,13 @@ func TestSieveIdentity(t *testing.T) {
 }
 
 // TestPKSIdentity pins the PKS side: the registry strategy's strata are
-// exactly pks.Select's clusters (same members, same representatives, same
-// order) and the count-weighted plan predicts the same cycle total as the
-// legacy PKS estimator.
+// exactly pks.SelectContext's clusters (same members, same representatives,
+// same order) and the count-weighted plan predicts the same cycle total as
+// the legacy PKS estimator.
 func TestPKSIdentity(t *testing.T) {
 	p := testProfile(t, "lmc", 0.02)
 	popts := pks.Options{Seed: 7}
-	legacy, err := pks.Select(p.Features, p.GoldenCycles, popts)
+	legacy, err := pks.SelectContext(context.Background(), p.Features, p.GoldenCycles, popts)
 	if err != nil {
 		t.Fatalf("legacy pks: %v", err)
 	}
@@ -205,7 +206,7 @@ func TestSeedDeterminism(t *testing.T) {
 // invocation.
 func TestTwophaseRefinesBasePlan(t *testing.T) {
 	p := testProfile(t, "lmc", 0.02)
-	base, err := core.Stratify(p.Rows, core.Options{})
+	base, err := core.StratifyContext(context.Background(), p.Rows, core.Options{})
 	if err != nil {
 		t.Fatalf("base: %v", err)
 	}
@@ -219,7 +220,7 @@ func TestTwophaseRefinesBasePlan(t *testing.T) {
 	if plan.NumInvocations() != len(p.Rows) {
 		t.Fatalf("twophase covers %d of %d invocations", plan.NumInvocations(), len(p.Rows))
 	}
-	// Summation order differs between Assemble and Stratify, so allow
+	// Summation order differs between Assemble and StratifyContext, so allow
 	// floating-point ULP noise but nothing more.
 	if rel := math.Abs(plan.TotalInstructions-base.TotalInstructions) / base.TotalInstructions; rel > 1e-12 {
 		t.Fatalf("total instructions drifted: %g vs %g (rel %g)", plan.TotalInstructions, base.TotalInstructions, rel)
@@ -293,16 +294,19 @@ func TestPKSNeedsFeatures(t *testing.T) {
 	}
 }
 
-// TestCoreRejectsForeignMethod: a non-default Options.Method reaching
-// core.Stratify is a dispatch bug and must fail loudly.
-func TestCoreRejectsForeignMethod(t *testing.T) {
+// TestRunReturnsStrategyErrors: Run passes a strategy's error through as the
+// strategy reported it, so the default method fails with exactly the error
+// core.StratifyContext returns and errors.Is still finds the sentinel.
+func TestRunReturnsStrategyErrors(t *testing.T) {
 	p := testProfile(t, "lmc", 0.02)
-	_, err := core.Stratify(p.Rows, core.Options{Method: "twophase"})
-	if err == nil || !strings.Contains(err.Error(), "method") {
-		t.Fatalf("core.Stratify(Method: twophase) = %v, want method error", err)
+	opts := core.Options{Theta: -1}
+	_, direct := core.StratifyContext(context.Background(), p.Rows, opts)
+	_, viaRun := sampler.Run(context.Background(), "sieve", p, sampler.Options{Core: opts})
+	if direct == nil || viaRun == nil || viaRun.Error() != direct.Error() {
+		t.Fatalf("Run error %v, want core's %v", viaRun, direct)
 	}
-	if _, err := core.Stratify(p.Rows, core.Options{Method: "sieve"}); err != nil {
-		t.Fatalf("core.Stratify(Method: sieve): %v", err)
+	if !errors.Is(viaRun, core.ErrInvalidTheta) {
+		t.Fatalf("Run error %v does not wrap core.ErrInvalidTheta", viaRun)
 	}
 }
 

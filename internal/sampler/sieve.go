@@ -7,9 +7,9 @@ import (
 )
 
 // sieveSampler is the default strategy: the paper's stratified sampler,
-// delegated wholesale to core.Stratify. Plans are byte-identical to calling
-// core directly — Result.Method stays empty and no interval is attached —
-// so pre-registry golden fixtures and cache keys are unaffected.
+// delegated wholesale to core.StratifyContext. Plans are byte-identical to
+// calling core directly — Result.Method stays empty and no interval is
+// attached — so pre-registry golden fixtures and cache keys are unaffected.
 type sieveSampler struct{}
 
 func (sieveSampler) Name() string { return core.MethodSieve }

@@ -12,13 +12,6 @@ import (
 	"github.com/gpusampling/sieve/internal/obs"
 )
 
-// The batch wire types live in the exported api package; the server consumes
-// them through aliases (see the note on SampleRequest in server.go).
-type (
-	BatchRequest    = api.BatchRequest
-	BatchItemResult = api.BatchItemResult
-)
-
 // serveBatch answers POST /v1/batch: one scheduler pass over many profiles.
 // The batch handler itself holds no worker slot — admission control lives
 // where the compute happens, in each item's flight leader — so cache hits
@@ -36,7 +29,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) int {
 		decodeSpan.End()
 		return s.writeError(w, err)
 	}
-	var breq BatchRequest
+	var breq api.BatchRequest
 	err = json.Unmarshal(body, &breq)
 	decodeSpan.End()
 	if err != nil {
@@ -84,22 +77,17 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) int {
 // hits and joins need none. Cache hits and coalesced joins count toward the
 // same metrics as single requests; batch_items tracks the item volume
 // itself.
-func (s *Server) batchItem(ctx context.Context, req *SampleRequest) BatchItemResult {
+func (s *Server) batchItem(ctx context.Context, req *api.SampleRequest) api.BatchItemResult {
 	s.metrics.BatchItems.Add(1)
 	rv, err := s.resolve(req)
 	if err != nil {
 		s.metrics.Failures.Add(1)
-		return BatchItemResult{Status: statusFor(err), Error: err.Error()}
+		return api.BatchItemResult{Status: statusFor(err), Error: err.Error()}
 	}
 	s.metrics.MethodRequests(rv.method).Add(1)
 	id := rv.key("sample")
-	_, cacheSpan := obs.StartSpan(ctx, stageCache)
-	doc, hit := s.cache.get(id)
-	cacheSpan.SetAttr("hit", hit)
-	cacheSpan.End()
-	if hit {
-		s.metrics.CacheHits.Add(1)
-		return BatchItemResult{Status: http.StatusOK, PlanID: id, Cached: true, Plan: doc}
+	if doc, hit := s.cachedPlan(ctx, id); hit {
+		return api.BatchItemResult{Status: http.StatusOK, PlanID: id, Cached: true, Plan: doc}
 	}
 	s.metrics.CacheMisses.Add(1)
 	doc, shared, err := s.computePlan(ctx, id, rv)
@@ -108,7 +96,7 @@ func (s *Server) batchItem(ctx context.Context, req *SampleRequest) BatchItemRes
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.Warn("batch item failed", "status", statusFor(err), "error", err.Error())
 		}
-		return BatchItemResult{Status: statusFor(err), PlanID: id, Error: err.Error()}
+		return api.BatchItemResult{Status: statusFor(err), PlanID: id, Error: err.Error()}
 	}
-	return BatchItemResult{Status: http.StatusOK, PlanID: id, Coalesced: shared, Plan: doc}
+	return api.BatchItemResult{Status: http.StatusOK, PlanID: id, Coalesced: shared, Plan: doc}
 }

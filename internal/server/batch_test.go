@@ -9,11 +9,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/gpusampling/sieve/api"
 )
 
 // batchResponse mirrors the /v1/batch response document.
 type batchResponse struct {
-	Items []BatchItemResult `json:"items"`
+	Items []api.BatchItemResult `json:"items"`
 }
 
 func postBatch(t *testing.T, url, body string) (int, batchResponse, []byte) {

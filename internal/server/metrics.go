@@ -154,6 +154,35 @@ type methodCount struct {
 	count  int64
 }
 
+// counterDef is one row of the counter table: the metric's base name, its
+// Prometheus kind and its value.
+type counterDef struct {
+	name string
+	kind string // "counter" or "gauge"
+	v    *expvar.Int
+}
+
+// counterTable lists every expvar counter once, in /debug/metrics key order.
+// It drives all three expositions: the /debug/metrics document, the
+// Prometheus text (counters as sieved_<name>_total, gauges as sieved_<name>)
+// and expvar publication (<prefix>.<name>).
+func (m *metrics) counterTable() []counterDef {
+	return []counterDef{
+		{"requests", "counter", &m.Requests},
+		{"failures", "counter", &m.Failures},
+		{"cache_hits", "counter", &m.CacheHits},
+		{"cache_misses", "counter", &m.CacheMisses},
+		{"computations", "counter", &m.Computations},
+		{"coalesced", "counter", &m.Coalesced},
+		{"batch_items", "counter", &m.BatchItems},
+		{"peer_fills", "counter", &m.PeerFills},
+		{"peer_proxied", "counter", &m.PeerProxied},
+		{"in_flight", "gauge", &m.InFlight},
+		{"rejected", "counter", &m.Rejected},
+		{"rows_ingested", "counter", &m.RowsIngested},
+	}
+}
+
 // registry lazily creates the metric registry so the zero-value metrics
 // struct embedded in Server keeps working without a constructor.
 func (m *metrics) registry() *obs.Registry {
@@ -187,12 +216,6 @@ func (m *metrics) observe(status int, d time.Duration) {
 	reg.Histogram(requestSecondsMetric + "_class_" + statusClass(status)).ObserveDuration(d)
 }
 
-// observeLatency records one completed request's wall time without a status
-// breakdown (kept for callers that predate observe).
-func (m *metrics) observeLatency(d time.Duration) {
-	m.registry().Histogram(requestSecondsMetric).ObserveDuration(d)
-}
-
 // quantiles returns the p50 and p99 of the recorded latencies, in
 // milliseconds (0, 0 before the first request).
 func (m *metrics) quantiles() (p50, p99 float64) {
@@ -200,30 +223,34 @@ func (m *metrics) quantiles() (p50, p99 float64) {
 	return h.Quantile(0.50) * 1e3, h.Quantile(0.99) * 1e3
 }
 
-// handler serves the /debug/metrics snapshot. expvar.Int values render as
-// JSON numbers via String(), so the document is assembled directly. The JSON
-// shape (keys and nesting) is a compatibility contract pinned by
-// TestDebugMetricsJSONShape — monitoring dashboards parse it. The counters
-// satisfy cache_hits + cache_misses + failures == requests for the non-batch
-// endpoints (batch adds batch_items on top of its one request).
+// handler serves the /debug/metrics snapshot, assembled directly from the
+// counter table. The JSON shape (keys, their order and nesting) is a
+// compatibility contract pinned by TestDebugMetricsJSONShape — monitoring
+// dashboards parse it. cache_entries is not a counter; it follows
+// cache_misses. The counters satisfy cache_hits + cache_misses + failures ==
+// requests for the non-batch endpoints (batch adds batch_items on top of its
+// one request).
 func (m *metrics) handler(cacheLen func() int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		p50, p99 := m.quantiles()
-		var methods strings.Builder
+		var b strings.Builder
+		b.WriteByte('{')
+		for _, c := range m.counterTable() {
+			fmt.Fprintf(&b, "%q:%d,", c.name, c.v.Value())
+			if c.name == "cache_misses" {
+				fmt.Fprintf(&b, `"cache_entries":%d,`, cacheLen())
+			}
+		}
+		b.WriteString(`"method_requests":{`)
 		for i, mc := range m.methodSnapshot() {
 			if i > 0 {
-				methods.WriteByte(',')
+				b.WriteByte(',')
 			}
-			fmt.Fprintf(&methods, "%q:%d", mc.method, mc.count)
+			fmt.Fprintf(&b, "%q:%d", mc.method, mc.count)
 		}
+		p50, p99 := m.quantiles()
+		fmt.Fprintf(&b, `},"latency_ms":{"p50":%g,"p99":%g}}`+"\n", p50, p99)
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"requests":%s,"failures":%s,"cache_hits":%s,"cache_misses":%s,"cache_entries":%d,"computations":%s,"coalesced":%s,"batch_items":%s,"peer_fills":%s,"peer_proxied":%s,"in_flight":%s,"rejected":%s,"rows_ingested":%s,"method_requests":{%s},"latency_ms":{"p50":%g,"p99":%g}}`+"\n",
-			m.Requests.String(), m.Failures.String(),
-			m.CacheHits.String(), m.CacheMisses.String(), cacheLen(),
-			m.Computations.String(), m.Coalesced.String(), m.BatchItems.String(),
-			m.PeerFills.String(), m.PeerProxied.String(),
-			m.InFlight.String(), m.Rejected.String(), m.RowsIngested.String(),
-			methods.String(), p50, p99)
+		_, _ = io.WriteString(w, b.String())
 	}
 }
 
@@ -248,39 +275,32 @@ func writeHistogram(w io.Writer, name, labels string, h *obs.Histogram) {
 }
 
 // prometheus serves the counters and the latency histograms in Prometheus
-// text exposition format (0.0.4): counters and gauges are written directly
-// from the expvar values; the latency histograms (overall, per status class,
-// per serving stage) render with explicit buckets — real _bucket/_sum/_count
-// series, not summary quantiles — so scrapes aggregate across replicas.
+// text exposition format (0.0.4): the counter table's rows and the runtime
+// gauges are written directly from their values; the latency histograms
+// (overall, per status class, per serving stage) render with explicit
+// buckets — real _bucket/_sum/_count series, not summary quantiles — so
+// scrapes aggregate across replicas.
 func (m *metrics) prometheus(cacheLen func() int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		counter := func(name string, v int64) {
-			fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, v)
+		sample := func(name, kind string, v int64) {
+			fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", name, kind, name, v)
 		}
-		gauge := func(name string, v int64) {
-			fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, v)
+		for _, c := range m.counterTable() {
+			name := "sieved_" + c.name
+			if c.kind == "counter" {
+				name += "_total"
+			}
+			sample(name, c.kind, c.v.Value())
 		}
-		counter("sieved_requests_total", m.Requests.Value())
-		counter("sieved_failures_total", m.Failures.Value())
-		counter("sieved_cache_hits_total", m.CacheHits.Value())
-		counter("sieved_cache_misses_total", m.CacheMisses.Value())
-		counter("sieved_computations_total", m.Computations.Value())
-		counter("sieved_coalesced_total", m.Coalesced.Value())
-		counter("sieved_batch_items_total", m.BatchItems.Value())
-		counter("sieved_peer_fills_total", m.PeerFills.Value())
-		counter("sieved_peer_proxied_total", m.PeerProxied.Value())
-		counter("sieved_rejected_total", m.Rejected.Value())
-		counter("sieved_rows_ingested_total", m.RowsIngested.Value())
 		if snap := m.methodSnapshot(); len(snap) > 0 {
 			fmt.Fprintf(w, "# TYPE sieved_method_requests_total counter\n")
 			for _, mc := range snap {
 				fmt.Fprintf(w, "sieved_method_requests_total{method=%q} %d\n", mc.method, mc.count)
 			}
 		}
-		gauge("sieved_in_flight", m.InFlight.Value())
-		gauge("sieved_cache_entries", int64(cacheLen()))
-		gauge("sieved_goroutines", int64(runtime.NumGoroutine()))
+		sample("sieved_cache_entries", "gauge", int64(cacheLen()))
+		sample("sieved_goroutines", "gauge", int64(runtime.NumGoroutine()))
 		fmt.Fprintf(w, "# TYPE sieved_uptime_seconds gauge\nsieved_uptime_seconds %g\n",
 			time.Since(m.started()).Seconds())
 		// Build/protocol identity: the same version /healthz reports, as a
@@ -313,16 +333,7 @@ func (m *metrics) prometheus(cacheLen func() int) http.HandlerFunc {
 // name.* so the standard /debug/vars endpoint exposes them too. Call at most
 // once per process (expvar panics on duplicate names).
 func (m *metrics) Publish(name string) {
-	expvar.Publish(name+".requests", &m.Requests)
-	expvar.Publish(name+".failures", &m.Failures)
-	expvar.Publish(name+".cache_hits", &m.CacheHits)
-	expvar.Publish(name+".cache_misses", &m.CacheMisses)
-	expvar.Publish(name+".computations", &m.Computations)
-	expvar.Publish(name+".coalesced", &m.Coalesced)
-	expvar.Publish(name+".batch_items", &m.BatchItems)
-	expvar.Publish(name+".peer_fills", &m.PeerFills)
-	expvar.Publish(name+".peer_proxied", &m.PeerProxied)
-	expvar.Publish(name+".in_flight", &m.InFlight)
-	expvar.Publish(name+".rejected", &m.Rejected)
-	expvar.Publish(name+".rows_ingested", &m.RowsIngested)
+	for _, c := range m.counterTable() {
+		expvar.Publish(name+"."+c.name, c.v)
+	}
 }

@@ -47,9 +47,10 @@ func normalizePeerURL(u string) string {
 	return strings.TrimRight(strings.TrimSpace(u), "/")
 }
 
-// splitPeers parses a comma-separated peer list into normalized base URLs,
-// dropping empties and duplicates while preserving first-seen order.
-func splitPeers(csv string) []string {
+// SplitPeers parses a comma-separated -peers flag value into normalized base
+// URLs for SetPeers, dropping empties and duplicates while preserving
+// first-seen order.
+func SplitPeers(csv string) []string {
 	var out []string
 	seen := make(map[string]bool)
 	for _, p := range strings.Split(csv, ",") {

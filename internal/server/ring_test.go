@@ -8,17 +8,19 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/gpusampling/sieve/api"
 )
 
 func TestSplitPeers(t *testing.T) {
-	got := splitPeers(" http://a:1/, ,http://b:2,http://a:1,,")
+	got := SplitPeers(" http://a:1/, ,http://b:2,http://a:1,,")
 	want := []string{"http://a:1", "http://b:2"}
 	if len(got) != len(want) {
-		t.Fatalf("splitPeers = %v, want %v", got, want)
+		t.Fatalf("SplitPeers = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("splitPeers = %v, want %v", got, want)
+			t.Fatalf("SplitPeers = %v, want %v", got, want)
 		}
 	}
 }
@@ -114,7 +116,7 @@ func twoReplicas(t *testing.T, cfg Config) (a, b *Server, aURL, bURL string) {
 // can pick the owning replica deterministically.
 func planIDFor(t *testing.T, srv *Server, csv string) string {
 	t.Helper()
-	rv, err := srv.resolve(&SampleRequest{ProfileCSV: csv})
+	rv, err := srv.resolve(&api.SampleRequest{ProfileCSV: csv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +241,7 @@ func thetaOwnedBy(t *testing.T, srv *Server, csv, wantOwner string) (theta strin
 		if err != nil {
 			t.Fatal(err)
 		}
-		rv, err := srv.resolve(&SampleRequest{ProfileCSV: csv, Options: RequestOptions{Theta: f}})
+		rv, err := srv.resolve(&api.SampleRequest{ProfileCSV: csv, Options: api.RequestOptions{Theta: f}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -163,10 +163,6 @@ func (s *Server) SetPeers(self string, peers []string) error {
 	return nil
 }
 
-// SplitPeers parses a comma-separated -peers flag value into normalized base
-// URLs for SetPeers.
-func SplitPeers(csv string) []string { return splitPeers(csv) }
-
 func (s *Server) shardRing() *ring { return s.shard.Load() }
 
 // selfURL is this replica's advertised base URL ("" when no ring is
@@ -240,15 +236,6 @@ func (s *Server) Handler() http.Handler {
 // Metrics exposes the counters, e.g. for global expvar publication.
 func (s *Server) Metrics() *metrics { return &s.metrics }
 
-// The wire types live in the exported api package — the supported
-// integration surface for out-of-process clients — and the server consumes
-// them through aliases so every existing reference keeps compiling and the
-// marshaled bytes stay identical (pinned by the golden wire tests).
-type (
-	RequestOptions = api.RequestOptions
-	SampleRequest  = api.SampleRequest
-)
-
 // badRequest marks an error as caller-caused (HTTP 400).
 type badRequest struct{ err error }
 
@@ -302,7 +289,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) int {
 // decodeRequest reads the bounded body and normalizes both accepted shapes —
 // raw CSV with query-parameter options, or the JSON envelope — into a
 // SampleRequest.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*SampleRequest, error) {
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*api.SampleRequest, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		return nil, err
@@ -312,13 +299,13 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*SampleR
 		ct = mt
 	}
 	if ct == "text/csv" || ct == "application/csv" {
-		req := &SampleRequest{ProfileCSV: string(body)}
+		req := &api.SampleRequest{ProfileCSV: string(body)}
 		if err := optionsFromQuery(r.URL.Query(), &req.Options); err != nil {
 			return nil, badRequest{err}
 		}
 		return req, nil
 	}
-	req := &SampleRequest{}
+	req := &api.SampleRequest{}
 	if err := json.Unmarshal(body, req); err != nil {
 		return nil, badRequest{fmt.Errorf("decode request: %w", err)}
 	}
@@ -327,7 +314,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*SampleR
 
 // optionsFromQuery parses ?theta=&selection=&splitter=&parallelism=&stream=
 // &reservoir_size=&seed=&arch=&method= for the raw-CSV request shape.
-func optionsFromQuery(q url.Values, o *RequestOptions) error {
+func optionsFromQuery(q url.Values, o *api.RequestOptions) error {
 	var err error
 	get := func(key string, parse func(string) error) {
 		if err != nil {
@@ -354,7 +341,7 @@ func optionsFromQuery(q url.Values, o *RequestOptions) error {
 // resolved is a fully-validated request: concrete sieve options plus the
 // profile source, ready to hash and run.
 type resolved struct {
-	req    *SampleRequest
+	req    *api.SampleRequest
 	opts   sieve.Options
 	stream sieve.StreamOptions
 	arch   string
@@ -365,7 +352,7 @@ type resolved struct {
 
 // resolve validates the request and turns the wire options into sieve
 // options. Validation failures are badRequest (400).
-func (s *Server) resolve(req *SampleRequest) (*resolved, error) {
+func (s *Server) resolve(req *api.SampleRequest) (*resolved, error) {
 	if (req.ProfileCSV == "") == (req.Workload == "") {
 		return nil, badRequest{errors.New("exactly one of profile_csv (or a text/csv body) and workload must be given")}
 	}
@@ -492,55 +479,19 @@ func (s *Server) acquireSlot(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// rows materializes the request's profile rows. CSV-sourced failures are the
-// caller's data (400); workload generation happens server-side, so only an
-// unknown name (caught in resolve) is the caller's fault.
-func (rv *resolved) rows(ctx context.Context) ([]sieve.InvocationProfile, error) {
+// profile materializes the sampler input: the caller's CSV rows, or the rows
+// of a workload generated and profiled server-side. pks additionally plans
+// from the workload's 12-characteristic feature vectors and golden
+// per-invocation cycle reference (resolve already rejected pks with CSV
+// sources). CSV parse failures are the caller's data (400); for a workload
+// only an unknown name (caught in resolve) is the caller's fault.
+func (rv *resolved) profile(ctx context.Context) (*sieve.MethodProfile, error) {
 	if rv.req.ProfileCSV != "" {
 		p, err := sieve.ReadProfileCSV(strings.NewReader(rv.req.ProfileCSV))
 		if err != nil {
 			return nil, badRequest{err}
 		}
-		return sieve.ProfileRows(p), nil
-	}
-	return rv.workloadRows(ctx)
-}
-
-func (rv *resolved) workloadRows(ctx context.Context) ([]sieve.InvocationProfile, error) {
-	w, err := sieve.GenerateWorkload(rv.req.Workload, rv.req.Scale)
-	if err != nil {
-		return nil, badRequest{err}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	archCfg, err := sieve.ResolveArch(rv.arch)
-	if err != nil {
-		return nil, badRequest{err}
-	}
-	hw, err := sieve.NewHardware(archCfg)
-	if err != nil {
-		return nil, err
-	}
-	p, err := sieve.ProfileInstructionCounts(w, hw)
-	if err != nil {
-		return nil, err
-	}
-	return sieve.ProfileRows(p), nil
-}
-
-// methodProfile materializes the sampler inputs for a non-default
-// methodology. Most methods need only the instruction-count rows; pks
-// additionally needs the Nsight-style 12-characteristic feature vectors and
-// the golden per-invocation cycle reference, both profiled server-side from
-// the generated workload (resolve already rejected pks with CSV sources).
-func (rv *resolved) methodProfile(ctx context.Context) (*sieve.MethodProfile, error) {
-	if rv.method != sampler.MethodPKS {
-		rows, err := rv.rows(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &sieve.MethodProfile{Rows: rows}, nil
+		return &sieve.MethodProfile{Rows: sieve.ProfileRows(p)}, nil
 	}
 	w, err := sieve.GenerateWorkload(rv.req.Workload, rv.req.Scale)
 	if err != nil {
@@ -561,69 +512,59 @@ func (rv *resolved) methodProfile(ctx context.Context) (*sieve.MethodProfile, er
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	full, err := sieve.ProfileFull(w, hw)
-	if err != nil {
-		return nil, err
-	}
-	return &sieve.MethodProfile{
-		Rows:         sieve.ProfileRows(counts),
-		Features:     sieve.FeatureRows(full),
-		GoldenCycles: hw.MeasureWorkload(w),
-	}, nil
-}
-
-// methodPlan runs a non-default methodology through the sampler registry.
-// The request seed doubles as the methodology seed, so clients reproduce
-// stochastic plans (twophase pilots, rss draws) the same way they salt the
-// cache: via options.seed.
-func (rv *resolved) methodPlan(ctx context.Context) (*sieve.Plan, error) {
-	p, err := rv.methodProfile(ctx)
-	if err != nil {
-		return nil, err
-	}
-	sopts := sieve.MethodOptions{Core: rv.opts, Seed: int64(rv.stream.Seed)}
+	p := &sieve.MethodProfile{Rows: sieve.ProfileRows(counts)}
 	if rv.method == sampler.MethodPKS {
-		sopts.PKS = pks.Options{Seed: int64(rv.stream.Seed), Parallelism: rv.opts.Parallelism}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		full, err := sieve.ProfileFull(w, hw)
+		if err != nil {
+			return nil, err
+		}
+		p.Features = sieve.FeatureRows(full)
+		p.GoldenCycles = hw.MeasureWorkload(w)
 	}
-	plan, err := sieve.SampleMethodContext(ctx, rv.method, p, sopts)
-	if err != nil && rv.req.ProfileCSV != "" && statusFor(err) == http.StatusInternalServerError {
-		// Row-validation failures on caller-supplied CSV are caller data
-		// errors, exactly as on the default path below.
-		err = badRequest{err}
-	}
-	return plan, err
+	return p, nil
 }
 
-// samplePlan runs the sampling pipeline for the resolved request.
+// samplePlan runs the sampling pipeline for the resolved request: every
+// method plans from the materialized profile through one
+// SampleMethodContext call. Stream mode (default method only, enforced by
+// resolve) is the exception: its input is a row source, so a CSV body
+// streams row by row without the profile table ever being built. The request
+// seed doubles as the methodology seed, so clients reproduce stochastic
+// plans (twophase pilots, rss draws) the same way they salt the cache: via
+// options.seed.
 func (rv *resolved) samplePlan(ctx context.Context) (*sieve.Plan, error) {
-	if rv.method != core.MethodSieve {
-		return rv.methodPlan(ctx)
-	}
 	if rv.req.Options.Stream && rv.req.ProfileCSV != "" {
 		plan, err := sieve.SampleCSVContext(ctx, strings.NewReader(rv.req.ProfileCSV), rv.stream)
-		if err != nil && statusFor(err) == http.StatusInternalServerError {
-			// Anything a well-formed CSV cannot produce is the caller's CSV.
-			err = badRequest{err}
-		}
-		return plan, err
+		return plan, rv.callerError(err)
 	}
-	rows, err := rv.rows(ctx)
+	p, err := rv.profile(ctx)
 	if err != nil {
 		return nil, err
 	}
 	if rv.req.Options.Stream {
-		return sieve.SampleStreamContext(ctx, sieve.SliceSource(rows), rv.stream)
+		return sieve.SampleStreamContext(ctx, sieve.SliceSource(p.Rows), rv.stream)
 	}
-	plan, err := sieve.SampleContext(ctx, rows, rv.opts)
+	seed := int64(rv.stream.Seed)
+	plan, err := sieve.SampleMethodContext(ctx, rv.method, p, sieve.MethodOptions{
+		Core: rv.opts,
+		Seed: seed,
+		PKS:  pks.Options{Seed: seed, Parallelism: rv.opts.Parallelism},
+	})
+	return plan, rv.callerError(err)
+}
+
+// callerError marks a pipeline failure on caller-supplied CSV as a 400
+// unless it already maps to a more specific status: anything a well-formed
+// profile cannot produce (non-positive counts, duplicate indices) is the
+// caller's data.
+func (rv *resolved) callerError(err error) error {
 	if err != nil && rv.req.ProfileCSV != "" && statusFor(err) == http.StatusInternalServerError {
-		// Row-validation failures (non-positive counts, duplicate indices)
-		// on caller-supplied CSV are caller data errors.
-		err = badRequest{err}
+		return badRequest{err}
 	}
-	return plan, err
+	return err
 }
 
 func marshalPlan(p *sieve.Plan) ([]byte, error) {
@@ -742,25 +683,13 @@ func (s *Server) computePlan(ctx context.Context, id string, rv *resolved) (doc 
 // so the traced wrapper can record latency for every outcome, errors
 // included.
 func (s *Server) serveSample(w http.ResponseWriter, r *http.Request) int {
-	_, decodeSpan := obs.StartSpan(r.Context(), stageDecode)
-	req, err := s.decodeRequest(w, r)
-	if err != nil {
-		decodeSpan.End()
-		return s.writeError(w, err)
-	}
-	rv, err := s.resolve(req)
-	decodeSpan.End()
+	rv, err := s.decodeResolved(w, r)
 	if err != nil {
 		return s.writeError(w, err)
 	}
 	s.metrics.MethodRequests(rv.method).Add(1)
 	id := rv.key("sample")
-	_, cacheSpan := obs.StartSpan(r.Context(), stageCache)
-	doc, hit := s.cache.get(id)
-	cacheSpan.SetAttr("hit", hit)
-	cacheSpan.End()
-	if hit {
-		s.metrics.CacheHits.Add(1)
+	if doc, hit := s.cachedPlan(r.Context(), id); hit {
 		s.respondTraced(r.Context(), w, id, true, false, doc)
 		return http.StatusOK
 	}
@@ -787,6 +716,33 @@ func (s *Server) serveSample(w http.ResponseWriter, r *http.Request) int {
 	return http.StatusOK
 }
 
+// decodeResolved reads, decodes and validates a sample-shaped request under
+// the decode-stage span.
+func (s *Server) decodeResolved(w http.ResponseWriter, r *http.Request) (*resolved, error) {
+	_, span := obs.StartSpan(r.Context(), stageDecode)
+	defer span.End()
+	req, err := s.decodeRequest(w, r)
+	if err != nil {
+		return nil, err
+	}
+	return s.resolve(req)
+}
+
+// cachedPlan looks id up in the plan cache under the cache-stage span and
+// counts a hit. Callers count their own misses: a plan GET that misses
+// locally ends as a peer fill or a not-found failure instead, which keeps
+// cache_hits + cache_misses + failures == requests.
+func (s *Server) cachedPlan(ctx context.Context, id string) ([]byte, bool) {
+	_, span := obs.StartSpan(ctx, stageCache)
+	doc, hit := s.cache.get(id)
+	span.SetAttr("hit", hit)
+	span.End()
+	if hit {
+		s.metrics.CacheHits.Add(1)
+	}
+	return doc, hit
+}
+
 // respondTraced writes the plan envelope under a write-stage span.
 func (s *Server) respondTraced(ctx context.Context, w http.ResponseWriter, id string, cached, coalesced bool, doc []byte) {
 	_, span := obs.StartSpan(ctx, stageWrite)
@@ -795,14 +751,7 @@ func (s *Server) respondTraced(ctx context.Context, w http.ResponseWriter, id st
 }
 
 func (s *Server) serveCharacterize(w http.ResponseWriter, r *http.Request) int {
-	_, decodeSpan := obs.StartSpan(r.Context(), stageDecode)
-	req, err := s.decodeRequest(w, r)
-	if err != nil {
-		decodeSpan.End()
-		return s.writeError(w, err)
-	}
-	rv, err := s.resolve(req)
-	decodeSpan.End()
+	rv, err := s.decodeResolved(w, r)
 	if err != nil {
 		return s.writeError(w, err)
 	}
@@ -816,20 +765,17 @@ func (s *Server) serveCharacterize(w http.ResponseWriter, r *http.Request) int {
 	}
 	defer release()
 	compCtx, compSpan := obs.StartSpan(ctx, stageCompute)
-	rows, err := rv.rows(compCtx)
+	p, err := rv.profile(compCtx)
 	if err != nil {
 		compSpan.End()
 		return s.writeError(w, err)
 	}
-	sums, err := sieve.CharacterizeContext(compCtx, rows, rv.opts.Theta)
+	sums, err := sieve.CharacterizeContext(compCtx, p.Rows, rv.opts.Theta)
 	compSpan.End()
 	if err != nil {
-		if rv.req.ProfileCSV != "" && statusFor(err) == http.StatusInternalServerError {
-			err = badRequest{err}
-		}
-		return s.writeError(w, err)
+		return s.writeError(w, rv.callerError(err))
 	}
-	s.metrics.RowsIngested.Add(int64(len(rows)))
+	s.metrics.RowsIngested.Add(int64(len(p.Rows)))
 	out := make([]api.KernelSummary, len(sums))
 	for i, k := range sums {
 		out[i] = api.KernelSummary{
@@ -850,12 +796,7 @@ func (s *Server) serveCharacterize(w http.ResponseWriter, r *http.Request) int {
 // any replica serves any cluster-cached plan.
 func (s *Server) servePlanGet(w http.ResponseWriter, r *http.Request) int {
 	id := r.PathValue("id")
-	_, cacheSpan := obs.StartSpan(r.Context(), stageCache)
-	doc, hit := s.cache.get(id)
-	cacheSpan.SetAttr("hit", hit)
-	cacheSpan.End()
-	if hit {
-		s.metrics.CacheHits.Add(1)
+	if doc, hit := s.cachedPlan(r.Context(), id); hit {
 		s.respondTraced(r.Context(), w, id, true, false, doc)
 		return http.StatusOK
 	}

@@ -64,7 +64,7 @@ type Row struct {
 	// yield rows in strictly ascending Index order.
 	Index int
 	// Pos is the arrival ordinal (0-based position in the stream), assigned
-	// by Ingest. Consumers use it to address position-indexed side arrays
+	// by IngestContext. Consumers use it to address position-indexed side arrays
 	// such as golden cycle counts.
 	Pos int
 	// InstructionCount is the dynamically executed instruction count.
@@ -281,18 +281,14 @@ func (s *shard) add(row Row) {
 	d.add(row)
 }
 
-// Ingest drives one bounded-memory pass over the source. Rows are validated
-// (non-empty kernel, positive instruction count and CTA size) and must arrive
-// in strictly ascending Index order, which also rejects duplicate indices.
-// An empty source yields an empty digest, not an error.
-func Ingest(next Source, opts Options) (*Digest, error) {
-	return IngestContext(context.Background(), next, opts)
-}
-
-// IngestContext is Ingest with cancellation: the reader checks ctx once per
-// dispatch batch (BatchSize rows), so a cancelled or timed-out context stops
-// the pass mid-stream — worker shards are drained and their goroutines
-// released — and the call reports ctx.Err() instead of a digest.
+// IngestContext drives one bounded-memory pass over the source. Rows are
+// validated (non-empty kernel, positive instruction count and CTA size) and
+// must arrive in strictly ascending Index order, which also rejects duplicate
+// indices. An empty source yields an empty digest, not an error. The reader
+// checks ctx once per dispatch batch (BatchSize rows), so a cancelled or
+// timed-out context stops the pass mid-stream — worker shards are drained and
+// their goroutines released — and the call reports ctx.Err() instead of a
+// digest.
 func IngestContext(ctx context.Context, next Source, opts Options) (*Digest, error) {
 	o, err := opts.withDefaults()
 	if err != nil {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -51,7 +52,7 @@ func indicesOf(rows []Row) []int {
 
 func TestIngestCompleteKernelsRetainEverything(t *testing.T) {
 	rows := genRows(300, 3)
-	d, err := Ingest(sliceSource(rows), Options{ReservoirSize: 100})
+	d, err := IngestContext(context.Background(), sliceSource(rows), Options{ReservoirSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestIngestCompleteKernelsRetainEverything(t *testing.T) {
 func TestReservoirBottomKMatchesBruteForce(t *testing.T) {
 	const n, cap = 500, 16
 	rows := genRows(n, 1)
-	d, err := Ingest(sliceSource(rows), Options{ReservoirSize: cap, Seed: 42})
+	d, err := IngestContext(context.Background(), sliceSource(rows), Options{ReservoirSize: cap, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +121,13 @@ func TestReservoirBottomKMatchesBruteForce(t *testing.T) {
 // batch size — the property the streaming stratifier's exactness rests on.
 func TestIngestDeterministicAcrossParallelism(t *testing.T) {
 	rows := genRows(2000, 5)
-	base, err := Ingest(sliceSource(rows), Options{ReservoirSize: 64, Parallelism: 1})
+	base, err := IngestContext(context.Background(), sliceSource(rows), Options{ReservoirSize: 64, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 3, 8} {
 		for _, bs := range []int{1, 7, 256} {
-			d, err := Ingest(sliceSource(rows), Options{ReservoirSize: 64, Parallelism: p, BatchSize: bs})
+			d, err := IngestContext(context.Background(), sliceSource(rows), Options{ReservoirSize: 64, Parallelism: p, BatchSize: bs})
 			if err != nil {
 				t.Fatalf("p=%d bs=%d: %v", p, bs, err)
 			}
@@ -178,7 +179,7 @@ func TestIngestValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, p := range []int{1, 4} {
-			if _, err := Ingest(sliceSource(c.rows), Options{Parallelism: p, BatchSize: 1}); err == nil {
+			if _, err := IngestContext(context.Background(), sliceSource(c.rows), Options{Parallelism: p, BatchSize: 1}); err == nil {
 				t.Fatalf("%s (parallelism %d): want error", c.name, p)
 			}
 		}
@@ -196,13 +197,13 @@ func TestIngestSourceErrorPropagates(t *testing.T) {
 		n++
 		return r, nil
 	}
-	if _, err := Ingest(src, Options{Parallelism: 4, BatchSize: 2}); err != boom {
+	if _, err := IngestContext(context.Background(), src, Options{Parallelism: 4, BatchSize: 2}); err != boom {
 		t.Fatalf("err = %v, want source error", err)
 	}
 }
 
 func TestIngestEmptySource(t *testing.T) {
-	d, err := Ingest(sliceSource(nil), Options{})
+	d, err := IngestContext(context.Background(), sliceSource(nil), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestIngestRejectsBadOptions(t *testing.T) {
 		{Parallelism: -2},
 		{BatchSize: -5},
 	} {
-		if _, err := Ingest(sliceSource(nil), o); err == nil {
+		if _, err := IngestContext(context.Background(), sliceSource(nil), o); err == nil {
 			t.Fatalf("options %+v: want error", o)
 		}
 	}
@@ -230,7 +231,7 @@ func TestDominantCTATieBreaksTowardEarliest(t *testing.T) {
 		{Kernel: "k", Index: 2, InstructionCount: 1, CTASize: 256},
 		{Kernel: "k", Index: 3, InstructionCount: 1, CTASize: 128},
 	}
-	d, err := Ingest(sliceSource(rows), Options{})
+	d, err := IngestContext(context.Background(), sliceSource(rows), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
