@@ -89,9 +89,6 @@ func NewDataset(points [][]float64) (*Dataset, error) {
 // Len returns the number of points.
 func (d *Dataset) Len() int { return d.n }
 
-// Dim returns the per-point dimensionality.
-func (d *Dataset) Dim() int { return d.dim }
-
 // row returns point i as a slice view into the flat storage.
 func (d *Dataset) row(i int) []float64 { return d.data[i*d.dim : (i+1)*d.dim] }
 

@@ -59,27 +59,11 @@ func Assemble(profile []InvocationProfile, specs []StratumSpec, theta float64) (
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: assemble: no strata specified")
 	}
-	byIndex := make(map[int]*InvocationProfile, len(profile))
-	posByIndex := make(map[int]int, len(profile))
-	for i := range profile {
-		p := &profile[i]
-		if p.Kernel == "" {
-			return nil, fmt.Errorf("core: profile row %d has no kernel name", i)
-		}
-		if p.InstructionCount <= 0 {
-			return nil, fmt.Errorf("core: profile row %d (kernel %s) has non-positive instruction count", i, p.Kernel)
-		}
-		if p.CTASize <= 0 {
-			return nil, fmt.Errorf("core: profile row %d (kernel %s) has non-positive CTA size", i, p.Kernel)
-		}
-		if _, dup := byIndex[p.Index]; dup {
-			return nil, fmt.Errorf("core: duplicate invocation index %d", p.Index)
-		}
-		byIndex[p.Index] = p
-		posByIndex[p.Index] = i
+	res, err := newResult(profile, theta)
+	if err != nil {
+		return nil, err
 	}
 
-	res := &Result{Theta: theta, byIndex: byIndex, posByIndex: posByIndex}
 	assigned := make(map[int]int, len(profile)) // invocation index → spec position
 	for si, spec := range specs {
 		if spec.Tier < Tier1 || spec.Tier > Tier3 {
@@ -93,7 +77,7 @@ func Assemble(profile []InvocationProfile, specs []StratumSpec, theta float64) (
 		sort.Ints(s.Invocations)
 		repSeen := false
 		for _, idx := range s.Invocations {
-			row, ok := byIndex[idx]
+			row, ok := res.byIndex[idx]
 			if !ok {
 				return nil, fmt.Errorf("core: assemble: stratum %d (%s) references unknown invocation %d", si, spec.Kernel, idx)
 			}
@@ -116,13 +100,7 @@ func Assemble(profile []InvocationProfile, specs []StratumSpec, theta float64) (
 	if len(assigned) != len(profile) {
 		return nil, fmt.Errorf("core: assemble: strata cover %d of %d invocations", len(assigned), len(profile))
 	}
-
-	for i := range res.Strata {
-		res.TotalInstructions += res.Strata[i].InstructionSum
-	}
-	for i := range res.Strata {
-		res.Strata[i].Weight = res.Strata[i].InstructionSum / res.TotalInstructions
-	}
+	res.setWeights()
 	return res, nil
 }
 

@@ -293,24 +293,9 @@ func StratifyContext(ctx context.Context, profile []InvocationProfile, opts Opti
 	if len(profile) == 0 {
 		return nil, fmt.Errorf("core: %w", ErrEmptyProfile)
 	}
-	byIndex := make(map[int]*InvocationProfile, len(profile))
-	posByIndex := make(map[int]int, len(profile))
-	for i := range profile {
-		p := &profile[i]
-		if p.Kernel == "" {
-			return nil, fmt.Errorf("core: profile row %d has no kernel name", i)
-		}
-		if p.InstructionCount <= 0 {
-			return nil, fmt.Errorf("core: profile row %d (kernel %s) has non-positive instruction count", i, p.Kernel)
-		}
-		if p.CTASize <= 0 {
-			return nil, fmt.Errorf("core: profile row %d (kernel %s) has non-positive CTA size", i, p.Kernel)
-		}
-		if _, dup := byIndex[p.Index]; dup {
-			return nil, fmt.Errorf("core: duplicate invocation index %d", p.Index)
-		}
-		byIndex[p.Index] = p
-		posByIndex[p.Index] = i
+	res, err := newResult(profile, opts.Theta)
+	if err != nil {
+		return nil, err
 	}
 
 	// Group rows per kernel, preserving chronological order.
@@ -402,7 +387,6 @@ func StratifyContext(ctx context.Context, profile []InvocationProfile, opts Opti
 		return nil, err
 	}
 
-	res := &Result{Theta: opts.Theta, byIndex: byIndex, posByIndex: posByIndex}
 	for _, out := range outputs {
 		if out.err != nil {
 			return nil, out.err
@@ -416,15 +400,47 @@ func StratifyContext(ctx context.Context, profile []InvocationProfile, opts Opti
 		sp.SetAttr("tier2_invocations", res.TierInvocations[1])
 		sp.SetAttr("tier3_invocations", res.TierInvocations[2])
 	}
+	res.setWeights()
+	return res, nil
+}
 
-	// Weights: stratum instruction share of the total (Section III-C).
-	for i := range res.Strata {
-		res.TotalInstructions += res.Strata[i].InstructionSum
+// newResult validates the profile rows and returns an empty Result indexed
+// by them: byIndex and posByIndex cover every row.
+func newResult(profile []InvocationProfile, theta float64) (*Result, error) {
+	res := &Result{
+		Theta:      theta,
+		byIndex:    make(map[int]*InvocationProfile, len(profile)),
+		posByIndex: make(map[int]int, len(profile)),
 	}
-	for i := range res.Strata {
-		res.Strata[i].Weight = res.Strata[i].InstructionSum / res.TotalInstructions
+	for i := range profile {
+		p := &profile[i]
+		if p.Kernel == "" {
+			return nil, fmt.Errorf("core: profile row %d has no kernel name", i)
+		}
+		if p.InstructionCount <= 0 {
+			return nil, fmt.Errorf("core: profile row %d (kernel %s) has non-positive instruction count", i, p.Kernel)
+		}
+		if p.CTASize <= 0 {
+			return nil, fmt.Errorf("core: profile row %d (kernel %s) has non-positive CTA size", i, p.Kernel)
+		}
+		if _, dup := res.byIndex[p.Index]; dup {
+			return nil, fmt.Errorf("core: duplicate invocation index %d", p.Index)
+		}
+		res.byIndex[p.Index] = p
+		res.posByIndex[p.Index] = i
 	}
 	return res, nil
+}
+
+// setWeights totals the strata's instructions and sets each stratum's weight
+// to its instruction share of that total (Section III-C).
+func (r *Result) setWeights() {
+	for i := range r.Strata {
+		r.TotalInstructions += r.Strata[i].InstructionSum
+	}
+	for i := range r.Strata {
+		r.Strata[i].Weight = r.Strata[i].InstructionSum / r.TotalInstructions
+	}
 }
 
 // stratifyKernel classifies one kernel's invocations and returns its strata.
@@ -471,13 +487,19 @@ func stratifyKernel(ctx context.Context, kernel string, rows []*InvocationProfil
 		return []Stratum{s}, tier, nil
 	}
 
-	// Tier-3: split the instruction counts so each group's CoV < θ, then
-	// map value groups back to rows. The splitters return ascending groups
-	// that partition the sorted sample, so sorting rows by (count, index)
-	// and carving by group lengths reproduces the assignment exactly.
+	strata, err := tier3Strata(ctx, sp, kernel, counts, rows, opts)
+	return strata, tier, err
+}
+
+// tier3Strata splits a Tier-3 kernel's instruction counts (counts[i] is
+// rows[i]'s) so each group's CoV < θ, then maps value groups back to rows.
+// The splitters return ascending groups that partition the sorted sample, so
+// sorting rows by (count, index) and carving by group lengths reproduces the
+// assignment exactly. sp is the kernel's core.kernel span.
+func tier3Strata(ctx context.Context, sp *obs.Span, kernel string, counts []float64, rows []*InvocationProfile, opts Options) ([]Stratum, error) {
 	groups, err := splitTier3(ctx, counts, opts)
 	if err != nil {
-		return nil, tier, err
+		return nil, err
 	}
 	if sp.Active() {
 		sp.SetAttr("strata", len(groups))
@@ -499,16 +521,16 @@ func stratifyKernel(ctx context.Context, kernel string, rows []*InvocationProfil
 	for _, g := range groups {
 		members := sortedRows[at : at+len(g)]
 		at += len(g)
-		s, err := buildStratum(kernel, tier, members, opts)
+		s, err := buildStratum(kernel, Tier3, members, opts)
 		if err != nil {
-			return nil, tier, err
+			return nil, err
 		}
 		strata = append(strata, s)
 	}
 	if at != len(sortedRows) {
-		return nil, tier, fmt.Errorf("splitter dropped invocations: %d of %d assigned", at, len(sortedRows))
+		return nil, fmt.Errorf("splitter dropped invocations: %d of %d assigned", at, len(sortedRows))
 	}
-	return strata, tier, nil
+	return strata, nil
 }
 
 // splitTier3 partitions instruction counts into ascending groups whose CoV

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/gpusampling/sieve/internal/obs"
-	"github.com/gpusampling/sieve/internal/stats"
 	"github.com/gpusampling/sieve/internal/stream"
 )
 
@@ -127,12 +125,7 @@ func StratifyStreamContext(ctx context.Context, next RowSource, opts StreamOptio
 		res.TierInvocations[tier-1] += kd.N()
 		res.Strata = append(res.Strata, strata...)
 	}
-	for i := range res.Strata {
-		res.TotalInstructions += res.Strata[i].InstructionSum
-	}
-	for i := range res.Strata {
-		res.Strata[i].Weight = res.Strata[i].InstructionSum / res.TotalInstructions
-	}
+	res.setWeights()
 	if sp.Active() {
 		sp.SetAttr("kernels", len(digest.Kernels))
 		sp.SetAttr("strata", len(res.Strata))
@@ -148,12 +141,7 @@ func (r *Result) registerRows(rows []stream.Row) []*InvocationProfile {
 	profs := make([]InvocationProfile, len(rows))
 	out := make([]*InvocationProfile, len(rows))
 	for i, row := range rows {
-		profs[i] = InvocationProfile{
-			Kernel:           row.Kernel,
-			Index:            row.Index,
-			InstructionCount: row.InstructionCount,
-			CTASize:          row.CTASize,
-		}
+		profs[i] = profileRow(row)
 		r.byIndex[row.Index] = &profs[i]
 		r.posByIndex[row.Index] = row.Pos
 		out[i] = &profs[i]
@@ -167,14 +155,19 @@ func (r *Result) registerRow(row stream.Row) {
 	if _, ok := r.byIndex[row.Index]; ok {
 		return
 	}
-	p := InvocationProfile{
+	p := profileRow(row)
+	r.byIndex[row.Index] = &p
+	r.posByIndex[row.Index] = row.Pos
+}
+
+// profileRow converts a stream row back into a profile row (dropping Pos).
+func profileRow(row stream.Row) InvocationProfile {
+	return InvocationProfile{
 		Kernel:           row.Kernel,
 		Index:            row.Index,
 		InstructionCount: row.InstructionCount,
 		CTASize:          row.CTASize,
 	}
-	r.byIndex[row.Index] = &p
-	r.posByIndex[row.Index] = row.Pos
 }
 
 // stratifyKernelDigest builds strata for a kernel that overflowed its
@@ -243,40 +236,13 @@ func stratifyKernelDigest(ctx context.Context, kd *stream.KernelDigest, opts Opt
 		counts[i] = p.InstructionCount
 		sampledSum += p.InstructionCount
 	}
-	groups, err := splitTier3(ctx, counts, opts)
+	strata, err := tier3Strata(ctx, sp, kd.Name, counts, rows, opts)
 	if err != nil {
 		return nil, tier, err
 	}
-	if sp.Active() {
-		sp.SetAttr("strata", len(groups))
-		covs := make([]float64, len(groups))
-		for i, g := range groups {
-			covs[i] = stats.CoV(g)
-		}
-		sp.SetAttr("strata_cov", covs)
-	}
-	sortedRows := append([]*InvocationProfile(nil), rows...)
-	sort.SliceStable(sortedRows, func(a, b int) bool {
-		if sortedRows[a].InstructionCount != sortedRows[b].InstructionCount {
-			return sortedRows[a].InstructionCount < sortedRows[b].InstructionCount
-		}
-		return sortedRows[a].Index < sortedRows[b].Index
-	})
 	scale := acc.Sum() / sampledSum
-	var strata []Stratum
-	at := 0
-	for _, g := range groups {
-		members := sortedRows[at : at+len(g)]
-		at += len(g)
-		s, err := buildStratum(kd.Name, tier, members, opts)
-		if err != nil {
-			return nil, tier, err
-		}
-		s.InstructionSum *= scale
-		strata = append(strata, s)
-	}
-	if at != len(sortedRows) {
-		return nil, tier, fmt.Errorf("splitter dropped invocations: %d of %d assigned", at, len(sortedRows))
+	for i := range strata {
+		strata[i].InstructionSum *= scale
 	}
 	return strata, tier, nil
 }

@@ -220,7 +220,7 @@ func prepare(spec workloads.Spec, cfg Config) (*prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.sieveProfile = SieveProfile(icProf)
+	p.sieveProfile = icProf.Rows()
 	p.sieveProfSec = icProf.WallSeconds
 	p.sieve, err = cfg.stratify(p.sieveProfile, cfg.Theta)
 	if err != nil {
@@ -232,7 +232,7 @@ func prepare(spec workloads.Spec, cfg Config) (*prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.features = FeatureRows(fullProf)
+	p.features = fullProf.Features()
 	p.fullProfSec = fullProf.WallSeconds
 	p.pks, err = pks.SelectContext(cfg.ctx(), p.features, p.golden, pks.Options{Seed: cfg.Seed, Parallelism: cfg.Parallelism})
 	if err != nil {
@@ -291,29 +291,6 @@ func (p *prepared) methodEvals(cfg Config, sieveErr, pksErr float64) ([]MethodEv
 	return out, nil
 }
 
-// SieveProfile converts a profiler table into Sieve's input rows.
-func SieveProfile(p *profiler.Profile) []core.InvocationProfile {
-	out := make([]core.InvocationProfile, len(p.Records))
-	for i, r := range p.Records {
-		out[i] = core.InvocationProfile{
-			Kernel:           r.Kernel,
-			Index:            r.Index,
-			InstructionCount: r.Chars.InstructionCount,
-			CTASize:          r.CTASize,
-		}
-	}
-	return out
-}
-
-// FeatureRows converts a full profiler table into PKS's 12-D feature rows.
-func FeatureRows(p *profiler.Profile) [][]float64 {
-	out := make([][]float64, len(p.Records))
-	for i := range p.Records {
-		out[i] = p.Records[i].Chars.Vector()
-	}
-	return out
-}
-
 // cyclesFrom adapts a golden cycle slice into a CycleSource.
 func cyclesFrom(golden []float64) func(int) (float64, error) {
 	return func(i int) (float64, error) {
@@ -322,54 +299,4 @@ func cyclesFrom(golden []float64) func(int) (float64, error) {
 		}
 		return golden[i], nil
 	}
-}
-
-// EvaluateWorkload runs the full Sieve-vs-PKS comparison for one workload on
-// the baseline architecture.
-func EvaluateWorkload(spec workloads.Spec, cfg Config) (*Evaluation, error) {
-	p, err := prepare(spec, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ev := &Evaluation{
-		Name:         spec.Name,
-		Suite:        spec.Suite,
-		Invocations:  p.w.NumInvocations(),
-		Kernels:      p.w.NumKernels(),
-		GoldenCycles: p.total,
-		SieveStrata:  p.sieve.NumStrata(),
-		PKSClusters:  p.pks.K,
-	}
-
-	sievePred, err := p.sieve.Predict(cyclesFrom(p.golden))
-	if err != nil {
-		return nil, fmt.Errorf("%s: sieve predict: %w", spec.Name, err)
-	}
-	if ev.SieveError, err = stats.AbsRelError(sievePred.Cycles, p.total); err != nil {
-		return nil, err
-	}
-	if ev.SieveSpeedup, err = p.sieve.Speedup(p.golden); err != nil {
-		return nil, err
-	}
-	if ev.SieveCoV, err = p.sieve.WeightedCycleCoV(p.golden); err != nil {
-		return nil, err
-	}
-
-	pksPred, err := p.pks.PredictCycles(cyclesFrom(p.golden))
-	if err != nil {
-		return nil, fmt.Errorf("%s: pks predict: %w", spec.Name, err)
-	}
-	if ev.PKSError, err = stats.AbsRelError(pksPred, p.total); err != nil {
-		return nil, err
-	}
-	if ev.PKSSpeedup, err = p.pks.Speedup(p.golden); err != nil {
-		return nil, err
-	}
-	if ev.PKSCoV, err = p.pks.WeightedCycleCoV(p.golden); err != nil {
-		return nil, err
-	}
-	if ev.Methods, err = p.methodEvals(cfg, ev.SieveError, ev.PKSError); err != nil {
-		return nil, fmt.Errorf("%s: %w", spec.Name, err)
-	}
-	return ev, nil
 }

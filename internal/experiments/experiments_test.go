@@ -66,11 +66,7 @@ func TestTablePrint(t *testing.T) {
 }
 
 func TestEvaluateWorkloadBasics(t *testing.T) {
-	spec, err := workloads.ByName("gru")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := EvaluateWorkload(spec, testCfg)
+	ev, err := NewRunner(testCfg).evaluate("gru")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,11 +350,11 @@ func TestStreamConfigMatchesMaterialized(t *testing.T) {
 	if !reflect.DeepEqual(streamed.sieve.Strata, exact.sieve.Strata) {
 		t.Fatal("streaming experiments produced a different plan")
 	}
-	evExact, err := EvaluateWorkload(spec, testCfg)
+	evExact, err := NewRunner(testCfg).evaluate(spec.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evStream, err := EvaluateWorkload(spec, streamCfg)
+	evStream, err := NewRunner(streamCfg).evaluate(spec.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func (r *Runner) Scaling() ([]ScalingRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := r.cfg.stratify(SieveProfile(prof), r.cfg.Theta)
+			plan, err := r.cfg.stratify(prof.Rows(), r.cfg.Theta)
 			if err != nil {
 				return nil, err
 			}

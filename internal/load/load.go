@@ -78,6 +78,7 @@ type scenario struct {
 	rate    atomic.Uint64 // open mode: allocated QPS (float64 bits)
 
 	byClass [nClasses]atomic.Int64
+	latency *obs.Histogram // completed-request latencies, seconds
 }
 
 // Status classes for the latency × outcome breakdown. "err" is a transport
@@ -105,8 +106,10 @@ func classIndex(status int, err error) int {
 // with Run.
 type Runner struct {
 	cfg Config
-	reg *obs.Registry
 	env *Env
+
+	// latency pools every scenario's completed-request latencies (seconds).
+	latency *obs.Histogram
 
 	scenarios []*scenario
 
@@ -168,7 +171,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if _, err := cfg.Dist.Picker(rand.New(rand.NewSource(1)), len(cfg.Catalog)); err != nil {
 		return nil, err
 	}
-	r := &Runner{cfg: cfg, reg: obs.NewRegistry(), env: env}
+	r := &Runner{cfg: cfg, env: env, latency: obs.NewHistogram()}
 	seen := map[string]bool{}
 	for _, name := range cfg.Workloads {
 		if seen[name] {
@@ -179,7 +182,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.scenarios = append(r.scenarios, &scenario{w: w, name: name})
+		r.scenarios = append(r.scenarios, &scenario{w: w, name: name, latency: obs.NewHistogram()})
 	}
 	return r, nil
 }
@@ -198,8 +201,8 @@ func (r *Runner) newWorker(scenarioIdx, slot int) *Worker {
 	return &Worker{RNG: rng, Pick: pick, Env: r.env}
 }
 
-// observe records one completed request into the per-workload and
-// per-workload×class histograms and counters.
+// observe records one completed request into the pooled and per-workload
+// latency histograms and the per-workload counters.
 func (r *Runner) observe(sc *scenario, status int, err error, d time.Duration) {
 	sc.done.Add(1)
 	ci := classIndex(status, err)
@@ -207,9 +210,8 @@ func (r *Runner) observe(sc *scenario, status int, err error, d time.Duration) {
 	if ci >= 2 {
 		sc.errs.Add(1)
 	}
-	r.reg.Histogram("load_seconds_all").Observe(d.Seconds())
-	r.reg.Histogram("load_seconds_" + sc.name).Observe(d.Seconds())
-	r.reg.Histogram("load_seconds_" + sc.name + "_class_" + classLabels[ci]).Observe(d.Seconds())
+	r.latency.ObserveDuration(d)
+	sc.latency.ObserveDuration(d)
 }
 
 // Run executes the configured load: scrape the targets' /debug/metrics,
@@ -467,10 +469,9 @@ func (r *Runner) startSnapshots(ctx context.Context, start time.Time) (stop func
 					n := sc.done.Load()
 					qps := float64(n-last[i]) / r.cfg.Snapshot.Seconds()
 					last[i] = n
-					h := r.reg.Histogram("load_seconds_" + sc.name)
 					r.cfg.Logf("t=%5.1fs %-10s n=%-7d qps=%7.1f p50=%6.1fms p99=%6.1fms errs=%d dropped=%d",
 						elapsed.Seconds(), sc.name, n, qps,
-						h.Quantile(0.50)*1e3, h.Quantile(0.99)*1e3,
+						sc.latency.Quantile(0.50)*1e3, sc.latency.Quantile(0.99)*1e3,
 						sc.errs.Load(), sc.dropped.Load())
 				}
 			}

@@ -168,7 +168,7 @@ func (r *Runner) buildReport(before, after []*api.DebugMetrics, elapsed time.Dur
 		if r.cfg.Mode == ModeOpen {
 			offered = sc.offered.Load()
 		}
-		h := r.reg.Histogram("load_seconds_" + sc.name)
+		h := sc.latency
 		wr := &WorkloadReport{
 			Requests: done,
 			Errors:   sc.errs.Load(),
@@ -232,7 +232,7 @@ func (r *Runner) buildReport(before, after []*api.DebugMetrics, elapsed time.Dur
 // all-scenario histogram, fed alongside the per-scenario ones at observe
 // time.
 func (r *Runner) pooledPercentiles() Percentiles {
-	h := r.reg.Histogram("load_seconds_all")
+	h := r.latency
 	return Percentiles{
 		P50:  h.Quantile(0.50) * 1e3,
 		P90:  h.Quantile(0.90) * 1e3,

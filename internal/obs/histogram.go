@@ -26,10 +26,10 @@ var invLogGrowth = 1 / math.Log(histGrowth)
 // other non-negative values. Observations are lock-free atomic increments;
 // quantiles are estimated from the bucket counts with relative error bounded
 // by the bucket growth factor and clamped to the exact observed min/max.
-// The zero value cannot record (create via NewHistogram or
-// Registry.Histogram), but every read accessor — Quantile, Count, Sum, Min,
-// Max — is safe on a nil receiver and on the zero value, returning the same
-// documented empty-histogram results a fresh NewHistogram would.
+// The zero value cannot record (create via NewHistogram), but every read
+// accessor — Quantile, Count, Sum, Min, Max — is safe on a nil receiver and on
+// the zero value, returning the same documented empty-histogram results a
+// fresh NewHistogram would.
 type Histogram struct {
 	counts  []atomic.Uint64
 	count   atomic.Uint64
@@ -69,7 +69,7 @@ func bucketBounds(i int) (lo, hi float64) {
 
 // Observe records one value. Negative and NaN values count into the lowest
 // bucket (they are clock noise in practice, not valid latencies). Observing
-// into a nil histogram (a lookup on a nil Registry) is a no-op.
+// into a nil histogram is a no-op.
 func (h *Histogram) Observe(v float64) {
 	if h == nil || h.counts == nil {
 		return
@@ -219,24 +219,4 @@ func (h *Histogram) Cumulative(bounds []float64) (cum []uint64, total uint64) {
 		cum[i] += cum[i-1]
 	}
 	return cum, total
-}
-
-// buckets returns the non-empty (upperBound, cumulativeCount) pairs, the
-// Prometheus-histogram view of the data.
-func (h *Histogram) buckets() []BucketReport {
-	if h == nil {
-		return nil
-	}
-	var out []BucketReport
-	var cum uint64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		cum += c
-		_, hi := bucketBounds(i)
-		out = append(out, BucketReport{UpperBound: hi, CumulativeCount: cum})
-	}
-	return out
 }

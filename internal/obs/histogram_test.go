@@ -151,7 +151,7 @@ func TestHistogramEmptyQuantileDocumentedZero(t *testing.T) {
 		}
 	}
 	// Observing into the zero value and a nil receiver must be a no-op, not a
-	// panic (nil Registry lookups hand these out).
+	// panic.
 	var zero Histogram
 	zero.Observe(1)
 	var nilH *Histogram
@@ -198,30 +198,5 @@ func TestHistogramCumulative(t *testing.T) {
 	}
 	if cum[len(cum)-1] > total {
 		t.Fatalf("cum exceeds total: %v > %d", cum, total)
-	}
-}
-
-// TestRegistryHistograms checks the snapshot accessor returns live histograms
-// under a copied map, and is nil-safe.
-func TestRegistryHistograms(t *testing.T) {
-	var nilReg *Registry
-	if m := nilReg.Histograms(); m != nil {
-		t.Fatalf("nil registry Histograms() = %v, want nil", m)
-	}
-	r := NewRegistry()
-	r.Histogram("a").Observe(1)
-	m := r.Histograms()
-	if len(m) != 1 || m["a"] == nil {
-		t.Fatalf("Histograms() = %v", m)
-	}
-	// Live histogram: later observations are visible through the snapshot.
-	r.Histogram("a").Observe(2)
-	if m["a"].Count() != 2 {
-		t.Fatalf("snapshot histogram not live: count=%d", m["a"].Count())
-	}
-	// Copied map: creating a new histogram does not mutate the snapshot.
-	r.Histogram("b")
-	if len(m) != 1 {
-		t.Fatalf("snapshot map mutated: %v", m)
 	}
 }

@@ -1,7 +1,6 @@
 // Package obs is the pipeline's zero-dependency observability layer:
-// context-propagated stage spans, log-bucketed latency histograms, and a
-// named-metric registry, all exportable as a structured Report (JSON and
-// Chrome trace_viewer trace-event JSON) or as Prometheus text format.
+// context-propagated stage spans, exportable as a structured Report (JSON and
+// Chrome trace_viewer trace-event JSON), and log-bucketed latency histograms.
 //
 // The design mirrors how the paper accounts for Sieve's cost (profiling
 // overhead, per-stage work, sampled-vs-golden error, Sections V–VI): every
@@ -112,29 +111,20 @@ func (s *Span) child(name string) *Span {
 	return c
 }
 
-// Collector accumulates one run's spans and metrics. Create with New, attach
+// Collector accumulates one run's spans. Create with New, attach
 // with WithCollector, and snapshot with Report. A Collector may be shared by
 // concurrent pipeline stages; it must not be reused across runs whose reports
 // should stay separate.
 type Collector struct {
-	start    time.Time
-	registry *Registry
+	start time.Time
 
 	mu    sync.Mutex
 	roots []*Span
 }
 
-// New returns an empty Collector with a fresh metric Registry.
+// New returns an empty Collector.
 func New() *Collector {
-	return &Collector{start: time.Now(), registry: NewRegistry()}
-}
-
-// Registry returns the collector's metric registry (histograms + counters).
-func (c *Collector) Registry() *Registry {
-	if c == nil {
-		return nil
-	}
-	return c.registry
+	return &Collector{start: time.Now()}
 }
 
 // root creates and attaches a top-level span.
@@ -229,9 +219,8 @@ func snapshotSpan(s *Span, origin, now time.Time) *SpanReport {
 	return r
 }
 
-// Report snapshots the collector: the span forest (chronological), every
-// registry counter and every registry histogram. The collector remains usable
-// afterwards; spans still open are reported as ending now.
+// Report snapshots the collector's span forest (chronological). The collector
+// remains usable afterwards; spans still open are reported as ending now.
 func (c *Collector) Report() *Report {
 	if c == nil {
 		return &Report{}
@@ -246,6 +235,5 @@ func (c *Collector) Report() *Report {
 	for _, s := range roots {
 		rep.Spans = append(rep.Spans, snapshotSpan(s, c.start, now))
 	}
-	rep.Counters, rep.Histograms = c.registry.snapshot()
 	return rep
 }

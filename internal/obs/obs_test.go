@@ -37,18 +37,6 @@ func TestNilSpanIsNoOp(t *testing.T) {
 	if WithCollector(ctx, nil) != ctx {
 		t.Fatal("WithCollector(nil) must return the context unchanged")
 	}
-	// A nil registry hands out nil metrics that are also no-ops.
-	var reg *Registry
-	reg.Counter("c").Add(1)
-	if reg.Counter("c").Value() != 0 {
-		t.Fatal("nil counter must read 0")
-	}
-	if reg.Histogram("h") != nil {
-		t.Fatal("nil registry must return nil histogram")
-	}
-	if err := reg.WritePrometheus(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestSpanNestingAndOrdering verifies the report reproduces the span tree:
@@ -142,9 +130,9 @@ func TestSpanEndIdempotent(t *testing.T) {
 	}
 }
 
-// TestConcurrentSpansAndRegistry exercises the mutable surfaces from many
-// goroutines; run under -race this is the concurrency regression test.
-func TestConcurrentSpansAndRegistry(t *testing.T) {
+// TestConcurrentSpans exercises the mutable surfaces from many goroutines;
+// run under -race this is the concurrency regression test.
+func TestConcurrentSpans(t *testing.T) {
 	c := New()
 	ctx := WithCollector(context.Background(), c)
 	ctx, root := StartSpan(ctx, "parallel")
@@ -159,8 +147,6 @@ func TestConcurrentSpansAndRegistry(t *testing.T) {
 				sp.SetAttr("g", g)
 				sp.Add("iter", 1)
 				sp.End()
-				c.Registry().Counter("ops").Add(1)
-				c.Registry().Histogram("lat").Observe(float64(i+1) * 1e-4)
 			}
 		}(g)
 	}
@@ -171,7 +157,6 @@ func TestConcurrentSpansAndRegistry(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				_ = c.Report()
-				_ = c.Registry().WritePrometheus(&bytes.Buffer{})
 			}
 		}()
 	}
@@ -181,12 +166,6 @@ func TestConcurrentSpansAndRegistry(t *testing.T) {
 	rep := c.Report()
 	if got := len(rep.FindAll("worker")); got != 400 {
 		t.Fatalf("want 400 worker spans, got %d", got)
-	}
-	if got := c.Registry().Counter("ops").Value(); got != 400 {
-		t.Fatalf("ops counter = %d", got)
-	}
-	if got := c.Registry().Histogram("lat").Count(); got != 400 {
-		t.Fatalf("lat count = %d", got)
 	}
 }
 
@@ -201,8 +180,6 @@ func TestReportJSONAndTrace(t *testing.T) {
 	child.Add("rows", 7)
 	child.End()
 	root.End()
-	c.Registry().Counter("total").Add(3)
-	c.Registry().Histogram("seconds").Observe(0.25)
 
 	rep := c.Report()
 
@@ -216,12 +193,6 @@ func TestReportJSONAndTrace(t *testing.T) {
 	}
 	if back.Find("stage") == nil {
 		t.Fatal("round-tripped report lost the stage span")
-	}
-	if len(back.Counters) != 1 || back.Counters[0].Name != "total" || back.Counters[0].Value != 3 {
-		t.Fatalf("counters = %+v", back.Counters)
-	}
-	if len(back.Histograms) != 1 || back.Histograms[0].Count != 1 {
-		t.Fatalf("histograms = %+v", back.Histograms)
 	}
 
 	var traceBuf bytes.Buffer
@@ -302,31 +273,5 @@ func TestTraceOverlappingSiblingsSplitLanes(t *testing.T) {
 	}
 	if tids["c"] != tids["parent"] {
 		t.Fatalf("non-overlapping later sibling should reuse the parent lane: %v", tids)
-	}
-}
-
-// TestPrometheusFormat spot-checks the exposition text.
-func TestPrometheusFormat(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("requests_total").Add(5)
-	h := reg.Histogram("request seconds") // space must sanitize
-	h.Observe(0.1)
-	h.Observe(0.2)
-
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE requests_total counter\nrequests_total 5\n",
-		"# TYPE request_seconds summary\n",
-		`request_seconds{quantile="0.5"}`,
-		`request_seconds{quantile="0.99"}`,
-		"request_seconds_count 2\n",
-	} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Fatalf("prometheus output missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -16,38 +16,9 @@ type SpanReport struct {
 	Children   []*SpanReport    `json:"children,omitempty"`
 }
 
-// CounterReport is one frozen registry counter.
-type CounterReport struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
-}
-
-// BucketReport is one non-empty log bucket of a histogram in cumulative
-// (Prometheus `le`) form.
-type BucketReport struct {
-	UpperBound      float64 `json:"le"`
-	CumulativeCount uint64  `json:"count"`
-}
-
-// HistogramReport is one frozen registry histogram: summary statistics plus
-// the non-empty log buckets.
-type HistogramReport struct {
-	Name    string         `json:"name"`
-	Count   uint64         `json:"count"`
-	Sum     float64        `json:"sum"`
-	Min     float64        `json:"min"`
-	Max     float64        `json:"max"`
-	P50     float64        `json:"p50"`
-	P90     float64        `json:"p90"`
-	P99     float64        `json:"p99"`
-	Buckets []BucketReport `json:"buckets,omitempty"`
-}
-
 // Report is one run's complete observability snapshot.
 type Report struct {
-	Spans      []*SpanReport     `json:"spans"`
-	Counters   []CounterReport   `json:"counters,omitempty"`
-	Histograms []HistogramReport `json:"histograms,omitempty"`
+	Spans []*SpanReport `json:"spans"`
 }
 
 // WriteJSON renders the report as indented JSON.

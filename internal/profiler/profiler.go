@@ -20,6 +20,7 @@ package profiler
 import (
 	"fmt"
 
+	"github.com/gpusampling/sieve/internal/core"
 	"github.com/gpusampling/sieve/internal/cudamodel"
 	"github.com/gpusampling/sieve/internal/gpu"
 )
@@ -60,6 +61,36 @@ type Profile struct {
 
 // NumInvocations returns the number of profiled invocations.
 func (p *Profile) NumInvocations() int { return len(p.Records) }
+
+// Row converts the record into the stratifier's input row.
+func (r *Record) Row() core.InvocationProfile {
+	return core.InvocationProfile{
+		Kernel:           r.Kernel,
+		Index:            r.Index,
+		InstructionCount: r.Chars.InstructionCount,
+		CTASize:          r.CTASize,
+	}
+}
+
+// Rows converts the table into the stratifier's input rows, one per
+// invocation in chronological order.
+func (p *Profile) Rows() []core.InvocationProfile {
+	out := make([]core.InvocationProfile, len(p.Records))
+	for i := range p.Records {
+		out[i] = p.Records[i].Row()
+	}
+	return out
+}
+
+// Features converts the table into PKS's 12-dimensional feature rows, one
+// per invocation in chronological order.
+func (p *Profile) Features() [][]float64 {
+	out := make([][]float64, len(p.Records))
+	for i := range p.Records {
+		out[i] = p.Records[i].Chars.Vector()
+	}
+	return out
+}
 
 // Validate checks the profile table's structural invariants.
 func (p *Profile) Validate() error {

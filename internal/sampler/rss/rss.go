@@ -134,16 +134,6 @@ func (rankedSet) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Opti
 	return res, nil
 }
 
-// EstimateInterval implements sampler.ErrorEstimator by building the plan
-// and returning its attached interval.
-func (r rankedSet) EstimateInterval(ctx context.Context, p *sampler.Profile, opts sampler.Options) (*core.ErrorInterval, error) {
-	res, err := r.Plan(ctx, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Interval, nil
-}
-
 func init() {
 	sampler.Register(Method, func() sampler.Sampler { return rankedSet{} })
 }

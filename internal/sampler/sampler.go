@@ -126,13 +126,6 @@ type Sampler interface {
 	Plan(ctx context.Context, p *Profile, opts Options) (*core.Result, error)
 }
 
-// ErrorEstimator is optionally implemented by strategies that can quantify
-// their own estimation uncertainty (resampling-based intervals, pilot
-// variance analysis) without the caller building a full plan.
-type ErrorEstimator interface {
-	EstimateInterval(ctx context.Context, p *Profile, opts Options) (*core.ErrorInterval, error)
-}
-
 // Factory constructs a strategy instance.
 type Factory func() Sampler
 

@@ -39,24 +39,11 @@ func testProfile(tb testing.TB, name string, scale float64) *sampler.Profile {
 	if err != nil {
 		tb.Fatalf("instruction-count profile: %v", err)
 	}
-	rows := make([]core.InvocationProfile, len(icProf.Records))
-	for i, r := range icProf.Records {
-		rows[i] = core.InvocationProfile{
-			Kernel:           r.Kernel,
-			Index:            r.Index,
-			InstructionCount: r.Chars.InstructionCount,
-			CTASize:          r.CTASize,
-		}
-	}
 	fullProf, err := profiler.NewFullProfiler().Profile(w, hw)
 	if err != nil {
 		tb.Fatalf("full profile: %v", err)
 	}
-	features := make([][]float64, len(fullProf.Records))
-	for i := range fullProf.Records {
-		features[i] = fullProf.Records[i].Chars.Vector()
-	}
-	return &sampler.Profile{Rows: rows, Features: features, GoldenCycles: hw.MeasureWorkload(w)}
+	return &sampler.Profile{Rows: icProf.Rows(), Features: fullProf.Features(), GoldenCycles: hw.MeasureWorkload(w)}
 }
 
 func TestRegistryHasAllFourMethods(t *testing.T) {
@@ -249,34 +236,6 @@ func TestRSSIntervalNarrowsWithResamples(t *testing.T) {
 			t.Fatalf("R=%d: width %g did not narrow (previous %g)", r, width, prev)
 		}
 		prev = width
-	}
-}
-
-// TestErrorEstimatorInterface: the two uncertainty-quantifying strategies
-// implement the optional interface, and the estimate matches the interval
-// the plan carries.
-func TestErrorEstimatorInterface(t *testing.T) {
-	p := testProfile(t, "lmc", 0.02)
-	for _, method := range []string{twophase.Method, rss.Method} {
-		s, err := sampler.New(method)
-		if err != nil {
-			t.Fatalf("New(%s): %v", method, err)
-		}
-		est, ok := s.(sampler.ErrorEstimator)
-		if !ok {
-			t.Fatalf("%s does not implement ErrorEstimator", method)
-		}
-		iv, err := est.EstimateInterval(context.Background(), p, sampler.Options{Seed: 9})
-		if err != nil {
-			t.Fatalf("%s estimate: %v", method, err)
-		}
-		plan, err := s.Plan(context.Background(), p, sampler.Options{Seed: 9})
-		if err != nil {
-			t.Fatalf("%s plan: %v", method, err)
-		}
-		if !reflect.DeepEqual(iv, plan.Interval) {
-			t.Fatalf("%s estimate %+v != plan interval %+v", method, iv, plan.Interval)
-		}
 	}
 }
 

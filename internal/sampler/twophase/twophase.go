@@ -189,16 +189,6 @@ func (twoPhase) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Optio
 	return res, nil
 }
 
-// EstimateInterval implements sampler.ErrorEstimator by building the plan
-// and returning its attached interval.
-func (t twoPhase) EstimateInterval(ctx context.Context, p *sampler.Profile, opts sampler.Options) (*core.ErrorInterval, error) {
-	res, err := t.Plan(ctx, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Interval, nil
-}
-
 func init() {
 	sampler.Register(Method, func() sampler.Sampler { return twoPhase{} })
 }

@@ -84,7 +84,7 @@ func (s *Server) batchItem(ctx context.Context, req *api.SampleRequest) api.Batc
 		s.metrics.Failures.Add(1)
 		return api.BatchItemResult{Status: statusFor(err), Error: err.Error()}
 	}
-	s.metrics.MethodRequests(rv.method).Add(1)
+	s.metrics.methodRequests(rv.method).Add(1)
 	id := rv.key("sample")
 	if doc, hit := s.cachedPlan(ctx, id); hit {
 		return api.BatchItemResult{Status: http.StatusOK, PlanID: id, Cached: true, Plan: doc}

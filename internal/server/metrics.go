@@ -9,15 +9,15 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/gpusampling/sieve/api"
 	"github.com/gpusampling/sieve/internal/obs"
+	"github.com/gpusampling/sieve/internal/sampler"
 )
 
-// requestSecondsMetric names the request-latency histogram in the registry
-// and therefore in the Prometheus exposition.
+// requestSecondsMetric names the request-latency histogram in the Prometheus
+// exposition.
 const requestSecondsMetric = "sieved_request_seconds"
 
 // stageSecondsMetric names the per-stage latency histogram family: one
@@ -37,13 +37,12 @@ var latencyBuckets = []float64{
 // global expvar namespace so several servers can coexist in one process
 // (every httptest server would otherwise collide on Publish); cmd/sieved
 // additionally publishes them globally under the "sieved" name. Request
-// latencies go to a shared obs.Histogram (log-bucketed, lock-free) instead of
-// a bespoke ring: quantiles cover the server's lifetime at constant memory
-// and the same histogram feeds /debug/metrics and the Prometheus exposition.
-// Every terminal response path records latency — errors included — into both
-// the overall histogram and a per-status-class one
-// (sieved_request_seconds_class_4xx, …), so p99 under errors is visible
-// rather than a blind spot.
+// latencies go to shared obs.Histograms (log-bucketed, lock-free): quantiles
+// cover the server's lifetime at constant memory and the same histogram
+// feeds /debug/metrics and the Prometheus exposition. Every terminal
+// response path records latency — errors included — into both the overall
+// histogram and a per-status-class one (sieved_request_seconds_class_4xx,
+// …), so p99 under errors is visible rather than a blind spot.
 type metrics struct {
 	Requests     expvar.Int // API requests accepted (sample, characterize, plan get, batch)
 	Failures     expvar.Int // requests answered with a 4xx/5xx
@@ -58,61 +57,28 @@ type metrics struct {
 	Rejected     expvar.Int // requests that gave up waiting for a slot
 	RowsIngested expvar.Int // profile rows ingested across all requests
 
-	// methodCounts counts sample requests per resolved sampling methodology
-	// (sieve, pks, twophase, rss, …), keyed by canonical method name. The map
-	// grows lazily as methods are first requested, so a server that only ever
-	// serves default-method traffic exposes only the "sieve" series.
-	methodMu     sync.Mutex
-	methodCounts map[string]*expvar.Int
+	// methods counts sample requests per sampling methodology, one counter
+	// per sampler.Names() entry in that (sorted) order.
+	methods []methodCounter
 
-	// stageHists holds one latency histogram per serving stage (decode, slot,
-	// compute, …), fed by finishTrace with each completed request's per-stage
-	// attribution and exposed as sieved_stage_seconds{stage="..."}. Like
-	// methodCounts, the map grows as stages are first observed.
-	stageMu    sync.Mutex
-	stageHists map[string]*obs.Histogram
+	// request is the overall request-latency histogram; byClass splits it by
+	// status class, indexed like classLabels.
+	request *obs.Histogram
+	byClass [len(classLabels)]*obs.Histogram
 
-	// startOnce pins the epoch for sieved_uptime_seconds: server.New calls
-	// started() at construction (the zero-value struct has no constructor of
-	// its own), so the gauge measures from server start, not first scrape.
-	startOnce sync.Once
-	start     time.Time
+	// stages holds one latency histogram per serving stage of the trace
+	// taxonomy (decode, slot, compute, …), sorted by stage name, fed by
+	// finishTrace and exposed as sieved_stage_seconds{stage="..."}.
+	stages []stageHist
 
-	regOnce sync.Once
-	reg     *obs.Registry
+	// start is the epoch of sieved_uptime_seconds: server construction, not
+	// first scrape.
+	start time.Time
 }
 
-// started returns the first-use timestamp backing the uptime gauge.
-func (m *metrics) started() time.Time {
-	m.startOnce.Do(func() { m.start = time.Now() })
-	return m.start
-}
-
-// observeStage records one request's attributed time in a serving stage.
-func (m *metrics) observeStage(stage string, ns int64) {
-	m.stageMu.Lock()
-	if m.stageHists == nil {
-		m.stageHists = make(map[string]*obs.Histogram)
-	}
-	h, ok := m.stageHists[stage]
-	if !ok {
-		h = obs.NewHistogram()
-		m.stageHists[stage] = h
-	}
-	m.stageMu.Unlock()
-	h.Observe(float64(ns) / 1e9)
-}
-
-// stageSnapshot returns the per-stage histograms sorted by stage name.
-func (m *metrics) stageSnapshot() []stageHist {
-	m.stageMu.Lock()
-	out := make([]stageHist, 0, len(m.stageHists))
-	for name, h := range m.stageHists {
-		out = append(out, stageHist{name, h})
-	}
-	m.stageMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].stage < out[j].stage })
-	return out
+type methodCounter struct {
+	method string
+	n      *expvar.Int
 }
 
 type stageHist struct {
@@ -120,38 +86,33 @@ type stageHist struct {
 	h     *obs.Histogram
 }
 
-// MethodRequests returns the per-methodology sample-request counter for the
-// canonical method name, creating it on first use.
-func (m *metrics) MethodRequests(method string) *expvar.Int {
-	m.methodMu.Lock()
-	defer m.methodMu.Unlock()
-	if m.methodCounts == nil {
-		m.methodCounts = make(map[string]*expvar.Int)
+// newMetrics builds every histogram and per-method counter up front: the
+// request path only looks them up, so nothing guards the tables.
+func newMetrics() *metrics {
+	m := &metrics{request: obs.NewHistogram(), start: time.Now()}
+	for _, name := range sampler.Names() {
+		m.methods = append(m.methods, methodCounter{name, new(expvar.Int)})
 	}
-	c, ok := m.methodCounts[method]
-	if !ok {
-		c = new(expvar.Int)
-		m.methodCounts[method] = c
+	for i := range m.byClass {
+		m.byClass[i] = obs.NewHistogram()
 	}
-	return c
+	for stage := range traceStages {
+		m.stages = append(m.stages, stageHist{stage, obs.NewHistogram()})
+	}
+	sort.Slice(m.stages, func(i, j int) bool { return m.stages[i].stage < m.stages[j].stage })
+	return m
 }
 
-// methodSnapshot returns the per-method counters sorted by method name, so
-// both expositions render deterministically.
-func (m *metrics) methodSnapshot() []methodCount {
-	m.methodMu.Lock()
-	defer m.methodMu.Unlock()
-	out := make([]methodCount, 0, len(m.methodCounts))
-	for name, c := range m.methodCounts {
-		out = append(out, methodCount{name, c.Value()})
+// methodRequests returns the sample-request counter of a canonical method
+// name. Requests reach it only after resolve validated the method through
+// sampler.New, so the lookup cannot miss.
+func (m *metrics) methodRequests(method string) *expvar.Int {
+	for _, c := range m.methods {
+		if c.method == method {
+			return c.n
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].method < out[j].method })
-	return out
-}
-
-type methodCount struct {
-	method string
-	count  int64
+	panic("server: unregistered sampling method " + method)
 }
 
 // counterDef is one row of the counter table: the metric's base name, its
@@ -183,26 +144,22 @@ func (m *metrics) counterTable() []counterDef {
 	}
 }
 
-// registry lazily creates the metric registry so the zero-value metrics
-// struct embedded in Server keeps working without a constructor.
-func (m *metrics) registry() *obs.Registry {
-	m.regOnce.Do(func() { m.reg = obs.NewRegistry() })
-	return m.reg
-}
+// classLabels names the status classes of the latency breakdown.
+var classLabels = [...]string{"2xx", "3xx", "4xx", "5xx"}
 
-// statusClass buckets an HTTP status for the latency breakdown. 499
-// (client-abandoned) counts as 4xx: the client gave up, the server did not
-// fail.
-func statusClass(status int) string {
+// statusClass buckets an HTTP status for the latency breakdown, as an index
+// into classLabels. 499 (client-abandoned) counts as 4xx: the client gave up,
+// the server did not fail.
+func statusClass(status int) int {
 	switch {
 	case status >= 500:
-		return "5xx"
+		return 3
 	case status >= 400:
-		return "4xx"
+		return 2
 	case status >= 300:
-		return "3xx"
+		return 1
 	default:
-		return "2xx"
+		return 0
 	}
 }
 
@@ -211,16 +168,23 @@ func statusClass(status int) string {
 // success, caller error, timeout, disconnect — through here, so error-path
 // latency shows up in the quantiles instead of only successes.
 func (m *metrics) observe(status int, d time.Duration) {
-	reg := m.registry()
-	reg.Histogram(requestSecondsMetric).ObserveDuration(d)
-	reg.Histogram(requestSecondsMetric + "_class_" + statusClass(status)).ObserveDuration(d)
+	m.request.ObserveDuration(d)
+	m.byClass[statusClass(status)].ObserveDuration(d)
+}
+
+// observeStages records one request's attributed time per serving stage.
+func (m *metrics) observeStages(sums map[string]int64) {
+	for _, st := range m.stages {
+		if ns, ok := sums[st.stage]; ok {
+			st.h.Observe(float64(ns) / 1e9)
+		}
+	}
 }
 
 // quantiles returns the p50 and p99 of the recorded latencies, in
 // milliseconds (0, 0 before the first request).
 func (m *metrics) quantiles() (p50, p99 float64) {
-	h := m.registry().Histogram(requestSecondsMetric)
-	return h.Quantile(0.50) * 1e3, h.Quantile(0.99) * 1e3
+	return m.request.Quantile(0.50) * 1e3, m.request.Quantile(0.99) * 1e3
 }
 
 // handler serves the /debug/metrics snapshot, assembled directly from the
@@ -241,11 +205,12 @@ func (m *metrics) handler(cacheLen func() int) http.HandlerFunc {
 			}
 		}
 		b.WriteString(`"method_requests":{`)
-		for i, mc := range m.methodSnapshot() {
-			if i > 0 {
-				b.WriteByte(',')
+		sep := ""
+		for _, c := range m.methods {
+			if n := c.n.Value(); n > 0 {
+				fmt.Fprintf(&b, "%s%q:%d", sep, c.method, n)
+				sep = ","
 			}
-			fmt.Fprintf(&b, "%q:%d", mc.method, mc.count)
 		}
 		p50, p99 := m.quantiles()
 		fmt.Fprintf(&b, `},"latency_ms":{"p50":%g,"p99":%g}}`+"\n", p50, p99)
@@ -293,36 +258,37 @@ func (m *metrics) prometheus(cacheLen func() int) http.HandlerFunc {
 			}
 			sample(name, c.kind, c.v.Value())
 		}
-		if snap := m.methodSnapshot(); len(snap) > 0 {
-			fmt.Fprintf(w, "# TYPE sieved_method_requests_total counter\n")
-			for _, mc := range snap {
-				fmt.Fprintf(w, "sieved_method_requests_total{method=%q} %d\n", mc.method, mc.count)
+		header := "# TYPE sieved_method_requests_total counter\n"
+		for _, c := range m.methods {
+			if n := c.n.Value(); n > 0 {
+				fmt.Fprintf(w, "%ssieved_method_requests_total{method=%q} %d\n", header, c.method, n)
+				header = ""
 			}
 		}
 		sample("sieved_cache_entries", "gauge", int64(cacheLen()))
 		sample("sieved_goroutines", "gauge", int64(runtime.NumGoroutine()))
 		fmt.Fprintf(w, "# TYPE sieved_uptime_seconds gauge\nsieved_uptime_seconds %g\n",
-			time.Since(m.started()).Seconds())
+			time.Since(m.start).Seconds())
 		// Build/protocol identity: the same version /healthz reports, as a
 		// constant gauge with the value in a label (the node_exporter idiom).
 		fmt.Fprintf(w, "# TYPE sieved_build_info gauge\nsieved_build_info{version=%q} 1\n", api.Version)
 
-		// Request-latency histograms from the shared registry
-		// (sieved_request_seconds and its _class_* split), explicit buckets.
-		hists := m.registry().Histograms()
-		names := make([]string, 0, len(hists))
-		for name := range hists {
-			names = append(names, name)
+		// Request-latency histograms: the overall one always, each status
+		// class and serving stage once it holds an observation.
+		fmt.Fprintf(w, "# TYPE %s histogram\n", requestSecondsMetric)
+		writeHistogram(w, requestSecondsMetric, "", m.request)
+		for i, h := range m.byClass {
+			if h.Count() > 0 {
+				name := requestSecondsMetric + "_class_" + classLabels[i]
+				fmt.Fprintf(w, "# TYPE %s histogram\n", name)
+				writeHistogram(w, name, "", h)
+			}
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-			writeHistogram(w, name, "", hists[name])
-		}
-		// Per-stage attribution histograms, one labeled family.
-		if stages := m.stageSnapshot(); len(stages) > 0 {
-			fmt.Fprintf(w, "# TYPE %s histogram\n", stageSecondsMetric)
-			for _, st := range stages {
+		header = "# TYPE " + stageSecondsMetric + " histogram\n"
+		for _, st := range m.stages {
+			if st.h.Count() > 0 {
+				fmt.Fprint(w, header)
+				header = ""
 				writeHistogram(w, stageSecondsMetric, fmt.Sprintf("stage=%q,", st.stage), st.h)
 			}
 		}

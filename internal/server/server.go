@@ -112,7 +112,7 @@ type Server struct {
 	cfg     Config
 	slots   chan struct{}
 	cache   *planCache
-	metrics metrics
+	metrics *metrics
 	mux     *http.ServeMux
 	flights flightGroup
 	traces  *traceStore
@@ -128,15 +128,15 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:    cfg,
-		slots:  make(chan struct{}, cfg.MaxConcurrent),
-		cache:  newPlanCache(cfg.CacheEntries),
-		mux:    http.NewServeMux(),
-		traces: newTraceStore(cfg.TraceEntries),
-		peer:   &http.Client{},
+		cfg:     cfg,
+		slots:   make(chan struct{}, cfg.MaxConcurrent),
+		cache:   newPlanCache(cfg.CacheEntries),
+		metrics: newMetrics(),
+		mux:     http.NewServeMux(),
+		traces:  newTraceStore(cfg.TraceEntries),
+		peer:    &http.Client{},
 	}
 	s.flights.onJoin = func() { s.metrics.Coalesced.Add(1) }
-	s.metrics.started() // pin uptime's epoch to construction, not first scrape
 	s.mux.HandleFunc("POST /v1/sample", s.traced(s.serveSample))
 	s.mux.HandleFunc("POST /v1/batch", s.traced(s.serveBatch))
 	s.mux.HandleFunc("POST /v1/characterize", s.traced(s.serveCharacterize))
@@ -234,7 +234,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Metrics exposes the counters, e.g. for global expvar publication.
-func (s *Server) Metrics() *metrics { return &s.metrics }
+func (s *Server) Metrics() *metrics { return s.metrics }
 
 // badRequest marks an error as caller-caused (HTTP 400).
 type badRequest struct{ err error }
@@ -687,7 +687,7 @@ func (s *Server) serveSample(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return s.writeError(w, err)
 	}
-	s.metrics.MethodRequests(rv.method).Add(1)
+	s.metrics.methodRequests(rv.method).Add(1)
 	id := rv.key("sample")
 	if doc, hit := s.cachedPlan(r.Context(), id); hit {
 		s.respondTraced(r.Context(), w, id, true, false, doc)

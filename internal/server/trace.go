@@ -129,9 +129,7 @@ func (s *Server) finishTrace(tr *requestTrace, status int) {
 		durationNS = rep.Spans[0].DurationNS
 	}
 	stages := stageSums(rep.Spans)
-	for name, ns := range stages {
-		s.metrics.observeStage(name, ns)
-	}
+	s.metrics.observeStages(stages)
 	s.traces.put(&storedTrace{
 		id:          tr.id,
 		method:      tr.method,

@@ -239,12 +239,3 @@ func Normalize(ws []float64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// AbsRelError returns |predicted-measured| / measured — the paper's accuracy
-// metric (Section IV). It returns an error when measured is zero.
-func AbsRelError(predicted, measured float64) (float64, error) {
-	if measured == 0 {
-		return 0, fmt.Errorf("stats: relative error with zero reference")
-	}
-	return math.Abs(predicted-measured) / math.Abs(measured), nil
-}

@@ -314,23 +314,3 @@ func TestNormalizeSumsToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAbsRelError(t *testing.T) {
-	got, err := AbsRelError(110, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 0.1, 1e-12) {
-		t.Fatalf("AbsRelError = %g, want 0.1", got)
-	}
-	got, err = AbsRelError(90, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 0.1, 1e-12) {
-		t.Fatalf("AbsRelError = %g, want 0.1", got)
-	}
-	if _, err := AbsRelError(1, 0); err == nil {
-		t.Fatal("want error on zero reference")
-	}
-}

@@ -247,9 +247,6 @@ func (d *KernelDigest) MaxCTA() CTAClass {
 	return *best
 }
 
-// NumCTAClasses returns the number of distinct thread-block sizes seen.
-func (d *KernelDigest) NumCTAClasses() int { return len(d.ctas) }
-
 // Retained returns the number of rows the reservoir holds — equal to N for
 // complete kernels, ReservoirSize for overflowed ones.
 func (d *KernelDigest) Retained() int { return len(d.res.rows) }

@@ -19,28 +19,21 @@ import (
 // lookup and the emitted plan is byte-identical — a guarantee pinned by
 // TestCollectorDoesNotChangePlans.
 
-// Collector gathers stage spans and registry metrics for one or more runs.
+// Collector gathers stage spans for one or more runs.
 type Collector = obs.Collector
 
 // Span is one timed pipeline stage with attributes, counters and children.
 // A nil *Span (no collector attached) is valid and all methods are no-ops.
 type Span = obs.Span
 
-// Report is a frozen snapshot of collected spans and metrics, exportable as
-// JSON (WriteJSON) or Chrome trace_viewer trace events (WriteTrace).
+// Report is a frozen snapshot of collected spans, exportable as JSON
+// (WriteJSON) or Chrome trace_viewer trace events (WriteTrace).
 type Report = obs.Report
 
 // SpanReport is one span in a Report's tree.
 type SpanReport = obs.SpanReport
 
-// Registry is a concurrency-safe set of named counters and histograms with
-// Prometheus text exposition (WritePrometheus).
-type Registry = obs.Registry
-
-// Histogram is a lock-free log-bucketed histogram with quantile estimates.
-type Histogram = obs.Histogram
-
-// NewCollector returns an empty span/metric collector.
+// NewCollector returns an empty span collector.
 func NewCollector() *Collector { return obs.New() }
 
 // WithCollector attaches a collector to ctx; pipeline stages called with the
@@ -48,9 +41,6 @@ func NewCollector() *Collector { return obs.New() }
 func WithCollector(ctx context.Context, c *Collector) context.Context {
 	return obs.WithCollector(ctx, c)
 }
-
-// CollectorFromContext returns the collector attached to ctx, or nil.
-func CollectorFromContext(ctx context.Context) *Collector { return obs.FromContext(ctx) }
 
 // StartSpan opens a span named name under the current span (or as a root) if
 // ctx carries a collector; otherwise it returns ctx unchanged and a nil span

@@ -43,10 +43,4 @@ func WriteProfileCSV(p *Profile, w io.Writer) error { return p.WriteCSV(w) }
 
 // FeatureRows converts a full profile into PKS's 12-dimensional feature
 // rows, one per invocation in chronological order.
-func FeatureRows(p *Profile) [][]float64 {
-	out := make([][]float64, len(p.Records))
-	for i := range p.Records {
-		out[i] = p.Records[i].Chars.Vector()
-	}
-	return out
-}
+func FeatureRows(p *Profile) [][]float64 { return p.Features() }

@@ -194,18 +194,7 @@ func CharacterizeContext(ctx context.Context, profile []InvocationProfile, theta
 }
 
 // ProfileRows converts a profiler table into Sample's input rows.
-func ProfileRows(p *Profile) []InvocationProfile {
-	out := make([]InvocationProfile, len(p.Records))
-	for i, r := range p.Records {
-		out[i] = InvocationProfile{
-			Kernel:           r.Kernel,
-			Index:            r.Index,
-			InstructionCount: r.Chars.InstructionCount,
-			CTASize:          r.CTASize,
-		}
-	}
-	return out
-}
+func ProfileRows(p *Profile) []InvocationProfile { return p.Rows() }
 
 // Profile is a per-invocation profile table (one row per kernel invocation).
 type Profile = profiler.Profile

@@ -73,11 +73,6 @@ func SampleCSVContext(ctx context.Context, r io.Reader, opts StreamOptions) (*Pl
 			return InvocationProfile{}, io.EOF
 		}
 		rec := sc.Record()
-		return InvocationProfile{
-			Kernel:           rec.Kernel,
-			Index:            rec.Index,
-			InstructionCount: rec.Chars.InstructionCount,
-			CTASize:          rec.CTASize,
-		}, nil
+		return rec.Row(), nil
 	}, opts)
 }
