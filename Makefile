@@ -51,10 +51,11 @@ bench-stream:
 	@echo "benchmark event stream written to BENCH_stream.json"
 
 # Plan-service request latency: a full cache-miss sampling request vs the
-# content-hash cache-hit fast path, recorded to BENCH_serve.json.
+# content-hash cache-hit fast path over loopback HTTP, plus the hit handler
+# in process, five one-second runs each, recorded to BENCH_serve.json.
 bench-serve:
 	$(GO) test -run XXX -bench 'BenchmarkServe' \
-		-benchmem -benchtime 1x -json ./internal/server > BENCH_serve.json
+		-benchmem -benchtime 1s -count 5 -json ./internal/server > BENCH_serve.json
 	@echo "benchmark event stream written to BENCH_serve.json"
 
 # Observability overhead: the full sampling pipeline with no collector vs one
@@ -101,11 +102,14 @@ report:
 serve:
 	$(GO) run ./cmd/sieved -addr :8372
 
-# Short fuzz pass over every profiler CSV fuzz target (CI runs the same).
+# Short fuzz pass over every fuzz target: the profiler CSV readers and the
+# sieved request decoder (CI runs the same).
 fuzz-smoke:
-	@for t in $$($(GO) test ./internal/profiler -list 'Fuzz.*' | grep '^Fuzz'); do \
-		echo "fuzzing $$t"; \
-		$(GO) test ./internal/profiler -run XXX -fuzz "^$$t$$" -fuzztime 10s || exit 1; \
+	@for pkg in ./internal/profiler ./internal/server; do \
+		for t in $$($(GO) test $$pkg -list 'Fuzz.*' | grep '^Fuzz'); do \
+			echo "fuzzing $$pkg $$t"; \
+			$(GO) test $$pkg -run XXX -fuzz "^$$t$$" -fuzztime 10s || exit 1; \
+		done; \
 	done
 
 # One iteration of every figure/ablation benchmark with its metrics.

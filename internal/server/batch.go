@@ -24,7 +24,7 @@ import (
 // delivers results incrementally.
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) int {
 	_, decodeSpan := obs.StartSpan(r.Context(), stageDecode)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := s.readBody(w, r)
 	if err != nil {
 		decodeSpan.End()
 		return s.writeError(w, err)
@@ -49,20 +49,18 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) int {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	_, _ = io.WriteString(w, `{"items":[`)
+	var buf []byte // reused per item: Write is done with it on return
 	for i := range breq.Items {
+		buf = buf[:0]
 		if i > 0 {
-			_, _ = io.WriteString(w, ",")
+			buf = append(buf, ',')
 		}
 		// Each item traces under its own span, so the batch's trace shows the
 		// per-item serving path (cache hit, flight join, compute) in sequence.
 		ictx, itemSpan := obs.StartSpan(ctx, "item")
 		itemSpan.SetAttr("index", i)
-		item := s.batchItem(ictx, &breq.Items[i])
+		buf = s.batchItem(ictx, &breq.Items[i], buf)
 		itemSpan.End()
-		buf, err := json.Marshal(item)
-		if err != nil {
-			buf = []byte(`{"status":500,"error":"marshal item result"}`)
-		}
 		_, _ = w.Write(buf)
 		if flusher != nil {
 			flusher.Flush()
@@ -72,22 +70,22 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) int {
 	return http.StatusOK
 }
 
-// batchItem resolves and answers one batch item. A computing item's flight
-// leader acquires its own worker slot exactly like a single request's would;
-// hits and joins need none. Cache hits and coalesced joins count toward the
-// same metrics as single requests; batch_items tracks the item volume
-// itself.
-func (s *Server) batchItem(ctx context.Context, req *api.SampleRequest) api.BatchItemResult {
+// batchItem resolves and answers one batch item, appending its
+// api.BatchItemResult JSON to dst. A computing item's flight leader acquires
+// its own worker slot exactly like a single request's would; hits and joins
+// need none. Cache hits and coalesced joins count toward the same metrics as
+// single requests; batch_items tracks the item volume itself.
+func (s *Server) batchItem(ctx context.Context, req *api.SampleRequest, dst []byte) []byte {
 	s.metrics.BatchItems.Add(1)
 	rv, err := s.resolve(req)
 	if err != nil {
 		s.metrics.Failures.Add(1)
-		return api.BatchItemResult{Status: statusFor(err), Error: err.Error()}
+		return appendBatchError(dst, api.BatchItemResult{Status: statusFor(err), Error: err.Error()})
 	}
 	s.metrics.methodRequests(rv.method).Add(1)
 	id := rv.key("sample")
-	if doc, hit := s.cachedPlan(ctx, id); hit {
-		return api.BatchItemResult{Status: http.StatusOK, PlanID: id, Cached: true, Plan: doc}
+	if p, hit := s.cachedPlan(ctx, id); hit {
+		return appendBatchPlan(dst, id, true, false, p.doc)
 	}
 	s.metrics.CacheMisses.Add(1)
 	doc, shared, err := s.computePlan(ctx, id, rv)
@@ -96,7 +94,13 @@ func (s *Server) batchItem(ctx context.Context, req *api.SampleRequest) api.Batc
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.Warn("batch item failed", "status", statusFor(err), "error", err.Error())
 		}
-		return api.BatchItemResult{Status: statusFor(err), PlanID: id, Error: err.Error()}
+		return appendBatchError(dst, api.BatchItemResult{Status: statusFor(err), PlanID: id, Error: err.Error()})
 	}
-	return api.BatchItemResult{Status: http.StatusOK, PlanID: id, Coalesced: shared, Plan: doc}
+	return appendBatchPlan(dst, id, false, shared, doc)
+}
+
+// appendBatchError appends a failed item, which carries no plan.
+func appendBatchError(dst []byte, item api.BatchItemResult) []byte {
+	b, _ := json.Marshal(item) // ints and strings always marshal
+	return append(dst, b...)
 }

@@ -60,3 +60,18 @@ func BenchmarkServeSampleHit(b *testing.B) {
 		benchPost(b, ts.URL+"/v1/sample", csv, true)
 	}
 }
+
+// BenchmarkServeHandlerHit measures the cache hit in process, without the
+// loopback socket BenchmarkServeSampleHit includes: body read, key hash, LRU
+// lookup and envelope write on the lmc fixture, with tracing on as served.
+func BenchmarkServeHandlerHit(b *testing.B) {
+	hit := csvReplay(New(Config{}).Handler(), loadFixtureCSV(b))
+	hit() // warm the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if status, _ := hit(); status != http.StatusOK {
+			b.Fatalf("status = %d", status)
+		}
+	}
+}

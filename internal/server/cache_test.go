@@ -10,7 +10,8 @@ import (
 // TestCacheConcurrentPutGet hammers the LRU from many goroutines under
 // -race: concurrent puts, gets and len calls over a key space larger than
 // the capacity, so insertion, promotion and eviction all interleave. Every
-// successful get must return exactly the bytes put for that key.
+// successful get must return exactly the bytes put for that key, inside the
+// hit envelope built for it.
 func TestCacheConcurrentPutGet(t *testing.T) {
 	const (
 		capacity   = 8
@@ -33,8 +34,13 @@ func TestCacheConcurrentPutGet(t *testing.T) {
 				case 0:
 					c.put(id, body(k))
 				case 1:
-					if doc, ok := c.get(id); ok && !bytes.Equal(doc, body(k)) {
-						t.Errorf("get(%s) = %q, want %q", id, doc, body(k))
+					if p, ok := c.get(id); ok {
+						if !bytes.Equal(p.doc, body(k)) {
+							t.Errorf("get(%s).doc = %q, want %q", id, p.doc, body(k))
+						}
+						if want := appendPlanEnvelope(nil, id, true, false, body(k)); !bytes.Equal(p.hit, want) {
+							t.Errorf("get(%s).hit = %q, want %q", id, p.hit, want)
+						}
 					}
 				default:
 					if n := c.len(); n < 0 || n > capacity {
@@ -59,9 +65,9 @@ func TestCacheRefreshKeepsOneEntry(t *testing.T) {
 	if c.len() != 1 {
 		t.Fatalf("len = %d, want 1", c.len())
 	}
-	doc, ok := c.get("a")
-	if !ok || string(doc) != "v2" {
-		t.Fatalf("get = %q %v, want v2", doc, ok)
+	p, ok := c.get("a")
+	if !ok || string(p.doc) != "v2" {
+		t.Fatalf("get = %q %v, want v2", p.doc, ok)
 	}
 }
 
@@ -78,5 +84,25 @@ func TestCacheLRUOrderUnderGets(t *testing.T) {
 	}
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("a evicted despite recent use")
+	}
+}
+
+// TestCacheDocSharesHitEnvelope: the stored plan document is a subslice of
+// the hit envelope, not a second copy, and cannot be appended into it.
+func TestCacheDocSharesHitEnvelope(t *testing.T) {
+	c := newPlanCache(1)
+	doc := []byte(`{"theta":0.4}`)
+	p := c.put("abc", doc)
+	if got, want := string(p.hit), `{"plan_id":"abc","cached":true,"plan":{"theta":0.4}}`+"\n"; got != want {
+		t.Fatalf("hit = %q, want %q", got, want)
+	}
+	if string(p.doc) != string(doc) {
+		t.Fatalf("doc = %q, want %q", p.doc, doc)
+	}
+	if &p.doc[0] != &p.hit[len(p.hit)-2-len(doc)] {
+		t.Fatal("doc is a copy, not a subslice of the hit envelope")
+	}
+	if cap(p.doc) != len(p.doc) {
+		t.Fatalf("cap(doc) = %d, want %d: an append could overwrite the envelope", cap(p.doc), len(p.doc))
 	}
 }

@@ -150,17 +150,32 @@ const forwardedHeader = "X-Sieved-Forwarded"
 
 func isForwarded(r *http.Request) bool { return r.Header.Get(forwardedHeader) != "" }
 
-// planFromEnvelope extracts the raw plan document from a relayed
-// api.PlanEnvelope body for a local cache fill. The plan bytes are taken
-// verbatim from the envelope, so the fill is byte-identical to the owner's
-// cached document. A mismatched plan_id (peer confusion) is discarded rather
-// than poisoning the cache.
+// planFromEnvelope extracts the plan document from a relayed
+// api.PlanEnvelope body for a local cache fill. See fillDoc.
 func planFromEnvelope(body []byte, id string) []byte {
 	var env api.PlanEnvelope
-	if err := json.Unmarshal(body, &env); err != nil || env.PlanID != id || len(env.Plan) == 0 {
+	if err := json.Unmarshal(body, &env); err != nil {
 		return nil
 	}
-	return append([]byte(nil), env.Plan...)
+	return fillDoc(&env, id)
+}
+
+// fillDoc returns the plan document of a peer's envelope for id in the
+// compact form json.Marshal gives a json.RawMessage: the bytes a local
+// computation stores. Hits write stored bytes as they are, so a fill is
+// normalized once here; an owner that answered with indented JSON still
+// fills exactly what a local hit would serve. A mismatched plan_id (peer
+// confusion) or a plan that is not a JSON object returns nil rather than
+// poisoning the cache.
+func fillDoc(env *api.PlanEnvelope, id string) []byte {
+	if env.PlanID != id || len(env.Plan) == 0 {
+		return nil
+	}
+	doc, err := json.Marshal(env.Plan)
+	if err != nil || doc[0] != '{' {
+		return nil
+	}
+	return doc
 }
 
 // peerClient builds the typed client for one owning replica. All peer
@@ -183,8 +198,7 @@ func (s *Server) peerClient(owner string) (*client.Client, error) {
 // be reached (transport error), in which case the caller computes locally —
 // graceful degradation. A reachable owner's answer is relayed whatever its
 // status, and a successful plan also fills the local cache so the next
-// identical request is a local hit. A mismatched plan_id (peer confusion) is
-// discarded rather than poisoning the cache.
+// identical request is a local hit (see fillDoc for what is discarded).
 func (s *Server) proxySample(w http.ResponseWriter, ctx context.Context, rv *resolved, id, owner string) (int, bool) {
 	pc, err := s.peerClient(owner)
 	if err != nil {
@@ -222,9 +236,9 @@ func (s *Server) proxySample(w http.ResponseWriter, ctx context.Context, rv *res
 }
 
 // fetchPlanFromPeer retrieves a cached plan document from the owning replica
-// for a local fill, byte-identical to the owner's cached bytes. Any failure
-// — owner down, plan evicted there, mismatched plan_id — returns nil and the
-// caller answers 404 as a single node would.
+// for a local fill, normalized by fillDoc. Any failure — owner down, plan
+// evicted there, mismatched plan_id, a plan that is not a JSON object —
+// returns nil and the caller answers 404 as a single node would.
 func (s *Server) fetchPlanFromPeer(ctx context.Context, owner, id string) []byte {
 	pc, err := s.peerClient(owner)
 	if err != nil {
@@ -243,8 +257,5 @@ func (s *Server) fetchPlanFromPeer(ctx context.Context, owner, id string) []byte
 		}
 		return nil
 	}
-	if env.PlanID != id || len(env.Plan) == 0 {
-		return nil
-	}
-	return append([]byte(nil), env.Plan...)
+	return fillDoc(env, id)
 }

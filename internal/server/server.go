@@ -47,6 +47,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/gpusampling/sieve"
 	"github.com/gpusampling/sieve/api"
@@ -286,11 +287,48 @@ func (s *Server) writeError(w http.ResponseWriter, err error) int {
 	return status
 }
 
+// bodyHintCap bounds how much of a declared Content-Length readBody allocates
+// before any body byte has arrived. Past it the buffer grows only as bytes
+// come in, so a client that declares a large body and sends nothing holds
+// little memory.
+const bodyHintCap = 1 << 20
+
+// readBody reads the request body, capped at MaxBodyBytes (a longer body is a
+// *http.MaxBytesError, answered 413). It returns the same bytes and errors
+// io.ReadAll would, but a declared Content-Length (up to bodyHintCap) sizes
+// the buffer up front, so an honest body costs one allocation of its own size
+// instead of a doubling series of copies. The length is only a hint: a body
+// shorter or longer than declared is still read whole. A body the client cut
+// off before its declared length is the caller's mistake (400).
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	size := int64(512) // io.ReadAll's starting size, for an unknown length
+	if n := r.ContentLength; n >= 0 && n <= s.cfg.MaxBodyBytes {
+		size = min(n, bodyHintCap) + 1 // +1 leaves room for the read that reports EOF
+	}
+	buf := make([]byte, 0, size)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		switch {
+		case err == io.EOF:
+			return buf, nil
+		case errors.Is(err, io.ErrUnexpectedEOF):
+			return nil, badRequest{fmt.Errorf("read body: %w", err)}
+		case err != nil:
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
+
 // decodeRequest reads the bounded body and normalizes both accepted shapes —
 // raw CSV with query-parameter options, or the JSON envelope — into a
 // SampleRequest.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*api.SampleRequest, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := s.readBody(w, r)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +337,9 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*api.Sam
 		ct = mt
 	}
 	if ct == "text/csv" || ct == "application/csv" {
-		req := &api.SampleRequest{ProfileCSV: string(body)}
+		// Nothing writes to body after this, so the profile string shares its
+		// bytes rather than copying a body of up to MaxBodyBytes.
+		req := &api.SampleRequest{ProfileCSV: unsafe.String(unsafe.SliceData(body), len(body))}
 		if err := optionsFromQuery(r.URL.Query(), &req.Options); err != nil {
 			return nil, badRequest{err}
 		}
@@ -454,9 +494,11 @@ func (rv *resolved) key(kind string) string {
 	if rv.method != core.MethodSieve {
 		fmt.Fprintf(h, "method=%s|", rv.method)
 	}
-	if rv.req.ProfileCSV != "" {
+	if csv := rv.req.ProfileCSV; csv != "" {
 		io.WriteString(h, "csv|")
-		io.WriteString(h, rv.req.ProfileCSV)
+		// A read-only view of the string's bytes: io.WriteString would copy
+		// the whole profile, since sha256 has no WriteString method.
+		h.Write(unsafe.Slice(unsafe.StringData(csv), len(csv)))
 	} else {
 		fmt.Fprintf(h, "workload|%s|%g", rv.req.Workload, rv.req.Scale)
 	}
@@ -603,20 +645,6 @@ func marshalPlan(p *sieve.Plan) ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// respondDocument writes the api.PlanEnvelope around an already-marshaled
-// plan document. The envelope marshals to the exact bytes the service has
-// always answered ({"plan_id":…,"cached":…,"plan":…} + newline); coalesced
-// appears only when true, so non-coalesced responses are unchanged.
-func respondDocument(w http.ResponseWriter, id string, cached, coalesced bool, doc []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	buf, err := json.Marshal(api.PlanEnvelope{PlanID: id, Cached: cached, Coalesced: coalesced, Plan: doc})
-	if err != nil {
-		return
-	}
-	_, _ = w.Write(append(buf, '\n'))
-}
-
 // computePlan produces the marshaled plan for id, coalescing concurrent
 // misses on the same content hash onto one computation via the in-flight
 // table. The computation runs detached under its own RequestTimeout-bounded
@@ -664,8 +692,7 @@ func (s *Server) computePlan(ctx context.Context, id string, rv *resolved) (doc 
 		}
 		compSpan.SetAttr("plan_id", id)
 		s.metrics.RowsIngested.Add(int64(plan.TierInvocations[0] + plan.TierInvocations[1] + plan.TierInvocations[2]))
-		s.cache.put(id, doc)
-		return flightResult{doc: doc}
+		return flightResult{doc: s.cache.put(id, doc).doc}
 	})
 	if shared {
 		flightSpan.SetAttr("coalesced", true)
@@ -689,8 +716,8 @@ func (s *Server) serveSample(w http.ResponseWriter, r *http.Request) int {
 	}
 	s.metrics.methodRequests(rv.method).Add(1)
 	id := rv.key("sample")
-	if doc, hit := s.cachedPlan(r.Context(), id); hit {
-		s.respondTraced(r.Context(), w, id, true, false, doc)
+	if p, hit := s.cachedPlan(r.Context(), id); hit {
+		s.respondHit(r.Context(), w, p)
 		return http.StatusOK
 	}
 	s.metrics.CacheMisses.Add(1)
@@ -712,7 +739,7 @@ func (s *Server) serveSample(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return s.writeError(w, err)
 	}
-	s.respondTraced(r.Context(), w, id, false, shared, doc)
+	s.respondComputed(r.Context(), w, id, shared, doc)
 	return http.StatusOK
 }
 
@@ -732,21 +759,30 @@ func (s *Server) decodeResolved(w http.ResponseWriter, r *http.Request) (*resolv
 // counts a hit. Callers count their own misses: a plan GET that misses
 // locally ends as a peer fill or a not-found failure instead, which keeps
 // cache_hits + cache_misses + failures == requests.
-func (s *Server) cachedPlan(ctx context.Context, id string) ([]byte, bool) {
+func (s *Server) cachedPlan(ctx context.Context, id string) (storedPlan, bool) {
 	_, span := obs.StartSpan(ctx, stageCache)
-	doc, hit := s.cache.get(id)
+	p, hit := s.cache.get(id)
 	span.SetAttr("hit", hit)
 	span.End()
 	if hit {
 		s.metrics.CacheHits.Add(1)
 	}
-	return doc, hit
+	return p, hit
 }
 
-// respondTraced writes the plan envelope under a write-stage span.
-func (s *Server) respondTraced(ctx context.Context, w http.ResponseWriter, id string, cached, coalesced bool, doc []byte) {
+// respondHit writes a cached plan's stored hit envelope under a write-stage
+// span.
+func (s *Server) respondHit(ctx context.Context, w http.ResponseWriter, p storedPlan) {
 	_, span := obs.StartSpan(ctx, stageWrite)
-	respondDocument(w, id, cached, coalesced, doc)
+	writeEnvelope(w, p.hit)
+	span.End()
+}
+
+// respondComputed builds and writes the cached:false envelope of a plan this
+// request computed or joined, under a write-stage span.
+func (s *Server) respondComputed(ctx context.Context, w http.ResponseWriter, id string, coalesced bool, doc []byte) {
+	_, span := obs.StartSpan(ctx, stageWrite)
+	writeEnvelope(w, appendPlanEnvelope(make([]byte, 0, len(id)+len(doc)+envelopeSlack), id, false, coalesced, doc))
 	span.End()
 }
 
@@ -796,16 +832,16 @@ func (s *Server) serveCharacterize(w http.ResponseWriter, r *http.Request) int {
 // any replica serves any cluster-cached plan.
 func (s *Server) servePlanGet(w http.ResponseWriter, r *http.Request) int {
 	id := r.PathValue("id")
-	if doc, hit := s.cachedPlan(r.Context(), id); hit {
-		s.respondTraced(r.Context(), w, id, true, false, doc)
+	if p, hit := s.cachedPlan(r.Context(), id); hit {
+		s.respondHit(r.Context(), w, p)
 		return http.StatusOK
 	}
 	if owner, ok := s.shardRing().ownedElsewhere(id); ok && !isForwarded(r) {
 		if doc := s.fetchPlanFromPeer(r.Context(), owner, id); doc != nil {
-			s.cache.put(id, doc)
+			p := s.cache.put(id, doc)
 			s.metrics.PeerFills.Add(1)
 			s.metrics.CacheHits.Add(1)
-			s.respondTraced(r.Context(), w, id, true, false, doc)
+			s.respondHit(r.Context(), w, p)
 			return http.StatusOK
 		}
 	}
