@@ -22,11 +22,16 @@ import (
 const Version = "v1.10"
 
 // TraceHeader is the distributed-tracing header: a traceparent-style value
-// whose first dash-separated token is the 32-hex-digit trace id. Clients may
-// mint it (client.WithTraceID); the server mints one when absent, echoes the
-// id back on the response under the same header, and propagates the incoming
-// value verbatim on peer proxy and fetch-and-fill hops, so one id names the
-// request across every replica it touches.
+// "<id>-<flags>" whose first dash-separated token is the trace id (16–64 hex
+// digits, 32 when minted) and whose flags byte marks the request sampled when
+// bit 0 is set: "<id>-01" is sampled, "<id>-00" or a bare id is not. Every
+// request is timed per serving stage and leaves a summary under its id; only
+// a sampled request also keeps its full span tree. Clients may mint a sampled
+// id (client.WithTraceID); the server mints an unsampled one when the header
+// is absent, echoes the id back on the response under the same header, and
+// forwards the id with its flag on peer proxy and fetch-and-fill hops, so one
+// id names the request across every replica it touches and every replica
+// samples it alike.
 const TraceHeader = "X-Sieved-Trace"
 
 // RequestOptions is the wire form of the sampling knobs. Zero values select
@@ -265,18 +270,19 @@ type TraceSummary struct {
 }
 
 // Trace is the JSON body of GET /debug/traces/{id}: one completed request's
-// identity, per-stage attribution and full span tree on the replica that
-// answered. With ?format=chrome the endpoint renders the same tree as Chrome
+// identity, per-stage attribution and, when the request was sampled (see
+// TraceHeader), its full span tree on the replica that answered. With
+// ?format=chrome the endpoint renders a sampled request's tree as Chrome
 // trace-event JSON instead.
 type Trace struct {
 	TraceSummary
 	// Replica is the answering replica's advertised base URL ("" single-node).
 	Replica string `json:"replica,omitempty"`
-	// StageNS sums span durations per serving stage (decode, cache, slot,
-	// flight, compute, proxy, write), in nanoseconds. Stages the request never
-	// entered are absent.
+	// StageNS is the request's exclusive time per serving stage (decode,
+	// cache, slot, flight, compute, proxy, write), in nanoseconds. Stages the
+	// request never entered are absent.
 	StageNS map[string]int64 `json:"stage_ns,omitempty"`
-	// Spans is the request's span forest.
+	// Spans is the request's span forest, empty unless it was sampled.
 	Spans []*TraceSpan `json:"spans"`
 }
 

@@ -515,7 +515,8 @@ func BenchmarkBaselineClustering(b *testing.B) {
 // materializing sampler: nocollector is the production path (every
 // instrumentation site reduced to one context lookup), collector records the
 // full span tree. The bench-obs Makefile target records both in
-// BENCH_obs.json; the collector variant must stay within a few percent.
+// BENCH_obs.json; their difference is what a sampled sieved request adds to
+// its compute.
 func BenchmarkSample(b *testing.B) {
 	f := newFixture(b, "nst", benchScale)
 	b.Run("nocollector", func(b *testing.B) {

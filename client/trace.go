@@ -22,9 +22,10 @@ import (
 type traceIDKey struct{}
 
 // WithTraceID returns a context that makes every client request carry the
-// given trace id in the api.TraceHeader header. Invalid ids (per
-// ValidTraceID) are ignored and the request traces under a server-minted id
-// instead.
+// given trace id in the api.TraceHeader header, marked sampled ("<id>-01"),
+// so sieved keeps the request's full span tree. Invalid ids (per
+// ValidTraceID) are ignored and the request traces, unsampled, under a
+// server-minted id instead.
 func WithTraceID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, traceIDKey{}, id)
 }

@@ -43,7 +43,7 @@ func main() {
 		drain         = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain window for in-flight runs")
 		withPprof     = flag.Bool("pprof", false, "expose the net/http/pprof profiling handlers under /debug/pprof/")
 		batchItems    = flag.Int("max-batch-items", 0, "item limit per POST /v1/batch request (0 = default 64)")
-		traceStore    = flag.Int("trace-store", 0, "completed-trace ring store capacity behind GET /debug/traces (0 = default 256)")
+		traceStore    = flag.Int("trace-store", 0, "capacity of each trace-store ring behind GET /debug/traces, request summaries and sampled span trees (0 = default 256)")
 		parallelism   = cliflags.Parallelism(flag.CommandLine)
 		logLevel      = cliflags.LogLevel(flag.CommandLine)
 	)

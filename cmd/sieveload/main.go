@@ -72,7 +72,7 @@ func main() {
 		methodsF = flag.String("methods", "",
 			"comma-separated sampling-methodology pool drawn per workload-mode request (e.g. sieve,twophase,rss; empty = server default; non-default methods cache under distinct plan ids)")
 		traceEvery = flag.Int("trace-every", 16,
-			"trace every Nth request per worker with a minted X-Sieved-Trace id; sampled traces are fetched back after the run and feed the report's per-stage latency attribution (0 disables)")
+			"trace every Nth request per worker with a minted X-Sieved-Trace id marked sampled; sampled traces are fetched back after the run and feed the report's per-stage latency attribution (0 disables)")
 		snapshot = flag.Duration("snapshot", 5*time.Second, "period between progress lines on stderr (0 = silent)")
 		out      = flag.String("out", "BENCH_load.json", "report destination ('-' = stdout, '' = none)")
 		theta    = cliflags.Theta(flag.CommandLine)

@@ -53,9 +53,10 @@ type Config struct {
 	// Timeout bounds each request (0 = client default).
 	Timeout time.Duration
 	// TraceEvery makes every Nth request per worker carry a deterministic
-	// minted trace id (drawn from the worker's RNG). Sampled traces are
-	// fetched back from the targets after the run and summarized as the
-	// report's per-stage latency attribution. 0 disables trace sampling.
+	// minted trace id (drawn from the worker's RNG) with the sampled flag, so
+	// the targets keep its span tree. Sampled traces are fetched back from
+	// the targets after the run and summarized as the report's per-stage
+	// latency attribution. 0 disables trace sampling.
 	TraceEvery int
 	// Catalog is the profile set (BuildCatalog). Entry 0 is the zipfian hot
 	// spot.

@@ -12,10 +12,10 @@ import (
 
 // traceSampleCap bounds how many sampled trace ids the run retains for the
 // post-run fetch. The retained set is a rolling window of the newest ids:
-// the server traces every request (minting ids for untraced ones) into a
-// bounded store that overwrites oldest-first, so only the most recent
-// samples can still be resident when the run ends — remembering early ids
-// would only manufacture fetch misses.
+// the server keeps sampled span trees in a bounded ring (256 by default,
+// apart from its unsampled traffic) that overwrites oldest-first, so only
+// the most recent samples can still be resident when the run ends —
+// remembering early ids would only manufacture fetch misses.
 const traceSampleCap = 256
 
 // traceCtx implements trace sampling: every cfg.TraceEvery-th request of a

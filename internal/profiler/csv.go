@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"github.com/gpusampling/sieve/internal/core"
 	"github.com/gpusampling/sieve/internal/cudamodel"
@@ -194,6 +195,10 @@ func ReadCSVFunc(r io.Reader, fn func(Record) error) ([]string, error) {
 	return sc.Collected(), sc.Err()
 }
 
+// errNoRecords wraps the sentinel so callers (and the sieved status mapping)
+// can distinguish "well-formed but empty" from malformed CSV.
+var errNoRecords = fmt.Errorf("profiler: CSV contains no records: %w", core.ErrEmptyProfile)
+
 // ReadCSV parses a profile previously written by WriteCSV, materializing the
 // whole table (use CSVScanner or ReadCSVFunc to stream instead). Workload,
 // Suite, Tool and WallSeconds are not stored in the CSV and are left for the
@@ -209,11 +214,28 @@ func ReadCSV(r io.Reader) (*Profile, error) {
 	}
 	p.Collected = collected
 	if len(p.Records) == 0 {
-		// Wraps the sentinel so callers (and the sieved status mapping) can
-		// distinguish "well-formed but empty" from malformed CSV.
-		return nil, fmt.Errorf("profiler: CSV contains no records: %w", core.ErrEmptyProfile)
+		return nil, errNoRecords
 	}
 	return p, nil
+}
+
+// ParseRows parses a profile CSV straight into the stratifier's input rows:
+// the rows ReadCSV followed by Rows would give, with the same errors, but
+// without building the Record table. The result is sized once from the
+// CSV's line count, which bounds the record count from above.
+func ParseRows(text string) ([]core.InvocationProfile, error) {
+	rows := make([]core.InvocationProfile, 0, strings.Count(text, "\n"))
+	_, err := ReadCSVFunc(strings.NewReader(text), func(rec Record) error {
+		rows = append(rows, rec.Row())
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(rows) == 0 {
+		return nil, errNoRecords
+	}
+	return rows, nil
 }
 
 // charsFromVector rebuilds a Characteristics struct from a Vector()-ordered

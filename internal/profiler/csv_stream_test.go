@@ -2,10 +2,13 @@ package profiler
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/gpusampling/sieve/internal/core"
 )
 
 // TestCSVScannerMatchesReadCSV streams a profile record by record and checks
@@ -45,6 +48,16 @@ func TestCSVScannerMatchesReadCSV(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want.Records) {
 		t.Fatal("streamed records diverge from materialized records")
+	}
+	rows, err := ParseRows(string(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, want.Rows()) {
+		t.Fatal("ParseRows rows diverge from the materialized table's rows")
+	}
+	if _, err := ParseRows("kernel,index,seq,cta_size,instruction_count\n"); !errors.Is(err, core.ErrEmptyProfile) {
+		t.Fatalf("header-only ParseRows err = %v, want ErrEmptyProfile", err)
 	}
 }
 

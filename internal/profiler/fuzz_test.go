@@ -53,13 +53,16 @@ func FuzzReadCSV(f *testing.F) {
 	})
 }
 
-// FuzzCSVScanner checks the streaming reader against the materializing one:
-// both must accept/reject the same inputs and, when they accept, produce
-// identical record streams — so the bounded-memory path can never silently
-// diverge from the reference parse.
+// FuzzCSVScanner checks the streaming reader and ParseRows against the
+// materializing reader: all must accept/reject the same inputs and, when they
+// accept, produce identical record streams and rows — so neither the
+// bounded-memory path nor the direct row parse can silently diverge from the
+// reference parse. ParseRows must also fail with ReadCSV's exact error.
 func FuzzCSVScanner(f *testing.F) {
 	f.Add("kernel,index,seq,cta_size,instruction_count\nk,0,0,128,5\nk,1,1,64,9\n")
 	f.Add("")
+	f.Add("kernel,index,seq,cta_size,instruction_count\n")
+	f.Add("kernel,index,seq,cta_size,instruction_count\nk,0,0,128,x\n")
 	f.Add("kernel,index,seq,cta_size,instruction_count,instruction_count\nk,0,0,128,5,6\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		want, wantErr := ReadCSV(strings.NewReader(in))
@@ -82,6 +85,13 @@ func FuzzCSVScanner(f *testing.F) {
 		}
 		if wantErr == nil && !reflect.DeepEqual(got, want.Records) {
 			t.Fatal("streamed records diverge from materialized records")
+		}
+		rows, rowsErr := ParseRows(in)
+		if fmt.Sprint(rowsErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("ParseRows err=%v, ReadCSV err=%v", rowsErr, wantErr)
+		}
+		if wantErr == nil && !reflect.DeepEqual(rows, want.Rows()) {
+			t.Fatal("ParseRows rows diverge from ReadCSV's Rows")
 		}
 	})
 }

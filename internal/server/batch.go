@@ -23,15 +23,15 @@ import (
 // envelopes are streamed (and flushed) as they complete, so a long batch
 // delivers results incrementally.
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) int {
-	_, decodeSpan := obs.StartSpan(r.Context(), stageDecode)
+	_, decode := startStage(r.Context(), stageDecode)
 	body, err := s.readBody(w, r)
 	if err != nil {
-		decodeSpan.End()
+		decode.end()
 		return s.writeError(w, err)
 	}
 	var breq api.BatchRequest
 	err = json.Unmarshal(body, &breq)
-	decodeSpan.End()
+	decode.end()
 	if err != nil {
 		return s.writeError(w, badRequest{fmt.Errorf("decode batch request: %w", err)})
 	}

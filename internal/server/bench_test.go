@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -63,14 +64,36 @@ func BenchmarkServeSampleHit(b *testing.B) {
 
 // BenchmarkServeHandlerHit measures the cache hit in process, without the
 // loopback socket BenchmarkServeSampleHit includes: body read, key hash, LRU
-// lookup and envelope write on the lmc fixture, with tracing on as served.
+// lookup and envelope write on the lmc fixture. The unsampled hit is what
+// untraced traffic pays; the sampled one adds its span tree.
 func BenchmarkServeHandlerHit(b *testing.B) {
-	hit := csvReplay(New(Config{}).Handler(), loadFixtureCSV(b))
-	hit() // warm the cache
+	csv := loadFixtureCSV(b)
+	for _, bc := range []struct{ name, trace string }{{"unsampled", ""}, {"sampled", sampledTrace}} {
+		b.Run(bc.name, func(b *testing.B) {
+			_, hit := csvReplay(New(Config{}).Handler(), csv, bc.trace)
+			hit() // warm the cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if status, _ := hit(); status != http.StatusOK {
+					b.Fatalf("status = %d", status)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServeHandlerMiss measures an unsampled cache miss in process on
+// one long-running server: each request salts the key with its own seed, so
+// every one parses the lmc fixture, stratifies it, marshals the plan and
+// fills the cache, evicting as a busy server does once the cache is full.
+func BenchmarkServeHandlerMiss(b *testing.B) {
+	req, miss := csvReplay(New(Config{}).Handler(), loadFixtureCSV(b), "")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if status, _ := hit(); status != http.StatusOK {
+		req.URL.RawQuery = "seed=" + strconv.Itoa(i)
+		if status, _ := miss(); status != http.StatusOK {
 			b.Fatalf("status = %d", status)
 		}
 	}

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +18,7 @@ import (
 	"unicode/utf8"
 
 	"github.com/gpusampling/sieve/api"
+	"github.com/gpusampling/sieve/internal/core"
 )
 
 // framingLimit is the MaxBodyBytes of the body-framing tests.
@@ -188,6 +191,24 @@ func TestBodyFramingOnTheWire(t *testing.T) {
 	}
 }
 
+// referenceKey spells key's hashed bytes with the fmt format they are
+// defined by; key appends them by hand, and plan ids depend on every byte.
+func referenceKey(rv *resolved, kind string) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s|theta=%g|sel=%d|split=%d|stream=%v|res=%d|seed=%d|arch=%s|",
+		kind, rv.opts.Theta, rv.opts.Selection, rv.opts.Tier3Splitter,
+		rv.req.Options.Stream, rv.stream.ReservoirSize, rv.stream.Seed, rv.arch)
+	if rv.method != core.MethodSieve {
+		fmt.Fprintf(h, "method=%s|", rv.method)
+	}
+	if csv := rv.req.ProfileCSV; csv != "" {
+		fmt.Fprintf(h, "csv|%s", csv)
+	} else {
+		fmt.Fprintf(h, "workload|%s|%g", rv.req.Workload, rv.req.Scale)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // FuzzDecodeRequest drives decodeRequest → resolve → key with arbitrary
 // content types, queries and bodies: nothing may panic, and a text/csv body
 // must address the same plan as the same profile and options sent as a JSON
@@ -203,6 +224,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add("text/csv", "parallelism=-1&theta=1e400", "")
 	f.Add("application/json", "", `{"profile_csv":"a,b\n","options":{"theta":0.3,"method":"rss"}}`)
 	f.Add("application/json", "", `{"workload":"lmc","scale":0.01}`)
+	f.Add("application/json", "", `{"workload":"lmc","scale":0.25,"options":{"method":"twophase","seed":7,"arch":"hopper","theta":1e-7}}`)
 	f.Add("", "seed=x", `{"workload":"nope","scale":-1}`)
 	f.Add("text/plain;;", "%zz", "\xff\xfe")
 	srv := New(Config{MaxBodyBytes: 1 << 16})
@@ -222,6 +244,9 @@ func FuzzDecodeRequest(f *testing.F) {
 		var key string
 		if rerr == nil {
 			key = rv.key("sample")
+			if ref := referenceKey(rv, "sample"); key != ref {
+				t.Fatalf("key %s, reference format gives %s", key, ref)
+			}
 		}
 
 		ct := contentType

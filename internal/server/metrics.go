@@ -66,10 +66,12 @@ type metrics struct {
 	request *obs.Histogram
 	byClass [len(classLabels)]*obs.Histogram
 
-	// stages holds one latency histogram per serving stage of the trace
-	// taxonomy (decode, slot, compute, …), sorted by stage name, fed by
-	// finishTrace and exposed as sieved_stage_seconds{stage="..."}.
-	stages []stageHist
+	// stages holds one latency histogram per serving stage (decode, slot,
+	// compute, …), indexed by stage, fed from each request's stage array by
+	// finishTrace and exposed as sieved_stage_seconds{stage="..."} in
+	// stagesByName order.
+	stages       [numStages]*obs.Histogram
+	stagesByName []stage
 
 	// start is the epoch of sieved_uptime_seconds: server construction, not
 	// first scrape.
@@ -79,11 +81,6 @@ type metrics struct {
 type methodCounter struct {
 	method string
 	n      *expvar.Int
-}
-
-type stageHist struct {
-	stage string
-	h     *obs.Histogram
 }
 
 // newMetrics builds every histogram and per-method counter up front: the
@@ -96,10 +93,13 @@ func newMetrics() *metrics {
 	for i := range m.byClass {
 		m.byClass[i] = obs.NewHistogram()
 	}
-	for stage := range traceStages {
-		m.stages = append(m.stages, stageHist{stage, obs.NewHistogram()})
+	for st := range m.stages {
+		m.stages[st] = obs.NewHistogram()
+		m.stagesByName = append(m.stagesByName, stage(st))
 	}
-	sort.Slice(m.stages, func(i, j int) bool { return m.stages[i].stage < m.stages[j].stage })
+	sort.Slice(m.stagesByName, func(i, j int) bool {
+		return m.stagesByName[i].String() < m.stagesByName[j].String()
+	})
 	return m
 }
 
@@ -172,11 +172,12 @@ func (m *metrics) observe(status int, d time.Duration) {
 	m.byClass[statusClass(status)].ObserveDuration(d)
 }
 
-// observeStages records one request's attributed time per serving stage.
-func (m *metrics) observeStages(sums map[string]int64) {
-	for _, st := range m.stages {
-		if ns, ok := sums[st.stage]; ok {
-			st.h.Observe(float64(ns) / 1e9)
+// observeStages records a finished request's attributed time for every
+// stage it entered.
+func (m *metrics) observeStages(tr *requestTrace) {
+	for st, h := range m.stages {
+		if tr.stageSet&(1<<st) != 0 {
+			h.Observe(float64(tr.stageNS[st]) / 1e9)
 		}
 	}
 }
@@ -285,11 +286,11 @@ func (m *metrics) prometheus(cacheLen func() int) http.HandlerFunc {
 			}
 		}
 		header = "# TYPE " + stageSecondsMetric + " histogram\n"
-		for _, st := range m.stages {
-			if st.h.Count() > 0 {
+		for _, st := range m.stagesByName {
+			if h := m.stages[st]; h.Count() > 0 {
 				fmt.Fprint(w, header)
 				header = ""
-				writeHistogram(w, stageSecondsMetric, fmt.Sprintf("stage=%q,", st.stage), st.h)
+				writeHistogram(w, stageSecondsMetric, fmt.Sprintf("stage=%q,", st.String()), h)
 			}
 		}
 	}

@@ -12,7 +12,6 @@ import (
 
 	"github.com/gpusampling/sieve/api"
 	"github.com/gpusampling/sieve/client"
-	"github.com/gpusampling/sieve/internal/obs"
 )
 
 // ringVnodes is the number of virtual points each replica contributes to the
@@ -184,13 +183,22 @@ func fillDoc(env *api.PlanEnvelope, id string) []byte {
 // compute immediately (a dead peer costs latency, not availability), not
 // burn a retry budget first. The shared s.peer http.Client keeps one
 // connection pool across owners.
-func (s *Server) peerClient(owner string) (*client.Client, error) {
-	return client.New(owner,
+//
+// The hop carries this request's trace id with its sampled flag (see
+// requestTrace.hopHeader), so the owner's trace of the forwarded request
+// shares the id, the cluster-wide path reassembles from the per-replica
+// stores, and the owner keeps a span tree exactly when this replica does.
+func (s *Server) peerClient(ctx context.Context, owner string) (*client.Client, error) {
+	opts := []client.Option{
 		client.WithHTTPClient(s.peer),
 		client.WithTimeout(s.cfg.RequestTimeout),
 		client.WithRetries(0),
 		client.WithHeader(forwardedHeader, s.selfURL()),
-	)
+	}
+	if tr := traceFrom(ctx); tr != nil {
+		opts = append(opts, client.WithHeader(api.TraceHeader, tr.hopHeader()))
+	}
+	return client.New(owner, opts...)
 }
 
 // proxySample forwards a resolved sample request to the owning replica and
@@ -200,19 +208,13 @@ func (s *Server) peerClient(owner string) (*client.Client, error) {
 // status, and a successful plan also fills the local cache so the next
 // identical request is a local hit (see fillDoc for what is discarded).
 func (s *Server) proxySample(w http.ResponseWriter, ctx context.Context, rv *resolved, id, owner string) (int, bool) {
-	pc, err := s.peerClient(owner)
+	pc, err := s.peerClient(ctx, owner)
 	if err != nil {
 		return 0, false
 	}
-	// The hop runs under a proxy-stage span and carries this request's trace
-	// id, so the owner's trace of the forwarded request shares the id and the
-	// cluster-wide path reassembles from the per-replica stores.
-	pctx, span := obs.StartSpan(ctx, stageProxy)
-	span.SetAttr("owner", owner)
-	defer span.End()
-	if tid := traceID(ctx); tid != "" {
-		pctx = client.WithTraceID(pctx, tid)
-	}
+	pctx, proxy := startStage(ctx, stageProxy)
+	proxy.span.SetAttr("owner", owner)
+	defer proxy.end()
 	status, respBody, err := pc.SampleRaw(pctx, rv.req)
 	if err != nil {
 		if s.cfg.Logger != nil {
@@ -240,16 +242,13 @@ func (s *Server) proxySample(w http.ResponseWriter, ctx context.Context, rv *res
 // evicted there, mismatched plan_id, a plan that is not a JSON object —
 // returns nil and the caller answers 404 as a single node would.
 func (s *Server) fetchPlanFromPeer(ctx context.Context, owner, id string) []byte {
-	pc, err := s.peerClient(owner)
+	pc, err := s.peerClient(ctx, owner)
 	if err != nil {
 		return nil
 	}
-	pctx, span := obs.StartSpan(ctx, stageProxy)
-	span.SetAttr("owner", owner)
-	defer span.End()
-	if tid := traceID(ctx); tid != "" {
-		pctx = client.WithTraceID(pctx, tid)
-	}
+	pctx, proxy := startStage(ctx, stageProxy)
+	proxy.span.SetAttr("owner", owner)
+	defer proxy.end()
 	env, err := pc.GetPlan(pctx, id)
 	if err != nil {
 		if s.cfg.Logger != nil {

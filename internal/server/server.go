@@ -52,8 +52,8 @@ import (
 	"github.com/gpusampling/sieve"
 	"github.com/gpusampling/sieve/api"
 	"github.com/gpusampling/sieve/internal/core"
-	"github.com/gpusampling/sieve/internal/obs"
 	"github.com/gpusampling/sieve/internal/pks"
+	"github.com/gpusampling/sieve/internal/profiler"
 	"github.com/gpusampling/sieve/internal/sampler"
 )
 
@@ -76,9 +76,10 @@ type Config struct {
 	// Parallelism is the per-request sampling worker default when the
 	// request does not choose its own (0 = GOMAXPROCS).
 	Parallelism int
-	// TraceEntries bounds the completed-trace ring store behind
-	// GET /debug/traces (256 if zero). Old traces are overwritten once the
-	// store is full.
+	// TraceEntries bounds each of the trace store's two rings behind
+	// GET /debug/traces: per-request summaries, and the span trees of
+	// sampled requests (256 if zero). Old entries are overwritten once a ring
+	// is full.
 	TraceEntries int
 	// Logger, when set, receives one structured access log line per request
 	// (method, path, status, duration) plus error detail for failed runs.
@@ -482,27 +483,43 @@ func (s *Server) resolve(req *api.SampleRequest) (*resolved, error) {
 // hashing the scheduling knob would fragment the LRU into recomputations of
 // identical plans (and make the hash disagree across replicas with different
 // worker budgets).
+//
+// The options prefix is appended by hand rather than with fmt.Fprintf, which
+// boxes each argument; the bytes are the ones the format
+// "%s|theta=%g|sel=%d|split=%d|stream=%v|res=%d|seed=%d|arch=%s|" gives
+// (%g is strconv's shortest 'g'), so plan ids are unchanged.
 func (rv *resolved) key(kind string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|theta=%g|sel=%d|split=%d|stream=%v|res=%d|seed=%d|arch=%s|",
-		kind, rv.opts.Theta, rv.opts.Selection, rv.opts.Tier3Splitter,
-		rv.req.Options.Stream, rv.stream.ReservoirSize, rv.stream.Seed, rv.arch)
+	b := make([]byte, 0, 128)
+	b = append(append(b, kind...), "|theta="...)
+	b = strconv.AppendFloat(b, rv.opts.Theta, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, "|sel="...), int64(rv.opts.Selection), 10)
+	b = strconv.AppendInt(append(b, "|split="...), int64(rv.opts.Tier3Splitter), 10)
+	b = strconv.AppendBool(append(b, "|stream="...), rv.req.Options.Stream)
+	b = strconv.AppendInt(append(b, "|res="...), int64(rv.stream.ReservoirSize), 10)
+	b = strconv.AppendUint(append(b, "|seed="...), rv.stream.Seed, 10)
+	b = append(append(append(b, "|arch="...), rv.arch...), '|')
 	// Non-default methodologies are canonicalized into the hash so the same
 	// source sampled under two methods addresses two distinct plans. The
 	// default contributes nothing, keeping every pre-existing plan id (and
 	// the golden wire fixtures pinning them) byte-stable.
 	if rv.method != core.MethodSieve {
-		fmt.Fprintf(h, "method=%s|", rv.method)
+		b = append(append(append(b, "method="...), rv.method...), '|')
 	}
-	if csv := rv.req.ProfileCSV; csv != "" {
-		io.WriteString(h, "csv|")
+	h := sha256.New()
+	csv := rv.req.ProfileCSV
+	if csv != "" {
+		h.Write(append(b, "csv|"...))
 		// A read-only view of the string's bytes: io.WriteString would copy
 		// the whole profile, since sha256 has no WriteString method.
 		h.Write(unsafe.Slice(unsafe.StringData(csv), len(csv)))
 	} else {
-		fmt.Fprintf(h, "workload|%s|%g", rv.req.Workload, rv.req.Scale)
+		b = append(append(append(b, "workload|"...), rv.req.Workload...), '|')
+		h.Write(strconv.AppendFloat(b, rv.req.Scale, 'g', -1, 64))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	var id [2 * sha256.Size]byte
+	hex.Encode(id[:], h.Sum(sum[:0]))
+	return string(id[:])
 }
 
 // acquireSlot claims a compute worker slot, waiting until the request's
@@ -529,11 +546,11 @@ func (s *Server) acquireSlot(ctx context.Context) (release func(), err error) {
 // only an unknown name (caught in resolve) is the caller's fault.
 func (rv *resolved) profile(ctx context.Context) (*sieve.MethodProfile, error) {
 	if rv.req.ProfileCSV != "" {
-		p, err := sieve.ReadProfileCSV(strings.NewReader(rv.req.ProfileCSV))
+		rows, err := profiler.ParseRows(rv.req.ProfileCSV)
 		if err != nil {
 			return nil, badRequest{err}
 		}
-		return &sieve.MethodProfile{Rows: sieve.ProfileRows(p)}, nil
+		return &sieve.MethodProfile{Rows: rows}, nil
 	}
 	w, err := sieve.GenerateWorkload(rv.req.Workload, rv.req.Scale)
 	if err != nil {
@@ -657,31 +674,33 @@ func marshalPlan(p *sieve.Plan) ([]byte, error) {
 // held a slot across item waits and deadlocked the server under
 // cache-hostile load). shared reports whether this call joined an
 // already-running flight.
-// The flight wait runs under a flight-stage span. For the leader the span
-// contains the slot and compute stage spans (the detached computation
-// inherits the leader's span chain through context.WithoutCancel, which
-// preserves context values); a follower's span stays childless — it links to
-// the leader's trace via the leader_trace attribute instead of duplicating
-// the compute subtree.
+// The wait is the flight stage. The leader's computation (detached, but it
+// inherits the leader's trace through context.WithoutCancel, which preserves
+// context values) times its slot and compute stages on the leader's trace,
+// so they nest inside the leader's flight; everything the computation runs,
+// the test-only preCompute hold included, counts as slot or compute, not
+// flight. A follower's flight has no nested stages; a sampled follower's
+// flight span links to the leader's trace via the leader_trace attribute
+// instead of duplicating the compute subtree.
 func (s *Server) computePlan(ctx context.Context, id string, rv *resolved) (doc []byte, shared bool, err error) {
-	fctx, flightSpan := obs.StartSpan(ctx, stageFlight)
-	defer flightSpan.End()
+	fctx, flight := startStage(ctx, stageFlight)
+	defer flight.end()
 	res, shared, leader, err := s.flights.do(fctx, id, traceID(ctx), func() flightResult {
+		cctx, cancel := context.WithTimeout(context.WithoutCancel(fctx), s.cfg.RequestTimeout)
+		defer cancel()
+		_, slot := startStage(cctx, stageSlot)
 		if gate := s.preCompute; gate != nil {
 			gate(id)
 		}
-		cctx, cancel := context.WithTimeout(context.WithoutCancel(fctx), s.cfg.RequestTimeout)
-		defer cancel()
-		_, slotSpan := obs.StartSpan(cctx, stageSlot)
 		release, err := s.acquireSlot(cctx)
-		slotSpan.End()
+		slot.end()
 		if err != nil {
 			return flightResult{err: err}
 		}
 		defer release()
 		s.metrics.Computations.Add(1)
-		compCtx, compSpan := obs.StartSpan(cctx, stageCompute)
-		defer compSpan.End()
+		compCtx, comp := startStage(cctx, stageCompute)
+		defer comp.end()
 		plan, err := rv.samplePlan(compCtx)
 		if err != nil {
 			return flightResult{err: err}
@@ -690,14 +709,14 @@ func (s *Server) computePlan(ctx context.Context, id string, rv *resolved) (doc 
 		if err != nil {
 			return flightResult{err: err}
 		}
-		compSpan.SetAttr("plan_id", id)
+		comp.span.SetAttr("plan_id", id)
 		s.metrics.RowsIngested.Add(int64(plan.TierInvocations[0] + plan.TierInvocations[1] + plan.TierInvocations[2]))
 		return flightResult{doc: s.cache.put(id, doc).doc}
 	})
 	if shared {
-		flightSpan.SetAttr("coalesced", true)
+		flight.span.SetAttr("coalesced", true)
 		if leader != "" {
-			flightSpan.SetAttr("leader_trace", leader)
+			flight.span.SetAttr("leader_trace", leader)
 		}
 	}
 	if err != nil {
@@ -743,11 +762,11 @@ func (s *Server) serveSample(w http.ResponseWriter, r *http.Request) int {
 	return http.StatusOK
 }
 
-// decodeResolved reads, decodes and validates a sample-shaped request under
-// the decode-stage span.
+// decodeResolved reads, decodes and validates a sample-shaped request as the
+// decode stage.
 func (s *Server) decodeResolved(w http.ResponseWriter, r *http.Request) (*resolved, error) {
-	_, span := obs.StartSpan(r.Context(), stageDecode)
-	defer span.End()
+	_, decode := startStage(r.Context(), stageDecode)
+	defer decode.end()
 	req, err := s.decodeRequest(w, r)
 	if err != nil {
 		return nil, err
@@ -755,35 +774,34 @@ func (s *Server) decodeResolved(w http.ResponseWriter, r *http.Request) (*resolv
 	return s.resolve(req)
 }
 
-// cachedPlan looks id up in the plan cache under the cache-stage span and
-// counts a hit. Callers count their own misses: a plan GET that misses
+// cachedPlan looks id up in the plan cache as the cache stage and counts a
+// hit. Callers count their own misses: a plan GET that misses
 // locally ends as a peer fill or a not-found failure instead, which keeps
 // cache_hits + cache_misses + failures == requests.
 func (s *Server) cachedPlan(ctx context.Context, id string) (storedPlan, bool) {
-	_, span := obs.StartSpan(ctx, stageCache)
+	_, cache := startStage(ctx, stageCache)
 	p, hit := s.cache.get(id)
-	span.SetAttr("hit", hit)
-	span.End()
+	cache.span.SetAttr("hit", hit)
+	cache.end()
 	if hit {
 		s.metrics.CacheHits.Add(1)
 	}
 	return p, hit
 }
 
-// respondHit writes a cached plan's stored hit envelope under a write-stage
-// span.
+// respondHit writes a cached plan's stored hit envelope as the write stage.
 func (s *Server) respondHit(ctx context.Context, w http.ResponseWriter, p storedPlan) {
-	_, span := obs.StartSpan(ctx, stageWrite)
+	_, write := startStage(ctx, stageWrite)
 	writeEnvelope(w, p.hit)
-	span.End()
+	write.end()
 }
 
 // respondComputed builds and writes the cached:false envelope of a plan this
-// request computed or joined, under a write-stage span.
+// request computed or joined, as the write stage.
 func (s *Server) respondComputed(ctx context.Context, w http.ResponseWriter, id string, coalesced bool, doc []byte) {
-	_, span := obs.StartSpan(ctx, stageWrite)
+	_, write := startStage(ctx, stageWrite)
 	writeEnvelope(w, appendPlanEnvelope(make([]byte, 0, len(id)+len(doc)+envelopeSlack), id, false, coalesced, doc))
-	span.End()
+	write.end()
 }
 
 func (s *Server) serveCharacterize(w http.ResponseWriter, r *http.Request) int {
@@ -793,21 +811,21 @@ func (s *Server) serveCharacterize(w http.ResponseWriter, r *http.Request) int {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	_, slotSpan := obs.StartSpan(ctx, stageSlot)
+	_, slot := startStage(ctx, stageSlot)
 	release, err := s.acquireSlot(ctx)
-	slotSpan.End()
+	slot.end()
 	if err != nil {
 		return s.writeError(w, err)
 	}
 	defer release()
-	compCtx, compSpan := obs.StartSpan(ctx, stageCompute)
+	compCtx, comp := startStage(ctx, stageCompute)
 	p, err := rv.profile(compCtx)
 	if err != nil {
-		compSpan.End()
+		comp.end()
 		return s.writeError(w, err)
 	}
 	sums, err := sieve.CharacterizeContext(compCtx, p.Rows, rv.opts.Theta)
-	compSpan.End()
+	comp.end()
 	if err != nil {
 		return s.writeError(w, rv.callerError(err))
 	}
@@ -821,9 +839,9 @@ func (s *Server) serveCharacterize(w http.ResponseWriter, r *http.Request) int {
 			DominantCTA: k.DominantCTA, Strata: k.Strata,
 		}
 	}
-	_, writeSpan := obs.StartSpan(ctx, stageWrite)
+	_, write := startStage(ctx, stageWrite)
 	writeJSON(w, http.StatusOK, api.CharacterizeResponse{Kernels: out})
-	writeSpan.End()
+	write.end()
 	return http.StatusOK
 }
 
