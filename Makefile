@@ -26,19 +26,20 @@ fmt:
 	gofmt -l -w .
 
 # Hot-path benchmarks (stratification, PKS k-sweep, KDE grid), sequential vs
-# parallel, recorded to BENCH_parallel.json (go test -json event stream) so
-# future PRs have a perf trajectory to diff against.
+# parallel, five one-second runs each, recorded to BENCH_parallel.json (go
+# test -json event stream) so future PRs have a perf trajectory to diff
+# against.
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkStratify|BenchmarkPKSSelect|BenchmarkKDEGrid' \
-		-benchmem -benchtime 10x -json . > BENCH_parallel.json
+		-benchmem -benchtime 1s -count 5 -json . > BENCH_parallel.json
 	@echo "benchmark event stream written to BENCH_parallel.json"
 
 # Re-run the hot-path benchmarks and diff them against the checked-in
 # BENCH_parallel.json with the repo's own comparison tool (benchstat-style
-# old → new deltas, no external dependency).
+# old → new deltas of the per-benchmark medians, no external dependency).
 bench-compare:
 	$(GO) test -run XXX -bench 'BenchmarkStratify|BenchmarkPKSSelect|BenchmarkKDEGrid' \
-		-benchmem -benchtime 10x -json . > BENCH_parallel.new.json
+		-benchmem -benchtime 1s -count 5 -json . > BENCH_parallel.new.json
 	$(GO) run ./cmd/benchcmp BENCH_parallel.json BENCH_parallel.new.json
 	@rm -f BENCH_parallel.new.json
 
@@ -85,11 +86,11 @@ bench-load:
 
 # Per-methodology planning cost: one sub-benchmark per registered sampling
 # strategy (sieve, pks, twophase, rss — BenchmarkSamplerPlan iterates the
-# registry, so a new strategy shows up automatically), recorded to
-# BENCH_sampler.json. See docs/sampling-methods.md.
+# registry, so a new strategy shows up automatically), five one-second runs
+# each, recorded to BENCH_sampler.json. See docs/sampling-methods.md.
 bench-sampler:
 	$(GO) test -run XXX -bench 'BenchmarkSamplerPlan' \
-		-benchmem -benchtime 10x -json ./internal/sampler > BENCH_sampler.json
+		-benchmem -benchtime 1s -count 5 -json ./internal/sampler > BENCH_sampler.json
 	@echo "benchmark event stream written to BENCH_sampler.json"
 
 # Sample observability report + Chrome trace for the checked-in lmc fixture

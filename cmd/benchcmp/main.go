@@ -1,9 +1,9 @@
 // Command benchcmp compares two benchmark recordings produced by
 // `go test -json -bench` (the BENCH_*.json files this repo checks in) and
 // prints per-benchmark deltas. It is a dependency-free stand-in for
-// benchstat, tuned for the single-run event streams the Makefile records:
-// no distribution statistics, just old → new with percentage change per
-// unit.
+// benchstat: no distribution statistics, just old → new with percentage
+// change per unit. A benchmark run several times (-count N, as the Makefile
+// records) is reduced to the median of its runs for each unit.
 //
 // Usage:
 //
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -151,6 +152,7 @@ var unitOrder = []string{"ns/op", "B/op", "allocs/op"}
 // report prints one section per unit present in both recordings, with a row
 // per benchmark name they share.
 func report(w io.Writer, old, new_ []result) {
+	old, new_ = medians(old), medians(new_)
 	oldBy := byName(old)
 	newBy := byName(new_)
 
@@ -205,12 +207,43 @@ func report(w io.Writer, old, new_ []result) {
 	}
 }
 
+// medians collapses repeated runs of a benchmark into one result, in order
+// of first appearance, holding the median of each unit over the runs that
+// report it (the mean of the middle two for an even count).
+func medians(rs []result) []result {
+	var out []result
+	runs := map[string][]result{}
+	for _, r := range rs {
+		if _, seen := runs[r.name]; !seen {
+			out = append(out, result{name: r.name, values: map[string]float64{}})
+		}
+		runs[r.name] = append(runs[r.name], r)
+	}
+	for i := range out {
+		group := runs[out[i].name]
+		out[i].iterations = group[0].iterations
+		for unit := range group[0].values {
+			var vs []float64
+			for _, r := range group {
+				if v, ok := r.values[unit]; ok {
+					vs = append(vs, v)
+				}
+			}
+			sort.Float64s(vs)
+			mid := len(vs) / 2
+			out[i].values[unit] = vs[mid]
+			if len(vs)%2 == 0 {
+				out[i].values[unit] = (vs[mid-1] + vs[mid]) / 2
+			}
+		}
+	}
+	return out
+}
+
 func byName(rs []result) map[string]result {
 	m := make(map[string]result, len(rs))
 	for _, r := range rs {
-		if _, dup := m[r.name]; !dup { // first run wins, like benchstat's input order
-			m[r.name] = r
-		}
+		m[r.name] = r
 	}
 	return m
 }

@@ -94,6 +94,20 @@ func TestReportDeltasAndCoverage(t *testing.T) {
 	}
 }
 
+// TestReportTakesMedianOfRepeatedRuns pins the -count N handling: each
+// side's runs of one benchmark collapse to their median before the delta.
+func TestReportTakesMedianOfRepeatedRuns(t *testing.T) {
+	old := mustParse(t, "BenchmarkX-2 \t 5\t100 ns/op\nBenchmarkX-2 \t 5\t900 ns/op\nBenchmarkX-2 \t 5\t200 ns/op\n")
+	new_ := mustParse(t, "BenchmarkX-2 \t 5\t50 ns/op\nBenchmarkX-2 \t 5\t150 ns/op\n")
+	var buf strings.Builder
+	report(&buf, old, new_)
+	out := buf.String()
+	// Medians 200 (odd count) and 100 (mean of the middle two): -50%, one row.
+	if !strings.Contains(out, "-50.00%") || strings.Count(out, "BenchmarkX") != 1 {
+		t.Fatalf("want one BenchmarkX row at -50.00%%:\n%s", out)
+	}
+}
+
 func TestDeltaEdgeCases(t *testing.T) {
 	if d := delta(0, 0); d != "0.00%" {
 		t.Fatalf("delta(0,0) = %q", d)

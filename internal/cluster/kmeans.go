@@ -11,6 +11,26 @@
 // reusable Scratch buffers, so the iteration loop is memory-bandwidth-bound
 // and allocation-free — the k-sweep in internal/pks flattens its fitting
 // sample once and reuses one Scratch across all candidate k values.
+//
+// The assignment step is pruned with Hamerly's bounds (Hamerly, "Making
+// k-means even faster", SDM 2010). Each point keeps an upper bound on the
+// distance to its own centroid and one lower bound on the distance to every
+// other centroid; after each update the first grows by its centroid's drift
+// and the second shrinks by the largest drift of any other centroid. Each
+// centroid also knows half the distance to its nearest other centroid. A
+// point whose upper bound is below the larger of that half-distance and its
+// lower bound cannot change cluster, so it is not scanned. Only points that
+// fail the test are rescanned.
+//
+// Pruning never changes a result: every Result is bit-identical to plain
+// Lloyd's. A point is skipped only when its test passes by a relative
+// margin (pruneMargin) far above the bounds' rounding error, so a tie or
+// near-tie always gets the exact first-index-wins scan; the lower bounds
+// are rounded down, and drifts up, so cancellation cannot make them unsound.
+// Centroid sums are rebuilt from scratch every iteration in point order, a
+// reseated point's bounds are invalidated, and the final pass computes each
+// skipped point's distance with the same expression the scan uses, so
+// inertia is summed from the same numbers in the same order.
 package cluster
 
 import (
@@ -102,6 +122,11 @@ type Scratch struct {
 	assign     []int     // n
 	sizes      []int     // k
 	dMin       []float64 // n, k-means++ nearest-chosen-centroid distances
+	upper      []float64 // n, bound above each point's distance to its own centroid
+	lower      []float64 // n, bound below its distance to every other centroid
+	half       []float64 // k, half the distance to the nearest other centroid
+	drift      []float64 // k, distance each centroid moved in the last update
+	rivalDrift []float64 // k, largest drift among the other centroids
 	inertia    float64
 	iterations int
 }
@@ -112,6 +137,11 @@ func (s *Scratch) resize(n, dim, k int) {
 	s.centroids = growFloats(s.centroids, k*dim)
 	s.next = growFloats(s.next, k*dim)
 	s.dMin = growFloats(s.dMin, n)
+	s.upper = growFloats(s.upper, n)
+	s.lower = growFloats(s.lower, n)
+	s.half = growFloats(s.half, k)
+	s.drift = growFloats(s.drift, k)
+	s.rivalDrift = growFloats(s.rivalDrift, k)
 	if cap(s.assign) < n {
 		s.assign = make([]int, n)
 	}
@@ -222,17 +252,38 @@ func materialize(ds *Dataset, cfg *Config, s *Scratch) *Result {
 	return res
 }
 
+// Bound slack. Distances computed from the stored coordinates carry a
+// relative rounding error of a few ulps. pruneMargin is the relative margin
+// by which a point's bound test must pass before the point keeps its
+// assignment unscanned: far above that error, so a skipped point is strictly
+// nearer its own centroid in the computed squared distances too. roundSlack
+// rounds each lower bound down and each drift up when they are stored, so
+// the subtraction that ages a lower bound cannot cancel into an unsound one.
+const (
+	pruneMargin = 1e-9
+	roundSlack  = 1e-12
+)
+
 // lloyd runs one seeded k-means++ / Lloyd-iteration pass over the dataset,
 // leaving the converged centroids, assignment, sizes and inertia in s. The
 // iteration loop performs no allocations: the assignment and update steps
 // are fused into one pass over the flat data, and the centroid buffers
-// ping-pong between s.centroids and s.next.
+// ping-pong between s.centroids and s.next. The assignment step is the
+// bounded one (see assignPass); its assignments are exactly plain Lloyd's.
 func lloyd(ds *Dataset, cfg *Config, rng *rand.Rand, s *Scratch) {
 	n, dim, k := ds.n, ds.dim, cfg.K
 	s.resize(n, dim, k)
 	seedPlusPlus(ds, k, rng, s)
 	centroids, next := s.centroids, s.next
 	assign, sizes := s.assign, s.sizes
+	// Seeding measured every point against every seed, so the first pass
+	// starts from exact bounds.
+	for i := 0; i < n; i++ {
+		s.upper[i] = math.Sqrt(s.dMin[i])
+		s.lower[i] = math.Sqrt(s.lower[i]) * (1 - roundSlack)
+	}
+	clear(s.drift)
+	clear(s.rivalDrift)
 
 	var iterations int
 	for iterations = 1; iterations <= cfg.MaxIterations; iterations++ {
@@ -240,27 +291,18 @@ func lloyd(ds *Dataset, cfg *Config, rng *rand.Rand, s *Scratch) {
 		// current centroids and accumulate it into its cluster's sum in the
 		// same pass over the flat data.
 		clear(next)
-		for c := range sizes {
-			sizes[c] = 0
-		}
-		for i := 0; i < n; i++ {
-			p := ds.data[i*dim : (i+1)*dim]
-			c, _ := nearestFlat(p, centroids, k, dim)
-			assign[i] = c
-			sizes[c]++
-			acc := next[c*dim : (c+1)*dim]
-			for d, v := range p {
-				acc[d] += v
-			}
-		}
+		s.assignPass(ds, centroids, k, next)
 		for c := 0; c < k; c++ {
 			cent := next[c*dim : (c+1)*dim]
 			if sizes[c] == 0 {
 				// Empty-cluster repair: reseat on the point farthest from
-				// its assigned centroid.
+				// its assigned centroid. Its bounds referred to its old
+				// cluster; an infinite upper bound makes the next pass
+				// rescan it.
 				far := farthestFlat(ds, centroids, assign)
 				copy(cent, ds.row(far))
 				assign[far] = c
+				s.upper[far] = math.Inf(1)
 				sizes[c] = 1
 				continue
 			}
@@ -269,11 +311,15 @@ func lloyd(ds *Dataset, cfg *Config, rng *rand.Rand, s *Scratch) {
 				cent[d] /= inv
 			}
 		}
-		// Convergence check.
+		// Convergence check; each centroid's drift ages the bounds in the
+		// next pass.
 		var moved float64
 		for c := 0; c < k; c++ {
-			moved = math.Max(moved, sqDistFlat(centroids[c*dim:(c+1)*dim], next[c*dim:(c+1)*dim]))
+			d := sqDistFlat(centroids[c*dim:(c+1)*dim], next[c*dim:(c+1)*dim])
+			moved = math.Max(moved, d)
+			s.drift[c] = math.Sqrt(d) * (1 + roundSlack)
 		}
+		rivalDrifts(s.drift, s.rivalDrift)
 		centroids, next = next, centroids
 		if moved <= cfg.Tolerance {
 			break
@@ -283,22 +329,108 @@ func lloyd(ds *Dataset, cfg *Config, rng *rand.Rand, s *Scratch) {
 		iterations = cfg.MaxIterations
 	}
 
-	// Final assignment against the converged centroids; the winning
-	// candidate's distance is fully accumulated, so inertia is bitwise
-	// identical to a separate sqDist pass.
-	for c := range sizes {
-		sizes[c] = 0
-	}
-	var inertia float64
-	for i := 0; i < n; i++ {
-		c, d := nearestFlat(ds.data[i*dim:(i+1)*dim], centroids, k, dim)
-		assign[i] = c
-		sizes[c]++
-		inertia += d
-	}
+	// Final assignment against the converged centroids.
+	s.inertia = s.assignPass(ds, centroids, k, nil)
 	s.centroids, s.next = centroids, next
-	s.inertia = inertia
 	s.iterations = iterations
+}
+
+// assignPass assigns every point, in point order, to the centroid a full
+// nearestFlat scan picks, recounting s.sizes. With sums non-nil it also adds
+// each point into its cluster's row of sums (the update step); with sums nil
+// it returns the inertia instead, taking a settled point's distance from
+// sqDistFlat, the scan's own sum in the same dimension order.
+//
+// Each point's bounds are first aged by the last update's drifts. A point
+// that fails the bound test has its upper bound tightened to the exact
+// distance and is tested again; only then is it rescanned.
+func (s *Scratch) assignPass(ds *Dataset, centroids []float64, k int, sums []float64) float64 {
+	dim := ds.dim
+	assign, sizes, upper, lower := s.assign, s.sizes, s.upper, s.lower
+	half, drift, rivalDrift := s.half, s.drift, s.rivalDrift
+	halfGaps(centroids, k, dim, half)
+	clear(sizes)
+	inf := math.Inf(1)
+	var inertia float64
+	for i := range assign {
+		p := ds.data[i*dim : (i+1)*dim]
+		a := assign[i]
+		u := upper[i] + drift[a]
+		l := lower[i] - rivalDrift[a]
+		upper[i], lower[i] = u, l
+		bound := half[a]
+		if l > bound {
+			bound = l
+		}
+		bound *= 1 - pruneMargin
+		// The tests are written !(u < bound) so that a NaN bound or
+		// distance always takes the scan, as it would in plain Lloyd. An
+		// upper bound of +Inf marks a point that repair reseated: its lower
+		// bound still refers to its old cluster, so it is not retested
+		// after tightening but goes straight to the scan.
+		dist := -1.0 // squared distance to a, when computed
+		if !(u < bound) && u != inf {
+			dist = sqDistFlat(p, centroids[a*dim:(a+1)*dim])
+			u = math.Sqrt(dist)
+			upper[i] = u
+		}
+		if !(u < bound) {
+			c, d, second := nearestFlat(p, centroids, k, dim)
+			a, dist = c, d
+			assign[i] = c
+			upper[i] = math.Sqrt(d)
+			lower[i] = math.Sqrt(second) * (1 - roundSlack)
+		}
+		sizes[a]++
+		if sums != nil {
+			acc := sums[a*dim : (a+1)*dim]
+			for d, v := range p {
+				acc[d] += v
+			}
+			continue
+		}
+		if dist < 0 {
+			dist = sqDistFlat(p, centroids[a*dim:(a+1)*dim])
+		}
+		inertia += dist
+	}
+	return inertia
+}
+
+// halfGaps sets half[c] to half the distance from centroid c to its nearest
+// other centroid (+Inf when k is 1).
+func halfGaps(centroids []float64, k, dim int, half []float64) {
+	for c := range half {
+		half[c] = math.Inf(1)
+	}
+	for c := 0; c < k; c++ {
+		cent := centroids[c*dim : (c+1)*dim]
+		for o := c + 1; o < k; o++ {
+			h := math.Sqrt(sqDistFlat(cent, centroids[o*dim:(o+1)*dim])) / 2
+			half[c] = math.Min(half[c], h)
+			half[o] = math.Min(half[o], h)
+		}
+	}
+}
+
+// rivalDrifts sets rival[c] to the largest drift of any centroid other
+// than c: what a lower bound on the distance to every other centroid must
+// give up after an update.
+func rivalDrifts(drift, rival []float64) {
+	top, second, topC := 0.0, 0.0, -1
+	for c, d := range drift {
+		if d > top {
+			top, second, topC = d, top, c
+		} else if d > second {
+			second = d
+		}
+	}
+	for c := range rival {
+		rival[c] = top
+		if c == topC {
+			rival[c] = second
+		}
+	}
 }
 
 func validate(ds *Dataset, cfg *Config) error {
@@ -328,17 +460,20 @@ func validate(ds *Dataset, cfg *Config) error {
 
 // seedPlusPlus selects k initial centroids with the k-means++ strategy into
 // s.centroids: the first uniformly, each next proportionally to squared
-// distance from the nearest chosen centroid.
+// distance from the nearest chosen centroid. It leaves, for every point,
+// the index of its nearest seed in s.assign (ties to the lower index, as
+// nearestFlat breaks them), that squared distance in s.dMin and the squared
+// distance to its second-nearest seed in s.lower.
 func seedPlusPlus(ds *Dataset, k int, rng *rand.Rand, s *Scratch) {
 	dim := ds.dim
 	copy(s.centroids[:dim], ds.row(rng.Intn(ds.n)))
 
 	// dMin[i] tracks the squared distance from point i to its nearest
 	// already-chosen centroid; updated incrementally as centroids are added.
-	dMin := s.dMin
+	dMin, near, second := s.dMin, s.assign, s.lower
 	first := s.centroids[:dim]
 	for i := 0; i < ds.n; i++ {
-		dMin[i] = sqDistFlat(ds.row(i), first)
+		dMin[i], near[i], second[i] = sqDistFlat(ds.row(i), first), 0, math.Inf(1)
 	}
 	for chosen := 1; chosen < k; chosen++ {
 		var total float64
@@ -365,19 +500,23 @@ func seedPlusPlus(ds *Dataset, k int, rng *rand.Rand, s *Scratch) {
 		copy(cent, ds.row(next))
 		for i := 0; i < ds.n; i++ {
 			if d := sqDistFlat(ds.row(i), cent); d < dMin[i] {
-				dMin[i] = d
+				dMin[i], second[i], near[i] = d, dMin[i], chosen
+			} else if d < second[i] {
+				second[i] = d
 			}
 		}
 	}
 }
 
-// nearestFlat returns the index of the centroid closest to p and its exact
-// squared distance. Candidates that cannot beat the best-so-far abort the
-// accumulation early (partial-distance pruning); the pruning never fires on
-// the winning centroid, so the returned distance is the full, bitwise-exact
-// sum in dimension order.
-func nearestFlat(p, centroids []float64, k, dim int) (int, float64) {
-	best, bestD := 0, math.Inf(1)
+// nearestFlat returns the index of the centroid closest to p, its exact
+// squared distance, and the squared distance to the second-closest centroid
+// (+Inf when k is 1). Ties go to the lower index. Candidates that cannot
+// beat the second-best-so-far abort the accumulation early
+// (partial-distance pruning); the pruning never fires on the winning or the
+// second centroid, so both returned distances are the full, bitwise-exact
+// sums in dimension order.
+func nearestFlat(p, centroids []float64, k, dim int) (int, float64, float64) {
+	best, bestD, secondD := 0, math.Inf(1), math.Inf(1)
 	for c := 0; c < k; c++ {
 		cent := centroids[c*dim : (c+1)*dim]
 		var acc float64
@@ -392,16 +531,18 @@ func nearestFlat(p, centroids []float64, k, dim int) (int, float64) {
 			for j, v := range cent {
 				diff := p[j] - v
 				acc += diff * diff
-				if acc >= bestD {
+				if acc >= secondD {
 					break
 				}
 			}
 		}
 		if acc < bestD {
-			best, bestD = c, acc
+			best, bestD, secondD = c, acc, bestD
+		} else if acc < secondD {
+			secondD = acc
 		}
 	}
-	return best, bestD
+	return best, bestD, secondD
 }
 
 // farthestFlat returns the index of the point farthest from its assigned

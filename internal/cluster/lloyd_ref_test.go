@@ -1,0 +1,315 @@
+package cluster
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"github.com/gpusampling/sieve/internal/gpu"
+	"github.com/gpusampling/sieve/internal/mat"
+	"github.com/gpusampling/sieve/internal/pca"
+	"github.com/gpusampling/sieve/internal/profiler"
+	"github.com/gpusampling/sieve/internal/workloads"
+)
+
+// plainLloyd is textbook Lloyd: every iteration scans every point against
+// every centroid, with no bounds and no pruning. It is the reference the
+// bounded kernel must match bit for bit. It shares k-means++ seeding, the
+// distance sum and the farthest-point choice of empty-cluster repair with
+// the production code, and reports how many repairs it made.
+func plainLloyd(ds *Dataset, cfg *Config, rng *rand.Rand) (*Result, int) {
+	n, dim, k := ds.n, ds.dim, cfg.K
+	s := &Scratch{}
+	s.resize(n, dim, k)
+	seedPlusPlus(ds, k, rng, s)
+	centroids := append([]float64(nil), s.centroids...)
+	next := make([]float64, k*dim)
+	assign := make([]int, n)
+	sizes := make([]int, k)
+	nearest := func(i int) (int, float64) {
+		best, bestD := 0, math.Inf(1)
+		for c := 0; c < k; c++ {
+			if d := sqDistFlat(ds.row(i), centroids[c*dim:(c+1)*dim]); d < bestD {
+				best, bestD = c, d
+			}
+		}
+		return best, bestD
+	}
+
+	repairs := 0
+	iterations := 1
+	for ; iterations <= cfg.MaxIterations; iterations++ {
+		clear(next)
+		clear(sizes)
+		for i := 0; i < n; i++ {
+			c, _ := nearest(i)
+			assign[i] = c
+			sizes[c]++
+			for d, v := range ds.row(i) {
+				next[c*dim+d] += v
+			}
+		}
+		for c := 0; c < k; c++ {
+			cent := next[c*dim : (c+1)*dim]
+			if sizes[c] == 0 {
+				far := farthestFlat(ds, centroids, assign)
+				copy(cent, ds.row(far))
+				assign[far] = c
+				sizes[c] = 1
+				repairs++
+				continue
+			}
+			for d := range cent {
+				cent[d] /= float64(sizes[c])
+			}
+		}
+		var moved float64
+		for c := 0; c < k; c++ {
+			moved = math.Max(moved, sqDistFlat(centroids[c*dim:(c+1)*dim], next[c*dim:(c+1)*dim]))
+		}
+		centroids, next = next, centroids
+		if moved <= cfg.Tolerance {
+			break
+		}
+	}
+	if iterations > cfg.MaxIterations {
+		iterations = cfg.MaxIterations
+	}
+
+	res := &Result{Centroids: make([][]float64, k), Assignments: assign, Sizes: make([]int, k), Iterations: iterations}
+	for i := 0; i < n; i++ {
+		c, d := nearest(i)
+		assign[i] = c
+		res.Sizes[c]++
+		res.Inertia += d
+	}
+	for c := range res.Centroids {
+		res.Centroids[c] = append([]float64(nil), centroids[c*dim:(c+1)*dim]...)
+	}
+	return res, repairs
+}
+
+// plainKMeans is KMeansDataset over plainLloyd: restart seeds drawn up
+// front, lowest inertia kept, ties to the earlier restart.
+func plainKMeans(tb testing.TB, ds *Dataset, cfg Config) (*Result, int) {
+	tb.Helper()
+	if err := validate(ds, &cfg); err != nil {
+		tb.Fatal(err)
+	}
+	if cfg.Restarts == 1 {
+		return plainLloyd(ds, &cfg, cfg.Rng)
+	}
+	seeds := make([]int64, cfg.Restarts)
+	for i := range seeds {
+		seeds[i] = cfg.Rng.Int63()
+	}
+	var best *Result
+	repairs := 0
+	for _, seed := range seeds {
+		r, n := plainLloyd(ds, &cfg, rand.New(rand.NewSource(seed)))
+		repairs += n
+		if best == nil || r.Inertia < best.Inertia {
+			best = r
+		}
+	}
+	return best, repairs
+}
+
+// diffCase is one dataset and configuration of the differential test.
+type diffCase struct {
+	name     string
+	points   [][]float64
+	maxIter  int  // Config.MaxIterations (0: the package default)
+	restarts int  // Config.Restarts (0: 1)
+	repair   bool // the reference must make at least one empty-cluster repair
+	nan      bool // the points hold a NaN, so results compare by their printed form
+}
+
+// catalogPoints returns the PCA-reduced characteristic vectors pks clusters
+// for a catalog workload: standardize, project, keep 90% of the variance.
+func catalogPoints(tb testing.TB, name string, scale float64) [][]float64 {
+	tb.Helper()
+	spec, err := workloads.ByName(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w, err := workloads.Generate(spec, scale)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hw, err := gpu.NewModel(gpu.Ampere())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	full, err := profiler.NewFullProfiler().Profile(w, hw)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := mat.FromRows(full.Features())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, proj, err := pca.FitTransform(m, 0.9)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pca.Rows(proj)
+}
+
+// gaussianPoints draws n points in dim dimensions around a few centers, with
+// every fifth point an exact duplicate of an earlier one.
+func gaussianPoints(seed int64, n, dim int) [][]float64 {
+	r := rand.New(rand.NewSource(seed))
+	centers := make([][]float64, 4)
+	for c := range centers {
+		centers[c] = make([]float64, dim)
+		for d := range centers[c] {
+			centers[c][d] = r.Float64() * 20
+		}
+	}
+	points := make([][]float64, n)
+	for i := range points {
+		if i%5 == 4 {
+			points[i] = append([]float64(nil), points[r.Intn(i)]...)
+			continue
+		}
+		c := centers[r.Intn(len(centers))]
+		points[i] = make([]float64, dim)
+		for d := range points[i] {
+			points[i][d] = c[d] + r.NormFloat64()
+		}
+	}
+	return points
+}
+
+// nanPoints is gaussianPoints with one coordinate set to NaN. Plain Lloyd
+// never assigns that point anywhere but cluster 0 and its inertia is +Inf;
+// the bounds must not settle it any other way.
+func nanPoints(seed int64, n, dim int) [][]float64 {
+	points := gaussianPoints(seed, n, dim)
+	points[n/3][dim-1] = math.NaN()
+	return points
+}
+
+// latticePoints puts reps copies of every point of a side^dim integer grid:
+// many points sit exactly halfway between centroids, so ties are common.
+func latticePoints(side, dim, reps int) [][]float64 {
+	total := 1
+	for d := 0; d < dim; d++ {
+		total *= side
+	}
+	var points [][]float64
+	for r := 0; r < reps; r++ {
+		for i := 0; i < total; i++ {
+			p := make([]float64, dim)
+			for d, v := 0, i; d < dim; d, v = d+1, v/side {
+				p[d] = float64(v % side)
+			}
+			points = append(points, p)
+		}
+	}
+	return points
+}
+
+// clumpPoints puts n points on just `sites` distinct 2-D locations: once k
+// exceeds the sites, seeding repeats a location and plain Lloyd must repair
+// the empty clusters that follow.
+func clumpPoints(n, sites int) [][]float64 {
+	points := make([][]float64, n)
+	for i := range points {
+		s := float64(i % sites)
+		points[i] = []float64{s * 3, s * s}
+	}
+	return points
+}
+
+// sameResult reports whether two results are identical: reflect.DeepEqual,
+// or for results that may hold NaN (which DeepEqual never equates), equal
+// printed forms.
+func sameResult(got, want *Result, nan bool) bool {
+	if nan {
+		return fmt.Sprint(*got) == fmt.Sprint(*want)
+	}
+	return reflect.DeepEqual(got, want)
+}
+
+func differentialCases(tb testing.TB) []diffCase {
+	cases := []diffCase{
+		{name: "dim1", points: gaussianPoints(1, 300, 1)},
+		{name: "dim2", points: gaussianPoints(2, 300, 2)},
+		{name: "dim5", points: gaussianPoints(3, 300, 5)},
+		{name: "dim12", points: gaussianPoints(4, 300, 12)},
+		{name: "lattice1d", points: latticePoints(9, 1, 4)},
+		{name: "lattice2d", points: latticePoints(6, 2, 3)},
+		{name: "lattice5d", points: latticePoints(2, 5, 3)},
+		{name: "identical", points: clumpPoints(40, 1), repair: true},
+		{name: "clumps", points: clumpPoints(60, 7), repair: true},
+		{name: "maxiter1", points: gaussianPoints(5, 200, 3), maxIter: 1},
+		{name: "maxiter3", points: gaussianPoints(6, 200, 12), maxIter: 3},
+		{name: "restarts", points: gaussianPoints(7, 150, 5), restarts: 3},
+		{name: "nan", points: nanPoints(8, 200, 3), nan: true},
+	}
+	for _, e := range []struct {
+		name  string
+		scale float64
+	}{{"gst", 1}, {"gru", 0.02}, {"3d-unet", 0.01}, {"ssd-mobilenet", 0.02}} {
+		cases = append(cases, diffCase{
+			name:    fmt.Sprintf("%s@%g", e.name, e.scale),
+			points:  catalogPoints(tb, e.name, e.scale),
+			maxIter: 30, // the pks sweep's iteration cap
+		})
+	}
+	return cases
+}
+
+// TestBoundedLloydMatchesPlainLloyd is the differential test of the bounded
+// assignment step: for k = 1..20 and five seeds per k (derived the way the
+// pks sweep derives them), every Result — centroids, assignments, sizes,
+// inertia, iterations — equals textbook Lloyd's exactly. Each k runs on a
+// Scratch shared across the sweep, as pks runs it, and restarts also run at
+// Parallelism 2.
+func TestBoundedLloydMatchesPlainLloyd(t *testing.T) {
+	for _, tc := range differentialCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			ds, err := NewDataset(tc.points)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared := &Scratch{}
+			repairs := 0
+			for seed := int64(1); seed <= 5; seed++ {
+				for k := 1; k <= 20 && k <= ds.Len(); k++ {
+					rngSeed := seed + int64(k)*7919
+					cfg := Config{K: k, MaxIterations: tc.maxIter, Restarts: tc.restarts, Parallelism: 1}
+					cfg.Rng = rand.New(rand.NewSource(rngSeed))
+					want, n := plainKMeans(t, ds, cfg)
+					repairs += n
+					cfg.Rng = rand.New(rand.NewSource(rngSeed))
+					got, err := KMeansDataset(ds, cfg, shared)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameResult(got, want, tc.nan) {
+						t.Fatalf("seed %d k=%d: bounded Lloyd diverges from plain Lloyd (inertia %v vs %v, iterations %d vs %d)",
+							seed, k, got.Inertia, want.Inertia, got.Iterations, want.Iterations)
+					}
+					if tc.restarts > 1 {
+						cfg.Rng, cfg.Parallelism = rand.New(rand.NewSource(rngSeed)), 2
+						got, err := KMeansDataset(ds, cfg, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameResult(got, want, tc.nan) {
+							t.Fatalf("seed %d k=%d parallelism 2: restarts diverge from plain Lloyd", seed, k)
+						}
+					}
+				}
+			}
+			if tc.repair && repairs == 0 {
+				t.Fatal("no run repaired an empty cluster; the case no longer covers repair")
+			}
+		})
+	}
+}

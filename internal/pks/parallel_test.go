@@ -2,9 +2,14 @@ package pks
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"github.com/gpusampling/sieve/internal/gpu"
+	"github.com/gpusampling/sieve/internal/profiler"
+	"github.com/gpusampling/sieve/internal/workloads"
 )
 
 // synthFeatures builds n deterministic 12-D feature rows with a few latent
@@ -137,6 +142,60 @@ func TestSelectRestartsNeverWorsenDistortion(t *testing.T) {
 		}
 		if total != len(features) {
 			t.Fatalf("restarts %d: clusters cover %d of %d invocations", restarts, total, len(features))
+		}
+	}
+}
+
+// BenchmarkSelectPoolCrossover locates the inline/pool crossover that
+// DefaultMinParallelWork encodes: the k-sweep over the first n invocations
+// of the gru workload (scale 0.04) for growing n, run inline and forced onto
+// a two-worker pool. Each sub-benchmark is named with the sweep's sweepWork
+// estimate. Run it with -cpu 1,2: at GOMAXPROCS 1 the two workers share one
+// core, so ns/op is the sweep's CPU cost and the pool's overhead shows
+// directly; at 2 it is the wall time.
+func BenchmarkSelectPoolCrossover(b *testing.B) {
+	hw, err := gpu.NewModel(gpu.Ampere())
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := workloads.ByName("gru")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := workloads.Generate(spec, 0.04)
+	if err != nil {
+		b.Fatal(err)
+	}
+	full, err := profiler.NewFullProfiler().Profile(w, hw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	allFeatures, allGolden := full.Features(), hw.MeasureWorkload(w)
+	opts, err := Options{}.withDefaults()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{100, 200, 400, 800, 1600} {
+		features, golden := allFeatures[:n], allGolden[:n]
+		points, err := reduce(features, DefaultVarianceFraction)
+		if err != nil {
+			b.Fatal(err)
+		}
+		work := sweepWork(points, opts, DefaultMaxK)
+		for _, mode := range []struct {
+			name string
+			opts Options
+		}{
+			{"inline", Options{Seed: 1, Parallelism: 1}},
+			{"pool", Options{Seed: 1, Parallelism: 2, MinParallelWork: 1}},
+		} {
+			b.Run(fmt.Sprintf("n=%d/work=%.1fMi/%s", n, float64(work)/(1<<20), mode.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := SelectContext(context.Background(), features, golden, mode.opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -101,10 +101,15 @@ const HierarchicalSampleCap = 400
 // DefaultMinParallelWork is the estimated sweep size (point-coordinate
 // operations: fit points × dims × Lloyd iterations × Σk × restarts) below
 // which the k-sweep runs inline instead of fanning out to a worker pool.
-// Benchmarks on the default fixture put the crossover around a few million
-// point-ops: below that, goroutine + scheduling overhead costs more than the
-// sweep itself (this is why the pre-overhaul parallel PKS lost to
-// sequential). Tunable via Options.MinParallelWork.
+// The estimate is a deliberate upper bound: it counts every Lloyd iteration
+// as a full scan, while the bounded assignment step skips most distance
+// computations and most runs converge well before MaxIterations.
+// BenchmarkSelectPoolCrossover finds no inline/pool crossover down to
+// 1.2 Mi estimated point-ops (100 gru points): there the two-worker pool
+// costs the same CPU as the inline sweep and takes about 55% of its wall
+// time. So the threshold does not mark where the pool starts to pay; it
+// keeps the smallest sweeps on the caller's goroutine.
+// Tunable via Options.MinParallelWork.
 const DefaultMinParallelWork = 4 << 20
 
 // Options configures a PKS run.
@@ -405,9 +410,11 @@ func SelectContext(ctx context.Context, features [][]float64, goldenCycles []flo
 // sweepWork estimates the k-sweep's cost in point-coordinate operations:
 // every candidate k runs up to MaxIterations Lloyd passes over the fitting
 // sample, each touching n·dim·k coordinates, per restart. The estimate is an
-// upper bound (Lloyd usually converges early), which is the right bias for a
-// parallelize/inline decision: an overestimate occasionally fans out work
-// that would have been fine inline, never the reverse.
+// upper bound (Lloyd usually converges early, and the bounded assignment
+// step rescans only the points its bounds cannot settle), which is the
+// right bias for a parallelize/inline decision: an overestimate
+// occasionally fans out work that would have been fine inline, never the
+// reverse.
 func sweepWork(fitSet [][]float64, opts Options, maxK int) int64 {
 	if len(fitSet) == 0 {
 		return 0

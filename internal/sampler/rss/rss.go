@@ -86,10 +86,14 @@ func (rankedSet) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Opti
 		rowByIndex[r.Index] = r
 	}
 
+	// One generator serves every draw: reseeding it with a draw's subSeed
+	// gives exactly the stream a fresh rand.NewSource(subSeed) would, without
+	// allocating a ~5 KB source per stratum and resample.
+	rng := rand.New(rand.NewSource(0))
 	specs := make([]core.StratumSpec, len(base.Strata))
 	for h := range base.Strata {
 		s := &base.Strata[h]
-		rng := rand.New(rand.NewSource(subSeed(opts.Seed, h, 0)))
+		rng.Seed(subSeed(opts.Seed, h, 0))
 		specs[h] = core.StratumSpec{
 			Kernel:         s.Kernel,
 			Tier:           s.Tier,
@@ -116,7 +120,7 @@ func (rankedSet) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Opti
 		var est float64
 		for h := range base.Strata {
 			s := &base.Strata[h]
-			rng := rand.New(rand.NewSource(subSeed(opts.Seed, h, r)))
+			rng.Seed(subSeed(opts.Seed, h, r))
 			rep := rankedPick(rng, s.Invocations, rowByIndex, opts.SetSize)
 			est += float64(len(s.Invocations)) * rowByIndex[rep].InstructionCount
 		}
