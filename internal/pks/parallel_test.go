@@ -146,8 +146,8 @@ func TestSelectRestartsNeverWorsenDistortion(t *testing.T) {
 	}
 }
 
-// BenchmarkSelectPoolCrossover locates the inline/pool crossover that
-// DefaultMinParallelWork encodes: the k-sweep over the first n invocations
+// BenchmarkSelectPoolCrossover measures the idle-core side of the trade-off
+// DefaultMinParallelWork weighs: the k-sweep over the first n invocations
 // of the gru workload (scale 0.04) for growing n, run inline and forced onto
 // a two-worker pool. Each sub-benchmark is named with the sweep's sweepWork
 // estimate. Run it with -cpu 1,2: at GOMAXPROCS 1 the two workers share one

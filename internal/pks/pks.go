@@ -104,13 +104,18 @@ const HierarchicalSampleCap = 400
 // The estimate is a deliberate upper bound: it counts every Lloyd iteration
 // as a full scan, while the bounded assignment step skips most distance
 // computations and most runs converge well before MaxIterations.
-// BenchmarkSelectPoolCrossover finds no inline/pool crossover down to
-// 1.2 Mi estimated point-ops (100 gru points): there the two-worker pool
-// costs the same CPU as the inline sweep and takes about 55% of its wall
-// time. So the threshold does not mark where the pool starts to pay; it
-// keeps the smallest sweeps on the caller's goroutine.
-// Tunable via Options.MinParallelWork.
-const DefaultMinParallelWork = 4 << 20
+//
+// 32 Mi keeps a sweep inline while it costs less than about 25 ms of CPU
+// (2-vCPU Xeon). On idle cores a two-worker pool would finish such a sweep
+// in roughly 60% of the inline wall time from about 13 Mi up
+// (3d-unet@0.01; ssd-mobilenet@0.02 at 23 Mi), at the same CPU. But a plan
+// service runs as many plans as there are cores, and a pooled sweep takes
+// every core from the plans running beside it: in sieved, a cheap plan
+// requested during pooled pks sweeps took twice as long as during inline
+// ones, and the workload-methods benchmark's p50 fell by a third, and
+// varied less from run to run, with these sweeps inline. Larger sweeps
+// (lmc@0.01 is 60 Mi) still fan out. Tunable via Options.MinParallelWork.
+const DefaultMinParallelWork = 32 << 20
 
 // Options configures a PKS run.
 type Options struct {

@@ -87,9 +87,10 @@ func (rankedSet) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Opti
 	}
 
 	// One generator serves every draw: reseeding it with a draw's subSeed
-	// gives exactly the stream a fresh rand.NewSource(subSeed) would, without
-	// allocating a ~5 KB source per stratum and resample.
-	rng := rand.New(rand.NewSource(0))
+	// gives exactly the stream a fresh rand.NewSource(subSeed) would. Its
+	// drawSource computes only the state words the draw reads, so a reseed
+	// costs O(1) instead of math/rand's full state fill.
+	rng := rand.New(&drawSource{})
 	specs := make([]core.StratumSpec, len(base.Strata))
 	for h := range base.Strata {
 		s := &base.Strata[h]
