@@ -330,9 +330,8 @@ func (c *Client) Healthz(ctx context.Context) (*api.Health, error) {
 	return h, nil
 }
 
-// DebugMetrics snapshots the server's /debug/metrics counters — the load
-// harness reads it before and after a run to attribute cache-hit, coalescing
-// and peer-traffic rates to the run.
+// DebugMetrics snapshots the server's /debug/metrics counters and latency
+// quantiles as the typed JSON document dashboards read.
 func (c *Client) DebugMetrics(ctx context.Context) (*api.DebugMetrics, error) {
 	status, respBody, err := c.do(ctx, http.MethodGet, "/debug/metrics", "", nil)
 	if err != nil {
@@ -343,4 +342,35 @@ func (c *Client) DebugMetrics(ctx context.Context) (*api.DebugMetrics, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// Metrics scrapes the server's Prometheus text exposition (/metrics) into
+// samples keyed by metric name plus labels exactly as written, e.g.
+// `sieved_stage_seconds_sum{stage="cache"}`. Comment and blank lines are
+// skipped; any other line that is not "key value" is an error.
+func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
+	status, respBody, err := c.do(ctx, http.MethodGet, "/metrics", "", nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := decode(status, respBody, nil); err != nil {
+		return nil, err
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(string(respBody), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i <= 0 {
+			return nil, fmt.Errorf("client: malformed metrics sample %q", line)
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("client: metrics sample %q: %w", line, err)
+		}
+		out[strings.TrimRight(line[:i], " ")] = v
+	}
+	return out, nil
 }

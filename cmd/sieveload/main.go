@@ -4,8 +4,9 @@
 // plan re-reads) in a closed loop (ramped worker pools) or an open loop
 // (paced QPS), with zipfian or uniform popularity over a catalog of Table I
 // profiles, and writes a BENCH_load.json report: per-workload latency
-// percentiles, offered vs achieved QPS, and the targets' own /debug/metrics
-// movement (cache-hit, coalescing, peer-traffic rates) across the run.
+// percentiles, offered vs achieved QPS, and the targets' own /metrics
+// movement across the run (cache-hit, coalescing and peer-traffic rates, and
+// each serving stage's share of request time).
 //
 // Usage:
 //
@@ -71,8 +72,6 @@ func main() {
 			"comma-separated scale factors crossed with -profiles (catalog size = names × scales)")
 		methodsF = flag.String("methods", "",
 			"comma-separated sampling-methodology pool drawn per workload-mode request (e.g. sieve,twophase,rss; empty = server default; non-default methods cache under distinct plan ids)")
-		traceEvery = flag.Int("trace-every", 16,
-			"trace every Nth request per worker with a minted X-Sieved-Trace id marked sampled; sampled traces are fetched back after the run and feed the report's per-stage latency attribution (0 disables)")
 		snapshot = flag.Duration("snapshot", 5*time.Second, "period between progress lines on stderr (0 = silent)")
 		out      = flag.String("out", "BENCH_load.json", "report destination ('-' = stdout, '' = none)")
 		theta    = cliflags.Theta(flag.CommandLine)
@@ -133,13 +132,12 @@ func main() {
 			// Each pass salts the cache differently so it starts cold even
 			// against a long-lived server — the zipfian-vs-uniform contrast
 			// would otherwise measure the previous pass's warm cache.
-			Seed:       *seed + int64(i)*1_000_000_007,
-			Theta:      *theta,
-			Methods:    cliflags.SplitList(*methodsF),
-			Timeout:    *timeout,
-			TraceEvery: *traceEvery,
-			Catalog:    catalog,
-			Snapshot:   *snapshot,
+			Seed:     *seed + int64(i)*1_000_000_007,
+			Theta:    *theta,
+			Methods:  cliflags.SplitList(*methodsF),
+			Timeout:  *timeout,
+			Catalog:  catalog,
+			Snapshot: *snapshot,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 			},
@@ -164,7 +162,7 @@ func main() {
 			"cache_hit_rate", fmt.Sprintf("%.3f", rep.Server.CacheHitRate),
 			"coalesced_rate", fmt.Sprintf("%.3f", rep.Server.CoalescedRate),
 			"hot_rate", fmt.Sprintf("%.3f", rep.Server.HotRate))
-		if table := rep.TraceAttribution.Table(); table != "" {
+		if table := rep.Server.StageTable(); table != "" {
 			fmt.Fprint(os.Stderr, table)
 		}
 		if ctx.Err() != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"github.com/gpusampling/sieve/internal/obs"
 	"github.com/gpusampling/sieve/internal/stream"
@@ -45,6 +46,20 @@ func (o StreamOptions) streamOptions(parallelism int) stream.Options {
 // a chronological profile log), which is how the single pass detects
 // duplicate indices without retaining an index set.
 type RowSource func() (InvocationProfile, error)
+
+// SliceSource adapts in-memory rows into a RowSource that yields them in
+// slice order.
+func SliceSource(rows []InvocationProfile) RowSource {
+	i := 0
+	return func() (InvocationProfile, error) {
+		if i >= len(rows) {
+			return InvocationProfile{}, io.EOF
+		}
+		r := rows[i]
+		i++
+		return r, nil
+	}
+}
 
 // StratifyStreamContext is the bounded-memory analogue of StratifyContext: a
 // single pass over the source feeds per-kernel online accumulators (tier

@@ -7,7 +7,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"github.com/gpusampling/sieve/internal/core"
 	"github.com/gpusampling/sieve/internal/cudamodel"
@@ -112,15 +111,8 @@ func (c Config) stratify(rows []core.InvocationProfile, theta float64) (*core.Re
 	if !c.Stream {
 		return core.StratifyContext(c.ctx(), rows, opts)
 	}
-	i := 0
-	return core.StratifyStreamContext(c.ctx(), func() (core.InvocationProfile, error) {
-		if i >= len(rows) {
-			return core.InvocationProfile{}, io.EOF
-		}
-		r := rows[i]
-		i++
-		return r, nil
-	}, core.StreamOptions{Options: opts, ReservoirSize: c.ReservoirSize})
+	return core.StratifyStreamContext(c.ctx(), core.SliceSource(rows),
+		core.StreamOptions{Options: opts, ReservoirSize: c.ReservoirSize})
 }
 
 // Evaluation is the per-workload comparison of Sieve and PKS on one

@@ -50,14 +50,9 @@ type Config struct {
 	// Methods is the sampling-methodology pool workload-mode scenarios draw
 	// from per request (empty = server default only). See Env.Methods.
 	Methods []string
-	// Timeout bounds each request (0 = client default).
+	// Timeout bounds each request and the closing /metrics snapshot (0 =
+	// requests unbounded, snapshot bounded by defaultScrapeTimeout).
 	Timeout time.Duration
-	// TraceEvery makes every Nth request per worker carry a deterministic
-	// minted trace id (drawn from the worker's RNG) with the sampled flag, so
-	// the targets keep its span tree. Sampled traces are fetched back from
-	// the targets after the run and summarized as the report's per-stage
-	// latency attribution. 0 disables trace sampling.
-	TraceEvery int
 	// Catalog is the profile set (BuildCatalog). Entry 0 is the zipfian hot
 	// spot.
 	Catalog []Profile
@@ -103,6 +98,10 @@ func classIndex(status int, err error) int {
 	}
 }
 
+// defaultScrapeTimeout bounds the post-run /metrics snapshot when
+// Config.Timeout leaves requests unbounded.
+const defaultScrapeTimeout = 30 * time.Second
+
 // Runner drives one configured load run. Build with NewRunner, run once
 // with Run.
 type Runner struct {
@@ -113,13 +112,6 @@ type Runner struct {
 	latency *obs.Histogram
 
 	scenarios []*scenario
-
-	// traceIDs holds the newest sampled trace ids (a rolling window bounded
-	// by traceSampleCap), fetched back for the attribution summary after the
-	// run. traceSeq counts every sampled request, indexing the window.
-	traceMu  sync.Mutex
-	traceIDs []string
-	traceSeq int
 }
 
 // NewRunner validates the config, connects the target clients, and
@@ -215,9 +207,11 @@ func (r *Runner) observe(sc *scenario, status int, err error, d time.Duration) {
 	sc.latency.ObserveDuration(d)
 }
 
-// Run executes the configured load: scrape the targets' /debug/metrics,
-// drive the loop for the configured duration, scrape again, and return the
-// report with the server-side deltas attached.
+// Run executes the configured load: snapshot the targets' /metrics, drive
+// the loop for the configured duration, snapshot again, and return the
+// report with the server-side deltas attached. Cancelling ctx ends the pass
+// early but still reports what completed: the closing snapshot runs detached
+// from ctx, bounded by Config.Timeout.
 func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	before, err := r.scrape(ctx)
 	if err != nil {
@@ -237,13 +231,17 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	stopSnap()
 	elapsed := time.Since(start)
 
-	after, err := r.scrape(ctx)
+	timeout := r.cfg.Timeout
+	if timeout <= 0 {
+		timeout = defaultScrapeTimeout
+	}
+	scrapeCtx, cancelScrape := context.WithTimeout(context.WithoutCancel(ctx), timeout)
+	defer cancelScrape()
+	after, err := r.scrape(scrapeCtx)
 	if err != nil {
 		return nil, fmt.Errorf("load: post-run metrics scrape: %w", err)
 	}
-	rep := r.buildReport(before, after, elapsed)
-	rep.TraceAttribution = r.fetchAttribution(ctx)
-	return rep, nil
+	return r.buildReport(before, after, elapsed), nil
 }
 
 // runClosed maintains per-scenario worker pools sized by the ramp schedule:
@@ -321,7 +319,7 @@ func (r *Runner) workerLoop(ctx context.Context, stop <-chan struct{}, sc *scena
 		default:
 		}
 		t0 := time.Now()
-		status, err := sc.w.Do(r.traceCtx(ctx, wk), wk)
+		status, err := sc.w.Do(ctx, wk)
 		if ctx.Err() != nil {
 			return
 		}
@@ -436,7 +434,7 @@ func (r *Runner) dispatch(ctx context.Context, i int, sem chan struct{}, reqWG *
 				defer func() { <-sem }()
 			}
 			t0 := time.Now()
-			status, err := sc.w.Do(r.traceCtx(ctx, wk), wk)
+			status, err := sc.w.Do(ctx, wk)
 			if ctx.Err() == nil {
 				r.observe(sc, status, err, time.Since(t0))
 			}

@@ -108,6 +108,31 @@ func TestClosedLoopEndToEnd(t *testing.T) {
 	}
 }
 
+// TestInterruptedRunKeepsReport: cancelling the caller's context mid-pass
+// ends the pass early, yet Run still takes its closing snapshot and returns
+// the report of what completed.
+func TestInterruptedRunKeepsReport(t *testing.T) {
+	cfg := baseConfig(t, startSieved(t))
+	cfg.Duration = 5 * time.Second
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	timer := time.AfterFunc(300*time.Millisecond, cancel)
+	defer timer.Stop()
+	rep, err := r.Run(ctx)
+	if err != nil {
+		t.Fatalf("interrupted run: %v", err)
+	}
+	if rep.Server.Requests <= 0 {
+		t.Fatalf("interrupted run reported no server requests: %+v", rep.Server)
+	}
+	if rep.DurationSeconds >= cfg.Duration.Seconds() {
+		t.Fatalf("run lasted %gs; the cancel did not end it early", rep.DurationSeconds)
+	}
+}
+
 // TestOpenLoopEndToEnd checks the paced mode: offered tracks the schedule
 // (not the target's speed) and achieved ≤ offered.
 func TestOpenLoopEndToEnd(t *testing.T) {

@@ -2,7 +2,7 @@
 // a closed- and open-loop driver that pushes a running sieved (single node
 // or peered cluster) through a registry of pluggable workload scenarios,
 // records latency per workload × status class, and emits a machine-readable
-// benchmark report with the target's own /debug/metrics deltas attached.
+// benchmark report with the targets' own /metrics deltas attached.
 //
 // The harness is deliberately built only on the exported api and client
 // packages — it exercises exactly the integration surface third parties get.

@@ -2,9 +2,10 @@ package load
 
 import (
 	"context"
+	"fmt"
+	"sort"
+	"strings"
 	"time"
-
-	"github.com/gpusampling/sieve/api"
 )
 
 // ReportSchema versions the BENCH_load.json document.
@@ -29,7 +30,8 @@ type WorkloadReport struct {
 	AchievedQPS float64          `json:"achieved_qps"`
 }
 
-// TargetDelta is one replica's /debug/metrics movement across the run.
+// TargetDelta is one replica's counter movement across the run, read from
+// its sieved_*_total series in /metrics.
 type TargetDelta struct {
 	Target       string `json:"target"`
 	Requests     int64  `json:"requests"`
@@ -70,35 +72,25 @@ type ServerSummary struct {
 	// (cache hit or coalesced). Zipfian popularity should push it well
 	// above the uniform baseline.
 	HotRate float64 `json:"hot_rate"`
-}
-
-// StageStat summarizes one serving stage across the run's sampled traces:
-// how many traces attributed time to the stage, the stage-duration quantiles,
-// and the stage's share of the sampled requests' total wall time.
-type StageStat struct {
-	Samples int     `json:"samples"`
-	P50MS   float64 `json:"p50_ms"`
-	P99MS   float64 `json:"p99_ms"`
-	Share   float64 `json:"share"`
-}
-
-// TraceAttribution is the per-stage latency-attribution summary built from
-// the run's sampled distributed traces (Config.TraceEvery). Shares are
-// exclusive per stage — the server's stage taxonomy partitions each traced
-// request's wall time — so they sum to at most 1 (the remainder is
-// unattributed handler overhead).
-type TraceAttribution struct {
-	// Sampled is how many requests carried a minted trace id.
-	Sampled int `json:"sampled"`
-	// Fetched is how many of those traces were still resident on a target
-	// after the run.
-	Fetched int `json:"fetched"`
-	// FetchErrors counts sampled ids no target still held (overwritten in
-	// the bounded trace store, or the request never completed).
-	FetchErrors int `json:"fetch_errors"`
-	// Stages maps stage name (decode, cache, slot, flight, compute, proxy,
-	// write) to its attribution.
+	// Stages maps each serving stage that ran during the pass (decode,
+	// cache, slot, flight, compute, proxy, write) to its time, summed over
+	// the targets' sieved_stage_seconds deltas.
 	Stages map[string]StageStat `json:"stages"`
+	// UnattributedShare is the part of the targets' request time no stage
+	// claims (1 − Σ share): routing, key hashing, tracing.
+	UnattributedShare float64 `json:"unattributed_share"`
+}
+
+// StageStat is one serving stage's movement across the run. Every request
+// times its stages exclusively, so a target's stage sums partition its
+// request time and the shares add up to at most 1.
+type StageStat struct {
+	// Requests is how many requests entered the stage.
+	Requests int64 `json:"requests"`
+	// MeanMS is the stage's mean time per request that entered it.
+	MeanMS float64 `json:"mean_ms"`
+	// Share is the stage's fraction of the targets' total request time.
+	Share float64 `json:"share"`
 }
 
 // Report is the run's machine-readable result (the BENCH_load.json body).
@@ -119,16 +111,20 @@ type Report struct {
 	AchievedQPS     float64                    `json:"achieved_qps"`
 	LatencyMS       Percentiles                `json:"latency_ms"`
 	Server          ServerSummary              `json:"server"`
-	// TraceAttribution is present when the run sampled traces
-	// (Config.TraceEvery > 0 and at least one request fired).
-	TraceAttribution *TraceAttribution `json:"trace_attribution,omitempty"`
 }
 
-// scrape snapshots every target's /debug/metrics.
-func (r *Runner) scrape(ctx context.Context) ([]*api.DebugMetrics, error) {
-	out := make([]*api.DebugMetrics, len(r.env.Clients))
+// Series names read from a target's /metrics exposition.
+const (
+	requestSecondsSum = "sieved_request_seconds_sum"
+	stageCountPrefix  = `sieved_stage_seconds_count{stage="`
+	stageSumPrefix    = `sieved_stage_seconds_sum{stage="`
+)
+
+// scrape snapshots every target's /metrics exposition.
+func (r *Runner) scrape(ctx context.Context) ([]map[string]float64, error) {
+	out := make([]map[string]float64, len(r.env.Clients))
 	for i, c := range r.env.Clients {
-		m, err := c.DebugMetrics(ctx)
+		m, err := c.Metrics(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -146,7 +142,7 @@ func ratio(num, den int64) float64 {
 
 // buildReport assembles the final document from the harness counters,
 // histograms, and the targets' before/after metric snapshots.
-func (r *Runner) buildReport(before, after []*api.DebugMetrics, elapsed time.Duration) *Report {
+func (r *Runner) buildReport(before, after []map[string]float64, elapsed time.Duration) *Report {
 	rep := &Report{
 		Schema:          ReportSchema,
 		Mode:            r.cfg.Mode,
@@ -193,23 +189,27 @@ func (r *Runner) buildReport(before, after []*api.DebugMetrics, elapsed time.Dur
 	rep.LatencyMS = r.pooledPercentiles()
 
 	rep.Server.Targets = make([]TargetDelta, 0, len(before))
+	rep.Server.Stages = make(map[string]StageStat)
+	var requestSecs float64
+	stageSecs := make(map[string]float64)
 	for i := range before {
-		if i >= len(after) {
-			break
-		}
+		// A series absent from before was not yet written (sieved exposes a
+		// stage only after its first observation), so it reads as 0.
 		b, a := before[i], after[i]
+		delta := func(key string) float64 { return a[key] - b[key] }
+		counter := func(name string) int64 { return int64(delta("sieved_" + name + "_total")) }
 		d := TargetDelta{
 			Target:       r.cfg.Targets[i],
-			Requests:     a.Requests - b.Requests,
-			Failures:     a.Failures - b.Failures,
-			CacheHits:    a.CacheHits - b.CacheHits,
-			CacheMisses:  a.CacheMisses - b.CacheMisses,
-			Computations: a.Computations - b.Computations,
-			Coalesced:    a.Coalesced - b.Coalesced,
-			BatchItems:   a.BatchItems - b.BatchItems,
-			PeerFills:    a.PeerFills - b.PeerFills,
-			PeerProxied:  a.PeerProxied - b.PeerProxied,
-			Rejected:     a.Rejected - b.Rejected,
+			Requests:     counter("requests"),
+			Failures:     counter("failures"),
+			CacheHits:    counter("cache_hits"),
+			CacheMisses:  counter("cache_misses"),
+			Computations: counter("computations"),
+			Coalesced:    counter("coalesced"),
+			BatchItems:   counter("batch_items"),
+			PeerFills:    counter("peer_fills"),
+			PeerProxied:  counter("peer_proxied"),
+			Rejected:     counter("rejected"),
 		}
 		rep.Server.Targets = append(rep.Server.Targets, d)
 		rep.Server.Requests += d.Requests
@@ -220,12 +220,70 @@ func (r *Runner) buildReport(before, after []*api.DebugMetrics, elapsed time.Dur
 		rep.Server.Coalesced += d.Coalesced
 		rep.Server.PeerFills += d.PeerFills
 		rep.Server.PeerProxied += d.PeerProxied
+
+		requestSecs += delta(requestSecondsSum)
+		for key := range a {
+			stage, ok := strings.CutPrefix(key, stageCountPrefix)
+			if !ok {
+				continue
+			}
+			stage = strings.TrimSuffix(stage, `"}`)
+			n := int64(delta(key))
+			if n == 0 {
+				continue
+			}
+			st := rep.Server.Stages[stage]
+			st.Requests += n
+			rep.Server.Stages[stage] = st
+			stageSecs[stage] += delta(stageSumPrefix + stage + `"}`)
+		}
+	}
+	attributed := 0.0
+	for stage, st := range rep.Server.Stages {
+		st.MeanMS = stageSecs[stage] / float64(st.Requests) * 1e3
+		if requestSecs > 0 {
+			st.Share = stageSecs[stage] / requestSecs
+		}
+		attributed += st.Share
+		rep.Server.Stages[stage] = st
+	}
+	if requestSecs > 0 {
+		rep.Server.UnattributedShare = 1 - attributed
 	}
 	lookups := rep.Server.CacheHits + rep.Server.CacheMisses
 	rep.Server.CacheHitRate = ratio(rep.Server.CacheHits, lookups)
 	rep.Server.CoalescedRate = ratio(rep.Server.Coalesced, lookups)
 	rep.Server.HotRate = ratio(rep.Server.CacheHits+rep.Server.Coalesced, lookups)
 	return rep
+}
+
+// StageTable renders the server's stage shares as an aligned text table,
+// stages sorted by share (largest first), for the harness's stderr output.
+// It is empty when no stage ran.
+func (s ServerSummary) StageTable() string {
+	if len(s.Stages) == 0 {
+		return ""
+	}
+	names := make([]string, 0, len(s.Stages))
+	for name := range s.Stages {
+		names = append(names, name)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		a, b := s.Stages[names[i]], s.Stages[names[j]]
+		if a.Share != b.Share {
+			return a.Share > b.Share
+		}
+		return names[i] < names[j]
+	})
+	var b strings.Builder
+	fmt.Fprintf(&b, "server stage shares (/metrics deltas, %d requests, %.1f%% unattributed)\n",
+		s.Requests, s.UnattributedShare*100)
+	fmt.Fprintf(&b, "  %-8s %9s %10s %7s\n", "stage", "requests", "mean_ms", "share")
+	for _, name := range names {
+		st := s.Stages[name]
+		fmt.Fprintf(&b, "  %-8s %9d %10.3f %6.1f%%\n", name, st.Requests, st.MeanMS, st.Share*100)
+	}
+	return b.String()
 }
 
 // pooledPercentiles returns the run-wide latency quantiles from the

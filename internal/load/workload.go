@@ -115,10 +115,6 @@ type Worker struct {
 	RNG  *rand.Rand
 	Pick func() int
 	Env  *Env
-
-	// reqs counts the worker's issued requests, driving the every-Nth trace
-	// sampling cadence (Runner.traceCtx).
-	reqs int
 }
 
 // client picks the target replica for the next request.

@@ -20,17 +20,7 @@ type RowSource = core.RowSource
 
 // SliceSource adapts an in-memory profile into a RowSource, for callers that
 // want streaming semantics (or its regression tests) over materialized rows.
-func SliceSource(rows []InvocationProfile) RowSource {
-	i := 0
-	return func() (InvocationProfile, error) {
-		if i >= len(rows) {
-			return InvocationProfile{}, io.EOF
-		}
-		r := rows[i]
-		i++
-		return r, nil
-	}
-}
+func SliceSource(rows []InvocationProfile) RowSource { return core.SliceSource(rows) }
 
 // SampleStream is the bounded-memory analogue of Sample: one pass over the
 // source feeds per-kernel online accumulators and deterministic seeded
