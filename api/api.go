@@ -57,8 +57,8 @@ type RequestOptions struct {
 	// the plan's content hash even outside stream mode, so load generators
 	// can use it as a cache salt to force a cold cache per run.
 	Seed uint64 `json:"seed,omitempty"`
-	// Arch picks the hardware model for workload-mode profiling (ampere
-	// default, turing).
+	// Arch picks the hardware model for workload-mode profiling: "ampere"
+	// (the default) or "turing". sieved answers any other value with 400.
 	Arch string `json:"arch,omitempty"`
 	// Method selects the sampling methodology: "sieve" (default — also
 	// selected by the empty string), "pks", "twophase" or "rss". Non-default

@@ -38,7 +38,7 @@ func main() {
 		addr          = flag.String("addr", ":8372", "listen address")
 		maxConcurrent = flag.Int("max-concurrent", 0, "worker slots: concurrent sampling runs (0 = GOMAXPROCS)")
 		timeout       = flag.Duration("timeout", 60*time.Second, "per-request compute timeout")
-		maxBodyMB     = flag.Int("max-body-mb", 32, "request body size limit in MiB (CSV profiles included)")
+		maxBodyMB     = flag.Int("max-body-mb", 32, "request body size limit in MiB (CSV profiles included), also the workload-profile cache budget")
 		cacheEntries  = flag.Int("cache", 128, "plan cache capacity (content-hash-addressed LRU entries)")
 		drain         = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain window for in-flight runs")
 		withPprof     = flag.Bool("pprof", false, "expose the net/http/pprof profiling handlers under /debug/pprof/")

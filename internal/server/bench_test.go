@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/gpusampling/sieve/internal/sampler"
 )
 
 // loadFixtureCSV reads the checked-in lmc profile (2485 invocations).
@@ -96,5 +98,36 @@ func BenchmarkServeHandlerMiss(b *testing.B) {
 		if status, _ := miss(); status != http.StatusOK {
 			b.Fatalf("status = %d", status)
 		}
+	}
+}
+
+// BenchmarkServeHandlerWorkloadMiss measures an unsampled workload-mode miss
+// in process, one sub-benchmark per method, on gru at scale 0.02 (877
+// invocations). Each request salts the key with its own seed, so every one
+// misses the plan cache and plans from the cached workload profile, which the
+// untimed first request fills.
+func BenchmarkServeHandlerWorkloadMiss(b *testing.B) {
+	for _, method := range sampler.Names() {
+		b.Run(method, func(b *testing.B) {
+			h := New(Config{}).Handler()
+			w := &discardWriter{header: make(http.Header)}
+			serve := func(seed int) {
+				body := `{"workload":"gru","scale":0.02,"options":{"method":"` + method + `","seed":` + strconv.Itoa(seed) + `}}`
+				req := httptest.NewRequest(http.MethodPost, "/v1/sample", strings.NewReader(body))
+				req.Header.Set("Content-Type", "application/json")
+				clear(w.header)
+				w.status, w.n = 0, 0
+				h.ServeHTTP(w, req)
+				if w.status != http.StatusOK {
+					b.Fatalf("seed %d: status = %d", seed, w.status)
+				}
+			}
+			serve(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				serve(i)
+			}
+		})
 	}
 }

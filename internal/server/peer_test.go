@@ -2,12 +2,15 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -215,5 +218,84 @@ func TestPeerTransportReusesConnections(t *testing.T) {
 	}
 	if got := a.metrics.PeerProxied.Value(); got != misses {
 		t.Fatalf("peer_proxied = %d, want %d", got, misses)
+	}
+}
+
+// levelRecorder is a slog.Handler that keeps every record's level and
+// message, so tests can assert what a request logged and at which level.
+type levelRecorder struct {
+	mu   sync.Mutex
+	recs []string // "<LEVEL> <message>"
+}
+
+func (h *levelRecorder) Enabled(context.Context, slog.Level) bool { return true }
+func (h *levelRecorder) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *levelRecorder) WithGroup(string) slog.Handler            { return h }
+
+func (h *levelRecorder) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.recs = append(h.recs, r.Level.String()+" "+r.Message)
+	return nil
+}
+
+// take returns the records logged since the last take.
+func (h *levelRecorder) take() []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := h.recs
+	h.recs = nil
+	return out
+}
+
+// TestPeerPlanFetchLogLevels: a plan GET whose owner has evicted the plan
+// (404) is an expected outcome and logs no WARN; an owner that fails (500)
+// or answers a different plan_id still logs the fetch failure at WARN. Every
+// case answers 404 to the client, as a cold single node would.
+func TestPeerPlanFetchLogLevels(t *testing.T) {
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch id := strings.TrimPrefix(r.URL.Path, "/v1/plans/"); {
+		case strings.HasPrefix(id, "evicted"):
+			writeJSON(w, http.StatusNotFound, &api.Error{Message: "plan not cached"})
+		case strings.HasPrefix(id, "broken"):
+			writeJSON(w, http.StatusInternalServerError, &api.Error{Message: "boom"})
+		default:
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = io.WriteString(w, `{"plan_id":"elsewhere","cached":true,"plan":{}}`+"\n")
+		}
+	}))
+	t.Cleanup(owner.Close)
+	logs := &levelRecorder{}
+	a := New(Config{Logger: slog.New(logs)})
+	tsA := httptest.NewServer(a.Handler())
+	t.Cleanup(tsA.Close)
+	if err := a.SetPeers(tsA.URL, []string{owner.URL}); err != nil {
+		t.Fatal(err)
+	}
+	// ownedID returns the first id with the given prefix the fake owner owns.
+	ownedID := func(prefix string) string {
+		for i := 0; i < 1000; i++ {
+			if id := prefix + strconv.Itoa(i); a.shardRing().owner(id) == owner.URL {
+				return id
+			}
+		}
+		t.Fatalf("no %s id hashes to the fake owner", prefix)
+		return ""
+	}
+	for _, tc := range []struct {
+		prefix   string
+		wantWarn bool
+	}{{"evicted", false}, {"broken", true}, {"mismatched", true}} {
+		id := ownedID(tc.prefix)
+		if status, body := getBody(t, tsA.URL+"/v1/plans/"+id); status != http.StatusNotFound {
+			t.Fatalf("%s: GET status %d, body %.200s; want 404", tc.prefix, status, body)
+		}
+		recs := logs.take()
+		if slices.Contains(recs, "WARN peer plan fetch failed") != tc.wantWarn {
+			t.Errorf("%s: logged %q; want a WARN fetch failure: %v", tc.prefix, recs, tc.wantWarn)
+		}
+		if !tc.wantWarn && !slices.Contains(recs, "DEBUG peer plan fetch failed") {
+			t.Errorf("%s: logged %q; want the fetch failure at DEBUG", tc.prefix, recs)
+		}
 	}
 }

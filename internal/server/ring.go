@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strings"
@@ -240,7 +242,10 @@ func (s *Server) proxySample(w http.ResponseWriter, ctx context.Context, rv *res
 // fetchPlanFromPeer retrieves a cached plan document from the owning replica
 // for a local fill, normalized by fillDoc. Any failure — owner down, plan
 // evicted there, mismatched plan_id, a plan that is not a JSON object —
-// returns nil and the caller answers 404 as a single node would.
+// returns nil and the caller answers 404 as a single node would. An owner's
+// 404 is logged at Debug: eviction is the expected end of a cached plan, and
+// common when the cache is smaller than the set of plans in use. Everything
+// else is a fault in the owner or the path to it and is logged at Warn.
 func (s *Server) fetchPlanFromPeer(ctx context.Context, owner, id string) []byte {
 	pc, err := s.peerClient(ctx, owner)
 	if err != nil {
@@ -252,9 +257,18 @@ func (s *Server) fetchPlanFromPeer(ctx context.Context, owner, id string) []byte
 	env, err := pc.GetPlan(pctx, id)
 	if err != nil {
 		if s.cfg.Logger != nil {
-			s.cfg.Logger.Warn("peer plan fetch failed", "owner", owner, "error", err.Error())
+			level := slog.LevelWarn
+			var apiErr *api.Error
+			if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
+				level = slog.LevelDebug
+			}
+			s.cfg.Logger.Log(ctx, level, "peer plan fetch failed", "owner", owner, "error", err.Error())
 		}
 		return nil
 	}
-	return fillDoc(env, id)
+	doc := fillDoc(env, id)
+	if doc == nil && s.cfg.Logger != nil {
+		s.cfg.Logger.Warn("peer plan fetch failed", "owner", owner, "error", "unusable plan in the answer", "plan_id", env.PlanID, "want_plan_id", id)
+	}
+	return doc
 }

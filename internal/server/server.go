@@ -52,6 +52,7 @@ import (
 	"github.com/gpusampling/sieve"
 	"github.com/gpusampling/sieve/api"
 	"github.com/gpusampling/sieve/internal/core"
+	"github.com/gpusampling/sieve/internal/cudamodel"
 	"github.com/gpusampling/sieve/internal/pks"
 	"github.com/gpusampling/sieve/internal/profiler"
 	"github.com/gpusampling/sieve/internal/sampler"
@@ -66,7 +67,9 @@ type Config struct {
 	// RequestTimeout caps one run's compute wall time (60s if zero).
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies, CSV profiles included (32 MiB if
-	// zero).
+	// zero). It is also the budget, in estimated bytes, of the cache of
+	// workload profiles generated server-side: such a profile stands in for
+	// an uploaded CSV body.
 	MaxBodyBytes int64
 	// CacheEntries bounds the plan LRU (128 if zero).
 	CacheEntries int
@@ -120,6 +123,9 @@ type Server struct {
 	traces  *traceStore
 	shard   atomic.Pointer[ring] // nil = single node, everything local
 	peer    *http.Client
+	// profiles caches workload-mode profiles by (workload, scale, arch),
+	// bounded by estimated bytes (see workloadProfile).
+	profiles *lru[*sieve.MethodProfile]
 	// preCompute, when set (tests only), runs at the start of every
 	// coalesced computation before the worker slot is acquired, so tests can
 	// hold a flight open while concurrent requests pile onto it.
@@ -130,13 +136,14 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		slots:   make(chan struct{}, cfg.MaxConcurrent),
-		cache:   newPlanCache(cfg.CacheEntries),
-		metrics: newMetrics(),
-		mux:     http.NewServeMux(),
-		traces:  newTraceStore(cfg.TraceEntries),
-		peer:    &http.Client{},
+		cfg:      cfg,
+		slots:    make(chan struct{}, cfg.MaxConcurrent),
+		cache:    newPlanCache(cfg.CacheEntries),
+		profiles: newLRU[*sieve.MethodProfile](cfg.MaxBodyBytes),
+		metrics:  newMetrics(),
+		mux:      http.NewServeMux(),
+		traces:   newTraceStore(cfg.TraceEntries),
+		peer:     &http.Client{},
 	}
 	s.flights.onJoin = func() { s.metrics.Coalesced.Add(1) }
 	s.mux.HandleFunc("POST /v1/sample", s.traced(s.serveSample))
@@ -448,9 +455,17 @@ func (s *Server) resolve(req *api.SampleRequest) (*resolved, error) {
 	if method == sampler.MethodPKS && req.ProfileCSV != "" {
 		return nil, badRequest{errors.New(`method "pks" requires workload mode: its 12-characteristic feature vectors and golden cycle reference are profiled server-side`)}
 	}
+	// Only the built-in architectures are accepted by name. sieve.ResolveArch
+	// would also open a path as a JSON description, letting a client make the
+	// server open any file; and the plan and profile caches key on the arch
+	// string, so an edited file would serve stale plans.
 	arch := req.Options.Arch
-	if arch == "" {
+	switch arch {
+	case "":
 		arch = "ampere"
+	case "ampere", "turing":
+	default:
+		return nil, badRequest{fmt.Errorf("unknown arch %q (sieved accepts ampere or turing)", arch)}
 	}
 	if req.Workload != "" {
 		if _, err := sieve.WorkloadByName(req.Workload); err != nil {
@@ -538,19 +553,53 @@ func (s *Server) acquireSlot(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// profile materializes the sampler input: the caller's CSV rows, or the rows
-// of a workload generated and profiled server-side. pks additionally plans
-// from the workload's 12-characteristic feature vectors and golden
-// per-invocation cycle reference (resolve already rejected pks with CSV
-// sources). CSV parse failures are the caller's data (400); for a workload
-// only an unknown name (caught in resolve) is the caller's fault.
-func (rv *resolved) profile(ctx context.Context) (*sieve.MethodProfile, error) {
+// profile materializes the sampler input: the caller's CSV rows, or the
+// cached profile of a workload generated and profiled server-side. pks
+// additionally plans from the workload's 12-characteristic feature vectors
+// and golden per-invocation cycle reference (resolve already rejected pks
+// with CSV sources); every other method gets the rows alone. CSV parse
+// failures are the caller's data (400); for a workload only an unknown name
+// (caught in resolve) is the caller's fault.
+func (s *Server) profile(ctx context.Context, rv *resolved) (*sieve.MethodProfile, error) {
 	if rv.req.ProfileCSV != "" {
 		rows, err := profiler.ParseRows(rv.req.ProfileCSV)
 		if err != nil {
 			return nil, badRequest{err}
 		}
 		return &sieve.MethodProfile{Rows: rows}, nil
+	}
+	p, err := s.workloadProfile(ctx, rv)
+	if err != nil || rv.method == sampler.MethodPKS {
+		return p, err
+	}
+	return &sieve.MethodProfile{Rows: p.Rows}, nil
+}
+
+// profileRowBytes estimates what one row of a cached workload profile holds:
+// the instruction-count row, its pks feature vector (slice header and
+// values) and its golden cycle count. Kernel names are shared across a
+// kernel's invocations and are not counted.
+const profileRowBytes = int64(unsafe.Sizeof(sieve.InvocationProfile{}) +
+	unsafe.Sizeof([]float64(nil)) + cudamodel.NumCharacteristics*8 + 8)
+
+// profileKey addresses a workload profile in the profile cache.
+func profileKey(workload string, scale float64, arch string) string {
+	return workload + "|" + strconv.FormatFloat(scale, 'g', -1, 64) + "|" + arch
+}
+
+// workloadProfile returns the profile of the request's workload at its scale
+// on its arch. Generation and profiling are deterministic in (workload,
+// scale, arch), so a profile is computed once and served from the profile
+// cache afterwards; the cached value is shared by every request and never
+// mutated. A miss fills rows, pks feature vectors and golden cycles at once,
+// so any method can plan from the entry. A profile whose estimated size
+// (rows × profileRowBytes) exceeds the whole budget is served but not kept,
+// and profiled only as far as the request's method needs. Two concurrent
+// first misses may both compute the profile; they produce the same value.
+func (s *Server) workloadProfile(ctx context.Context, rv *resolved) (*sieve.MethodProfile, error) {
+	key := profileKey(rv.req.Workload, rv.req.Scale, rv.arch)
+	if p, ok := s.profiles.get(key); ok {
+		return p, nil
 	}
 	w, err := sieve.GenerateWorkload(rv.req.Workload, rv.req.Scale)
 	if err != nil {
@@ -561,7 +610,7 @@ func (rv *resolved) profile(ctx context.Context) (*sieve.MethodProfile, error) {
 	}
 	archCfg, err := sieve.ResolveArch(rv.arch)
 	if err != nil {
-		return nil, badRequest{err}
+		return nil, err
 	}
 	hw, err := sieve.NewHardware(archCfg)
 	if err != nil {
@@ -572,7 +621,9 @@ func (rv *resolved) profile(ctx context.Context) (*sieve.MethodProfile, error) {
 		return nil, err
 	}
 	p := &sieve.MethodProfile{Rows: sieve.ProfileRows(counts)}
-	if rv.method == sampler.MethodPKS {
+	cost := int64(len(p.Rows)) * profileRowBytes
+	keep := cost <= s.profiles.max
+	if keep || rv.method == sampler.MethodPKS {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -582,6 +633,9 @@ func (rv *resolved) profile(ctx context.Context) (*sieve.MethodProfile, error) {
 		}
 		p.Features = sieve.FeatureRows(full)
 		p.GoldenCycles = hw.MeasureWorkload(w)
+	}
+	if keep {
+		s.profiles.put(key, p, cost)
 	}
 	return p, nil
 }
@@ -594,12 +648,12 @@ func (rv *resolved) profile(ctx context.Context) (*sieve.MethodProfile, error) {
 // seed doubles as the methodology seed, so clients reproduce stochastic
 // plans (twophase pilots, rss draws) the same way they salt the cache: via
 // options.seed.
-func (rv *resolved) samplePlan(ctx context.Context) (*sieve.Plan, error) {
+func (s *Server) samplePlan(ctx context.Context, rv *resolved) (*sieve.Plan, error) {
 	if rv.req.Options.Stream && rv.req.ProfileCSV != "" {
 		plan, err := sieve.SampleCSVContext(ctx, strings.NewReader(rv.req.ProfileCSV), rv.stream)
 		return plan, rv.callerError(err)
 	}
-	p, err := rv.profile(ctx)
+	p, err := s.profile(ctx, rv)
 	if err != nil {
 		return nil, err
 	}
@@ -701,7 +755,7 @@ func (s *Server) computePlan(ctx context.Context, id string, rv *resolved) (doc 
 		s.metrics.Computations.Add(1)
 		compCtx, comp := startStage(cctx, stageCompute)
 		defer comp.end()
-		plan, err := rv.samplePlan(compCtx)
+		plan, err := s.samplePlan(compCtx, rv)
 		if err != nil {
 			return flightResult{err: err}
 		}
@@ -819,7 +873,7 @@ func (s *Server) serveCharacterize(w http.ResponseWriter, r *http.Request) int {
 	}
 	defer release()
 	compCtx, comp := startStage(ctx, stageCompute)
-	p, err := rv.profile(compCtx)
+	p, err := s.profile(compCtx, rv)
 	if err != nil {
 		comp.end()
 		return s.writeError(w, err)

@@ -1,9 +1,11 @@
 package workloads
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/gpusampling/sieve/internal/cudamodel"
@@ -609,7 +611,11 @@ func interleave(kernels []genKernel, rng *rand.Rand) []slot {
 		slot
 		key float64
 	}
-	var all []keyed
+	total := 0
+	for ki := range kernels {
+		total += kernels[ki].count
+	}
+	all := make([]keyed, 0, total)
 	for ki := range kernels {
 		n := float64(kernels[ki].count)
 		for j := 0; j < kernels[ki].count; j++ {
@@ -619,7 +625,7 @@ func interleave(kernels []genKernel, rng *rand.Rand) []slot {
 			})
 		}
 	}
-	sort.SliceStable(all, func(a, b int) bool { return all[a].key < all[b].key })
+	slices.SortStableFunc(all, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
 	out := make([]slot, len(all))
 	for i, k := range all {
 		out[i] = k.slot
