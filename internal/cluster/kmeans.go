@@ -127,6 +127,7 @@ type Scratch struct {
 	half       []float64 // k, half the distance to the nearest other centroid
 	drift      []float64 // k, distance each centroid moved in the last update
 	rivalDrift []float64 // k, largest drift among the other centroids
+	cand       []int     // n, points failing an update pass's aged bound test
 	inertia    float64
 	iterations int
 }
@@ -142,19 +143,21 @@ func (s *Scratch) resize(n, dim, k int) {
 	s.half = growFloats(s.half, k)
 	s.drift = growFloats(s.drift, k)
 	s.rivalDrift = growFloats(s.rivalDrift, k)
-	if cap(s.assign) < n {
-		s.assign = make([]int, n)
-	}
-	s.assign = s.assign[:n]
-	if cap(s.sizes) < k {
-		s.sizes = make([]int, k)
-	}
-	s.sizes = s.sizes[:k]
+	s.assign = growInts(s.assign, n)
+	s.cand = growInts(s.cand, n)
+	s.sizes = growInts(s.sizes, k)
 }
 
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+func growInts(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
 	}
 	return buf[:n]
 }
@@ -266,10 +269,10 @@ const (
 
 // lloyd runs one seeded k-means++ / Lloyd-iteration pass over the dataset,
 // leaving the converged centroids, assignment, sizes and inertia in s. The
-// iteration loop performs no allocations: the assignment and update steps
-// are fused into one pass over the flat data, and the centroid buffers
-// ping-pong between s.centroids and s.next. The assignment step is the
-// bounded one (see assignPass); its assignments are exactly plain Lloyd's.
+// iteration loop performs no allocations: each iteration's assignment and
+// update steps are one updatePass over the flat data, and the centroid
+// buffers ping-pong between s.centroids and s.next. The assignment step is
+// the bounded one; its assignments are exactly plain Lloyd's.
 func lloyd(ds *Dataset, cfg *Config, rng *rand.Rand, s *Scratch) {
 	n, dim, k := ds.n, ds.dim, cfg.K
 	s.resize(n, dim, k)
@@ -287,11 +290,10 @@ func lloyd(ds *Dataset, cfg *Config, rng *rand.Rand, s *Scratch) {
 
 	var iterations int
 	for iterations = 1; iterations <= cfg.MaxIterations; iterations++ {
-		// Fused assignment + update step: classify each point against the
-		// current centroids and accumulate it into its cluster's sum in the
-		// same pass over the flat data.
+		// Assignment + update step: classify each point against the current
+		// centroids and accumulate it into its cluster's sum.
 		clear(next)
-		s.assignPass(ds, centroids, k, next)
+		s.updatePass(ds, centroids, k, next)
 		for c := 0; c < k; c++ {
 			cent := next[c*dim : (c+1)*dim]
 			if sizes[c] == 0 {
@@ -330,21 +332,88 @@ func lloyd(ds *Dataset, cfg *Config, rng *rand.Rand, s *Scratch) {
 	}
 
 	// Final assignment against the converged centroids.
-	s.inertia = s.assignPass(ds, centroids, k, nil)
+	s.inertia = s.inertiaPass(ds, centroids, k)
 	s.centroids, s.next = centroids, next
 	s.iterations = iterations
 }
 
-// assignPass assigns every point, in point order, to the centroid a full
-// nearestFlat scan picks, recounting s.sizes. With sums non-nil it also adds
-// each point into its cluster's row of sums (the update step); with sums nil
-// it returns the inertia instead, taking a settled point's distance from
-// sqDistFlat, the scan's own sum in the same dimension order.
+// updatePass is the assignment step of one Lloyd iteration fused with the
+// update step's sums: it leaves every point assigned to the centroid a full
+// nearestFlat scan picks, recounts s.sizes and adds each point into its
+// cluster's row of sums. It runs in three phases, so the pass over every
+// point does no work that depends on the outcome of its bound test:
 //
-// Each point's bounds are first aged by the last update's drifts. A point
-// that fails the bound test has its upper bound tightened to the exact
-// distance and is tested again; only then is it rescanned.
-func (s *Scratch) assignPass(ds *Dataset, centroids []float64, k int, sums []float64) float64 {
+//  1. age every point's bounds by the last update's drifts and collect the
+//     points whose test fails into s.cand;
+//  2. tighten each candidate's upper bound to the exact distance and test it
+//     again; only then rescan it;
+//  3. recount the sizes and sum the centroids in point order, as plain
+//     Lloyd's update step does, so the sums are bitwise the same.
+func (s *Scratch) updatePass(ds *Dataset, centroids []float64, k int, sums []float64) {
+	dim := ds.dim
+	assign, sizes, upper, lower := s.assign, s.sizes, s.upper, s.lower
+	half, drift, rivalDrift := s.half, s.drift, s.rivalDrift
+	halfGaps(centroids, k, dim, half)
+
+	cand := s.cand[:ageBounds(assign, upper, lower, drift, rivalDrift, half, s.cand)]
+
+	// Phase 2. Every candidate failed the test with its aged upper bound;
+	// an upper bound of +Inf marks a point that repair reseated, whose lower
+	// bound still refers to its old cluster, so it goes straight to the scan.
+	inf := math.Inf(1)
+	for _, i := range cand {
+		p := ds.data[i*dim : (i+1)*dim]
+		a := assign[i]
+		u := upper[i]
+		if u != inf {
+			u = math.Sqrt(sqDistFlat(p, centroids[a*dim:(a+1)*dim]))
+			upper[i] = u
+		}
+		if !(u < pruneBound(half[a], lower[i])) {
+			c, d, second := nearestFlat(p, centroids, k, dim)
+			assign[i] = c
+			upper[i] = math.Sqrt(d)
+			lower[i] = math.Sqrt(second) * (1 - roundSlack)
+		}
+	}
+
+	// Phase 3.
+	clear(sizes)
+	for i, a := range assign {
+		sizes[a]++
+		acc := sums[a*dim : (a+1)*dim]
+		for d, v := range ds.data[i*dim : (i+1)*dim] {
+			acc[d] += v
+		}
+	}
+}
+
+// ageBounds is updatePass's first phase: it ages every point's bounds by
+// the last update's drifts and writes the points whose bound test fails to
+// the front of cand, returning their count. Every index is written; the
+// count only advances past a failing one, so the loop has no branch that
+// depends on the outcome.
+func ageBounds(assign []int, upper, lower, drift, rivalDrift, half []float64, cand []int) int {
+	n := len(assign)
+	upper, lower, cand = upper[:n], lower[:n], cand[:n]
+	m := 0
+	for i, a := range assign {
+		u := upper[i] + drift[a]
+		l := lower[i] - rivalDrift[a]
+		upper[i], lower[i] = u, l
+		cand[m] = i
+		if !(u < pruneBound(half[a], l)) {
+			m++
+		}
+	}
+	return m
+}
+
+// inertiaPass is the final assignment against the converged centroids, in
+// one pass: it assigns every point as updatePass does, recounts s.sizes and
+// returns the inertia, taking a settled point's distance from sqDistFlat,
+// the scan's own sum in the same dimension order.
+func (s *Scratch) inertiaPass(ds *Dataset, centroids []float64, k int) float64 {
 	dim := ds.dim
 	assign, sizes, upper, lower := s.assign, s.sizes, s.upper, s.lower
 	half, drift, rivalDrift := s.half, s.drift, s.rivalDrift
@@ -358,16 +427,11 @@ func (s *Scratch) assignPass(ds *Dataset, centroids []float64, k int, sums []flo
 		u := upper[i] + drift[a]
 		l := lower[i] - rivalDrift[a]
 		upper[i], lower[i] = u, l
-		bound := half[a]
-		if l > bound {
-			bound = l
-		}
-		bound *= 1 - pruneMargin
+		bound := pruneBound(half[a], l)
 		// The tests are written !(u < bound) so that a NaN bound or
-		// distance always takes the scan, as it would in plain Lloyd. An
-		// upper bound of +Inf marks a point that repair reseated: its lower
-		// bound still refers to its old cluster, so it is not retested
-		// after tightening but goes straight to the scan.
+		// distance always takes the scan, as it would in plain Lloyd, which
+		// also keeps the scan's distance for a NaN point. An upper bound of
+		// +Inf marks a point that repair reseated (see updatePass).
 		dist := -1.0 // squared distance to a, when computed
 		if !(u < bound) && u != inf {
 			dist = sqDistFlat(p, centroids[a*dim:(a+1)*dim])
@@ -382,19 +446,21 @@ func (s *Scratch) assignPass(ds *Dataset, centroids []float64, k int, sums []flo
 			lower[i] = math.Sqrt(second) * (1 - roundSlack)
 		}
 		sizes[a]++
-		if sums != nil {
-			acc := sums[a*dim : (a+1)*dim]
-			for d, v := range p {
-				acc[d] += v
-			}
-			continue
-		}
 		if dist < 0 {
 			dist = sqDistFlat(p, centroids[a*dim:(a+1)*dim])
 		}
 		inertia += dist
 	}
 	return inertia
+}
+
+// pruneBound is the bound a point's upper bound must stay below, by the
+// relative pruneMargin, to keep its assignment unscanned: the larger of its
+// centroid's half-gap and its own lower bound. The builtin max compiles
+// without a branch; it is NaN when either input is, and a NaN bound passes
+// no test, so such a point always takes the exact scan.
+func pruneBound(half, lower float64) float64 {
+	return max(half, lower) * (1 - pruneMargin)
 }
 
 // halfGaps sets half[c] to half the distance from centroid c to its nearest
@@ -472,14 +538,14 @@ func seedPlusPlus(ds *Dataset, k int, rng *rand.Rand, s *Scratch) {
 	// already-chosen centroid; updated incrementally as centroids are added.
 	dMin, near, second := s.dMin, s.assign, s.lower
 	first := s.centroids[:dim]
+	// total is the potential Σ dMin, summed in point order as each update
+	// loop settles dMin[i], so it needs no pass of its own.
+	var total float64
 	for i := 0; i < ds.n; i++ {
 		dMin[i], near[i], second[i] = sqDistFlat(ds.row(i), first), 0, math.Inf(1)
+		total += dMin[i]
 	}
 	for chosen := 1; chosen < k; chosen++ {
-		var total float64
-		for _, d := range dMin {
-			total += d
-		}
 		var next int
 		if total <= 0 {
 			// All points coincide with existing centroids; any choice works.
@@ -498,12 +564,14 @@ func seedPlusPlus(ds *Dataset, k int, rng *rand.Rand, s *Scratch) {
 		}
 		cent := s.centroids[chosen*dim : (chosen+1)*dim]
 		copy(cent, ds.row(next))
+		total = 0
 		for i := 0; i < ds.n; i++ {
 			if d := sqDistFlat(ds.row(i), cent); d < dMin[i] {
 				dMin[i], second[i], near[i] = d, dMin[i], chosen
 			} else if d < second[i] {
 				second[i] = d
 			}
+			total += dMin[i]
 		}
 	}
 }

@@ -14,17 +14,56 @@ import (
 	"github.com/gpusampling/sieve/internal/workloads"
 )
 
+// plainSeeds is textbook k-means++: the first centroid uniformly, then each
+// next one drawn with probability proportional to its squared distance from
+// the nearest centroid chosen so far. Every draw sums the potential in its
+// own pass before scanning for the target, so it checks the production
+// seeding's fused total rather than sharing it.
+func plainSeeds(ds *Dataset, k int, rng *rand.Rand) []float64 {
+	n, dim := ds.n, ds.dim
+	centroids := make([]float64, k*dim)
+	copy(centroids, ds.row(rng.Intn(n)))
+	dMin := make([]float64, n)
+	for i := range dMin {
+		dMin[i] = sqDistFlat(ds.row(i), centroids[:dim])
+	}
+	for chosen := 1; chosen < k; chosen++ {
+		var total float64
+		for _, d := range dMin {
+			total += d
+		}
+		next := n - 1
+		if total <= 0 {
+			next = rng.Intn(n)
+		} else {
+			target := rng.Float64() * total
+			var acc float64
+			for i, d := range dMin {
+				if acc += d; acc >= target {
+					next = i
+					break
+				}
+			}
+		}
+		cent := centroids[chosen*dim : (chosen+1)*dim]
+		copy(cent, ds.row(next))
+		for i := range dMin {
+			if d := sqDistFlat(ds.row(i), cent); d < dMin[i] {
+				dMin[i] = d
+			}
+		}
+	}
+	return centroids
+}
+
 // plainLloyd is textbook Lloyd: every iteration scans every point against
 // every centroid, with no bounds and no pruning. It is the reference the
-// bounded kernel must match bit for bit. It shares k-means++ seeding, the
-// distance sum and the farthest-point choice of empty-cluster repair with
-// the production code, and reports how many repairs it made.
+// bounded kernel must match bit for bit. It seeds with plainSeeds, shares
+// the distance sum and the farthest-point choice of empty-cluster repair
+// with the production code, and reports how many repairs it made.
 func plainLloyd(ds *Dataset, cfg *Config, rng *rand.Rand) (*Result, int) {
 	n, dim, k := ds.n, ds.dim, cfg.K
-	s := &Scratch{}
-	s.resize(n, dim, k)
-	seedPlusPlus(ds, k, rng, s)
-	centroids := append([]float64(nil), s.centroids...)
+	centroids := plainSeeds(ds, k, rng)
 	next := make([]float64, k*dim)
 	assign := make([]int, n)
 	sizes := make([]int, k)

@@ -69,6 +69,7 @@ type scenario struct {
 
 	done    atomic.Int64  // completed (recorded) requests
 	errs    atomic.Int64  // 4xx/5xx/transport outcomes
+	refills atomic.Int64  // recorded ops that refilled an evicted plan
 	offered atomic.Int64  // open mode: scheduled arrivals incl. drops
 	dropped atomic.Int64  // open mode: arrivals shed at the budget
 	rate    atomic.Uint64 // open mode: allocated QPS (float64 bits)
@@ -194,6 +195,23 @@ func (r *Runner) newWorker(scenarioIdx, slot int) *Worker {
 	return &Worker{RNG: rng, Pick: pick, Env: r.env}
 }
 
+// do runs one op of the scenario on wk and records it, unless the run's
+// deadline cut it short: its latency would measure the harness, not the
+// service. It reports whether the op was recorded.
+func (r *Runner) do(ctx context.Context, sc *scenario, wk *Worker) bool {
+	wk.refilled = false
+	t0 := time.Now()
+	status, err := sc.w.Do(ctx, wk)
+	if ctx.Err() != nil {
+		return false
+	}
+	if wk.refilled {
+		sc.refills.Add(1)
+	}
+	r.observe(sc, status, err, time.Since(t0))
+	return true
+}
+
 // observe records one completed request into the pooled and per-workload
 // latency histograms and the per-workload counters.
 func (r *Runner) observe(sc *scenario, status int, err error, d time.Duration) {
@@ -306,9 +324,8 @@ func (r *Runner) runClosed(ctx context.Context, start time.Time) {
 	}
 }
 
-// workerLoop fires requests back-to-back until stopped. A request cut short
-// by the run deadline is not recorded — its latency would measure the
-// harness, not the service.
+// workerLoop fires requests back-to-back until stopped or the run deadline
+// cuts one short.
 func (r *Runner) workerLoop(ctx context.Context, stop <-chan struct{}, sc *scenario, wk *Worker) {
 	for {
 		select {
@@ -318,12 +335,9 @@ func (r *Runner) workerLoop(ctx context.Context, stop <-chan struct{}, sc *scena
 			return
 		default:
 		}
-		t0 := time.Now()
-		status, err := sc.w.Do(ctx, wk)
-		if ctx.Err() != nil {
+		if !r.do(ctx, sc, wk) {
 			return
 		}
-		r.observe(sc, status, err, time.Since(t0))
 	}
 }
 
@@ -433,11 +447,7 @@ func (r *Runner) dispatch(ctx context.Context, i int, sem chan struct{}, reqWG *
 			if sem != nil {
 				defer func() { <-sem }()
 			}
-			t0 := time.Now()
-			status, err := sc.w.Do(ctx, wk)
-			if ctx.Err() == nil {
-				r.observe(sc, status, err, time.Since(t0))
-			}
+			r.do(ctx, sc, wk)
 			select {
 			case free <- wk:
 			default:

@@ -108,6 +108,34 @@ func TestClosedLoopEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPlanfetchRefills: against a plan cache of one entry, almost every
+// planfetch GET of a four-entry catalog finds its plan evicted and refills
+// it with a POST. The pass reports those ops as refills, and each refill is
+// one op under its POST's status class, so 2xx equals the op count.
+func TestPlanfetchRefills(t *testing.T) {
+	ts := httptest.NewServer(server.New(server.Config{CacheEntries: 1}).Handler())
+	t.Cleanup(ts.Close)
+	cfg := baseConfig(t, ts.URL)
+	cfg.Workloads = []string{"planfetch"}
+	cfg.Dist = Dist{Kind: "uniform"}
+	cfg.Duration = 400 * time.Millisecond
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wr := rep.Workloads["planfetch"]
+	if wr.Refills == 0 || wr.Refills > wr.Requests {
+		t.Fatalf("planfetch reports %d refills in %d ops; want some, at most one per op", wr.Refills, wr.Requests)
+	}
+	if wr.ByClass["2xx"] != wr.Requests {
+		t.Fatalf("by_class[2xx] = %d, want the op count %d (by_class %v)", wr.ByClass["2xx"], wr.Requests, wr.ByClass)
+	}
+}
+
 // TestInterruptedRunKeepsReport: cancelling the caller's context mid-pass
 // ends the pass early, yet Run still takes its closing snapshot and returns
 // the report of what completed.

@@ -19,11 +19,15 @@ type Percentiles struct {
 	P999 float64 `json:"p999"`
 }
 
-// WorkloadReport summarizes one scenario's run.
+// WorkloadReport summarizes one scenario's run. Requests counts ops: a
+// refill (a planfetch GET that found its plan evicted, then the POST that
+// recomputed it) is one op, counted once under its POST's status class and
+// once in Refills.
 type WorkloadReport struct {
 	Requests    int64            `json:"requests"`
 	Errors      int64            `json:"errors"`
 	Dropped     int64            `json:"dropped"`
+	Refills     int64            `json:"refills"`
 	ByClass     map[string]int64 `json:"by_class"`
 	LatencyMS   Percentiles      `json:"latency_ms"`
 	OfferedQPS  float64          `json:"offered_qps"`
@@ -169,6 +173,7 @@ func (r *Runner) buildReport(before, after []map[string]float64, elapsed time.Du
 			Requests: done,
 			Errors:   sc.errs.Load(),
 			Dropped:  sc.dropped.Load(),
+			Refills:  sc.refills.Load(),
 			ByClass:  make(map[string]int64, nClasses),
 			LatencyMS: Percentiles{
 				P50:  h.Quantile(0.50) * 1e3,

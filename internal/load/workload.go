@@ -115,6 +115,11 @@ type Worker struct {
 	RNG  *rand.Rand
 	Pick func() int
 	Env  *Env
+
+	// refilled marks the op the worker is running as a refill: it took a
+	// second request to recompute an evicted plan. The runner clears it
+	// before each op and counts it when it records the op.
+	refilled bool
 }
 
 // client picks the target replica for the next request.
@@ -280,7 +285,8 @@ func (batchWorkload) Do(ctx context.Context, w *Worker) (int, error) {
 // exercises peer fetch-and-fill. A 404 means the plan was evicted
 // everywhere, so the scenario recomputes it with a sample POST — under an
 // LRU-thrashing uniform run that happens constantly, under a zipfian run
-// the hot set stays resident.
+// the hot set stays resident. Such an op is one refill: its status is the
+// POST's and its latency covers both requests.
 type planfetchWorkload struct{}
 
 func (planfetchWorkload) Name() string { return "planfetch" }
@@ -299,6 +305,7 @@ func (planfetchWorkload) Do(ctx context.Context, w *Worker) (int, error) {
 		status, terr := statusOf(err)
 		if terr == nil && status == http.StatusNotFound {
 			// Evicted on every replica: refill by recomputing.
+			w.refilled = true
 			p := w.Env.Catalog[i]
 			senv, serr := w.client().Sample(ctx, &api.SampleRequest{
 				Workload: p.Workload, Scale: p.Scale, Options: w.methodOptions(),

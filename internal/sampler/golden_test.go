@@ -18,10 +18,12 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_me
 // goldenMethodsFile pins the plan bytes of every bundled methodology.
 const goldenMethodsFile = "testdata/golden_methods.json"
 
-// methodProfile builds the sampler input the way sieved's workload mode does
-// (internal/server resolved.profile): generate the workload, profile it on
-// the ampere model, and add PKS's feature vectors and golden cycles only for
-// pks.
+// methodProfile builds the sampler input from what sieved's workload mode
+// plans from (internal/server Server.profile): generate the workload,
+// profile it on the ampere model, and add PKS's feature vectors and golden
+// cycles for pks. sieved hands every method the whole cached profile,
+// memoized, but only pks reads the features and no method's plan depends
+// on the memo, so the literal profile pins the same bytes.
 func methodProfile(tb testing.TB, workload string, scale float64, method string) *sieve.MethodProfile {
 	tb.Helper()
 	w, err := sieve.GenerateWorkload(workload, scale)

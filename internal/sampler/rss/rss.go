@@ -77,7 +77,7 @@ func (rankedSet) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Opti
 	if err != nil {
 		return nil, err
 	}
-	base, err := core.StratifyContext(ctx, p.Rows, opts.Core)
+	base, err := p.Stratify(ctx, opts.Core) // shared: read, never written
 	if err != nil {
 		return nil, err
 	}

@@ -38,6 +38,10 @@ type Profile struct {
 	// (positional, parallel to Rows) for golden-calibrated methodologies.
 	// Nil for methods that don't need it.
 	GoldenCycles []float64
+
+	// memo, when set by Memoize, keeps the last base stratification
+	// Stratify computed.
+	memo *stratifyMemo
 }
 
 // Default knob values shared by the bundled strategies.

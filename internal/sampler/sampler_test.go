@@ -269,6 +269,94 @@ func TestRunReturnsStrategyErrors(t *testing.T) {
 	}
 }
 
+// TestMemoizedStratify: a memoized profile's Stratify computes one result
+// per option tuple, whatever the parallelism, equal to core's; it keeps no
+// error and holds one result, which another tuple replaces. It keeps
+// nothing until admit agrees, asks no more once it has, and keeps nothing
+// after drop. Every method plans the same bytes from the memoized profile
+// as from a literal one.
+func TestMemoizedStratify(t *testing.T) {
+	ctx := context.Background()
+	literal := testProfile(t, "lmc", 0.02)
+	p := &sampler.Profile{Rows: literal.Rows, Features: literal.Features, GoldenCycles: literal.GoldenCycles}
+	asks, room := 0, false
+	var drop func()
+	sampler.Memoize(p, func(d func()) bool {
+		asks++
+		drop = d
+		return room
+	})
+
+	at := func(theta float64, par int) *core.Result {
+		t.Helper()
+		res, err := p.Stratify(ctx, core.Options{Theta: theta, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if at(0.4, 1) == at(0.4, 1) || sampler.Memoized(p) || asks != 2 {
+		t.Fatalf("without room: memoized %v after %d asks; want two unshared results, false, 2", sampler.Memoized(p), asks)
+	}
+	room = true
+	first := at(0.4, 1)
+	if !sampler.Memoized(p) || asks != 3 {
+		t.Fatalf("with room: memoized %v after %d asks; want true, 3", sampler.Memoized(p), asks)
+	}
+	if again := at(0.4, 4); again != first {
+		t.Fatal("a second call with the same tuple at another parallelism stratified again")
+	}
+	want, err := core.StratifyContext(ctx, literal.Rows, core.Options{Theta: 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, want) {
+		t.Fatal("the memoized stratification differs from core's")
+	}
+	if _, err := p.Stratify(ctx, core.Options{Theta: -1}); err == nil {
+		t.Fatal("invalid θ: no error")
+	}
+	if at(0.4, 1) != first {
+		t.Fatal("a failed call replaced the memoized result")
+	}
+	a, errA := literal.Stratify(ctx, core.Options{})
+	b, errB := literal.Stratify(ctx, core.Options{})
+	if errA != nil || errB != nil || a == b {
+		t.Fatalf("a literal profile shared a result between calls (errors %v, %v)", errA, errB)
+	}
+
+	second := at(0.5, 1)
+	if second == first || at(0.5, 1) != second {
+		t.Fatal("another tuple did not replace the memoized result")
+	}
+	if at(0.4, 1) == first {
+		t.Fatal("a replaced result was kept")
+	}
+	if asks != 3 {
+		t.Fatalf("the memo asked %d times, want 3: none after admission", asks)
+	}
+
+	for _, method := range sampler.Names() {
+		opts := sampler.Options{Seed: 3}
+		got, err := sampler.Run(ctx, method, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sampler.Run(ctx, method, literal, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the memoized profile plans differently from a literal one", method)
+		}
+	}
+
+	drop()
+	if sampler.Memoized(p) || at(0.4, 1) == at(0.4, 1) || asks != 3 {
+		t.Fatalf("after drop: memoized %v, %d asks; want false, unshared results, 3", sampler.Memoized(p), asks)
+	}
+}
+
 // BenchmarkSamplerPlan compares plan-construction cost across the four
 // registered methodologies on the same profile (make bench-sampler →
 // BENCH_sampler.json).

@@ -7,9 +7,10 @@ import (
 )
 
 // sieveSampler is the default strategy: the paper's stratified sampler,
-// delegated wholesale to core.StratifyContext. Plans are byte-identical to
-// calling core directly — Result.Method stays empty and no interval is
-// attached — so pre-registry golden fixtures and cache keys are unaffected.
+// delegated wholesale to core.StratifyContext through Profile.Stratify.
+// Plans are byte-identical to calling core directly — Result.Method stays
+// empty and no interval is attached — so pre-registry golden fixtures and
+// cache keys are unaffected.
 type sieveSampler struct{}
 
 func (sieveSampler) Name() string { return core.MethodSieve }
@@ -19,7 +20,10 @@ func (sieveSampler) Plan(ctx context.Context, p *Profile, opts Options) (*core.R
 	if err != nil {
 		return nil, err
 	}
-	return core.StratifyContext(ctx, p.Rows, opts.Core)
+	// The plan is the profile's base stratification itself: on a memoized
+	// profile, the result every caller shares. Returning it is safe only
+	// because nothing downstream of a sampler writes to a plan.
+	return p.Stratify(ctx, opts.Core)
 }
 
 func init() {

@@ -46,7 +46,7 @@ func (twoPhase) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Optio
 	if err != nil {
 		return nil, err
 	}
-	base, err := core.StratifyContext(ctx, p.Rows, opts.Core)
+	base, err := p.Stratify(ctx, opts.Core) // shared: read, never written
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,13 @@ type lru[V any] struct {
 type lruEntry[V any] struct {
 	key  string
 	val  V
-	cost int64
+	cost int64 // extra included
+
+	// An attachment to val (see attach): the part of cost it holds, how to
+	// drop it, and whether one was dropped.
+	extra   int64
+	drop    func()
+	dropped bool
 }
 
 func newLRU[V any](max int64) *lru[V] {
@@ -40,10 +46,10 @@ func (c *lru[V]) get(key string) (V, bool) {
 	return el.Value.(*lruEntry[V]).val, true
 }
 
-// put inserts (or refreshes) key as the most recently used entry, then evicts
-// least recently used entries until the total cost fits the bound. A value
-// costing more than the whole bound is not kept, and the cache is left as it
-// was.
+// put inserts (or refreshes) key as the most recently used entry, then
+// brings the total cost within the bound (see evict). A value costing more
+// than the whole bound is not kept, and the cache is left as it was. A
+// refreshed entry carries no attachment.
 func (c *lru[V]) put(key string, val V, cost int64) {
 	if cost > c.max {
 		return
@@ -53,11 +59,49 @@ func (c *lru[V]) put(key string, val V, cost int64) {
 	if el, ok := c.byKey[key]; ok {
 		e := el.Value.(*lruEntry[V])
 		c.used += cost - e.cost
-		e.val, e.cost = val, cost
+		*e = lruEntry[V]{key: key, val: val, cost: cost}
 		c.ll.MoveToFront(el)
 	} else {
 		c.byKey[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val, cost: cost})
 		c.used += cost
+	}
+	c.evict()
+}
+
+// attach charges extra to key's entry for something attached to val (in
+// the profile cache, a profile's memo) and reports whether the attachment
+// may be kept. It may while the entry still holds val, carries
+// no attachment and never had one dropped, and extra fits the bound beside
+// every other entry: an attachment never evicts an entry. A later put that
+// needs the room calls drop, under c.mu, before it evicts any entry.
+func attach[V comparable](c *lru[V], key string, val V, extra int64, drop func()) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byKey[key]
+	if !ok {
+		return false
+	}
+	e := el.Value.(*lruEntry[V])
+	if e.val != val || e.drop != nil || e.dropped || c.used+extra > c.max {
+		return false
+	}
+	e.cost += extra
+	e.extra, e.drop = extra, drop
+	c.used += extra
+	return true
+}
+
+// evict brings the total cost within the bound: it drops attachments,
+// least recently used entry first, then evicts least recently used entries.
+// c.mu must be held.
+func (c *lru[V]) evict() {
+	for el := c.ll.Back(); c.used > c.max && el != nil; el = el.Prev() {
+		if e := el.Value.(*lruEntry[V]); e.drop != nil {
+			e.drop()
+			e.cost -= e.extra
+			c.used -= e.extra
+			e.extra, e.drop, e.dropped = 0, nil, true
+		}
 	}
 	for c.used > c.max {
 		last := c.ll.Back()

@@ -106,3 +106,44 @@ func TestCacheDocSharesHitEnvelope(t *testing.T) {
 		t.Fatalf("cap(doc) = %d, want %d: an append could overwrite the envelope", cap(p.doc), len(p.doc))
 	}
 }
+
+// TestLRUAttach: attach charges an entry only while it still holds the
+// value asked about, carries no attachment and the charge fits beside the
+// other entries; a put that needs room drops attachments, least recently
+// used entry first, before it evicts an entry, and an entry whose
+// attachment was dropped takes no other.
+func TestLRUAttach(t *testing.T) {
+	a, b, c := new(int), new(int), new(int)
+	drops := map[string]int{}
+	dropper := func(key string) func() { return func() { drops[key]++ } }
+	l := newLRU[*int](20)
+	l.put("a", a, 4)
+	l.put("b", b, 4)
+	for _, tc := range []struct {
+		key   string
+		val   *int
+		extra int64
+	}{{"missing", a, 1}, {"b", a, 1}, {"a", a, 13}} {
+		if attach(l, tc.key, tc.val, tc.extra, dropper(tc.key)) {
+			t.Fatalf("attach(%s, %d) agreed: missing key, another value or no room", tc.key, tc.extra)
+		}
+	}
+	if !attach(l, "a", a, 6, dropper("a")) || !attach(l, "b", b, 6, dropper("b")) || l.cost() != 20 {
+		t.Fatalf("attachments that fit were refused (cost %d)", l.cost())
+	}
+	if attach(l, "a", a, 0, dropper("a")) {
+		t.Fatal("a second attachment to one entry was accepted")
+	}
+	l.get("a")       // b is now the least recently used
+	l.put("c", c, 4) // 24 > 20: drops b's attachment only
+	if drops["b"] != 1 || drops["a"] != 0 || l.len() != 3 || l.cost() != 18 {
+		t.Fatalf("after a put past the bound: drops %v, %d entries, cost %d; want b's dropped, 3, 18", drops, l.len(), l.cost())
+	}
+	if attach(l, "b", b, 1, dropper("b")) {
+		t.Fatal("an entry whose attachment was dropped took another")
+	}
+	l.put("a", c, 4) // a refreshed entry carries no attachment
+	if l.cost() != 12 || !attach(l, "a", c, 2, dropper("a")) {
+		t.Fatalf("after refreshing a: cost %d, or attach refused; want 12 and accepted", l.cost())
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -63,20 +64,22 @@ func postDecode(url, body string, out any) error {
 	return json.Unmarshal(raw, out)
 }
 
-// TestProfileCacheSharedAcrossMethods: every method, on /v1/sample and as
-// /v1/batch items, and /v1/characterize plan concurrently from one cached
-// workload profile. Each plan equals the in-process plan from a freshly
-// generated profile, characterize answers what a server that generated its
-// own profile answers, and the cached profile is deeply equal to a snapshot
-// taken before the run: no sampler mutates the shared value. Run under -race
-// it also checks the sharing itself.
+// TestProfileCacheSharedAcrossMethods: every method at many seeds, on
+// /v1/sample and as /v1/batch items, and /v1/characterize plan concurrently
+// from one cached workload profile and the base stratification memoized on
+// it. Each plan equals the in-process plan from a freshly generated literal
+// profile, characterize answers what a server that generated its own
+// profile answers, and the cached profile, memo included, is deeply equal
+// to a snapshot taken after the memo filled: no sampler mutates the shared
+// value or the shared stratification, and no seed adds a memo tuple. Run
+// under -race it also checks the sharing itself.
 func TestProfileCacheSharedAcrossMethods(t *testing.T) {
 	const workload, scale = "gru", 0.02
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	// The first request fills the profile cache.
+	// The first request fills the profile cache and its memo.
 	warm := api.SampleRequest{Workload: workload, Scale: scale}
 	body, err := json.Marshal(warm)
 	if err != nil {
@@ -87,7 +90,23 @@ func TestProfileCacheSharedAcrossMethods(t *testing.T) {
 	if !ok || len(cached.Features) != len(cached.Rows) || len(cached.GoldenCycles) != len(cached.Rows) {
 		t.Fatalf("no complete cached profile after the first request (cached %v)", ok)
 	}
+	rows := int64(len(cached.Rows))
+	if !sampler.Memoized(cached) || srv.profiles.cost() != rows*profileRowBytes+sampler.MemoBytes(len(cached.Rows)) {
+		t.Fatalf("after one sieve request: memoized %v, entry costs %d estimated bytes; want true and rows plus the memo", sampler.Memoized(cached), srv.profiles.cost())
+	}
 	snapshot := cloneProfile(cached)
+	rv, err := srv.resolve(cloneRequest(warm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := sampler.Options{Core: rv.opts}.WithDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler.Memoize(snapshot, nil)
+	if _, err := snapshot.Stratify(context.Background(), opts.Core); err != nil {
+		t.Fatal(err)
+	}
 
 	type job struct {
 		name string
@@ -96,7 +115,7 @@ func TestProfileCacheSharedAcrossMethods(t *testing.T) {
 	}
 	var jobs []job
 	for _, method := range sampler.Names() {
-		for _, seed := range []uint64{1, identitySeed} {
+		for _, seed := range []uint64{1, 2, 3, 4, 5, identitySeed} {
 			req := api.SampleRequest{Workload: workload, Scale: scale, Options: api.RequestOptions{Method: method, Seed: seed}}
 			jobs = append(jobs, job{fmt.Sprintf("%s/seed=%d", method, seed), req, inProcessPlan(t, srv, req)})
 		}
@@ -155,7 +174,7 @@ func TestProfileCacheSharedAcrossMethods(t *testing.T) {
 		t.Fatalf("the cached profile was replaced or evicted (present %v)", ok)
 	}
 	if !reflect.DeepEqual(after, snapshot) {
-		t.Fatal("a request mutated the shared cached profile")
+		t.Fatal("a request mutated the shared cached profile or its memoized stratification")
 	}
 	if n := srv.profiles.len(); n != 1 {
 		t.Fatalf("profile cache holds %d entries, want 1", n)
@@ -236,6 +255,135 @@ func TestProfileCacheBound(t *testing.T) {
 		if present(name) != before[name] {
 			t.Errorf("an oversized profile changed whether %s is cached", name)
 		}
+	}
+}
+
+// TestProfileMemoBound: requests at 50 distinct θ values, cycling all four
+// methods over two cached workloads in a budget that fits both with their
+// memos, each get the in-process plan. After every request each entry costs
+// its rows plus, once a memoizing method (sieve, twophase, rss) has filled
+// its memo, the memo's estimate, charged once however many θ values
+// replace it; an entry only pks has read costs its rows alone.
+func TestProfileMemoBound(t *testing.T) {
+	names := []string{"dwt2d", "bfs_ny"}
+	rows := map[string]int{}
+	var budget int64
+	for _, name := range names {
+		w, err := sieve.GenerateWorkload(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[name] = len(w.Invocations)
+		budget += int64(rows[name])*profileRowBytes + sampler.MemoBytes(rows[name])
+	}
+	srv := New(Config{MaxBodyBytes: budget})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	// pks first on both, so each entry is read unmemoized before its memo
+	// fills; the rest cycle the methods.
+	methods := []string{"pks", "pks", "", "twophase", "rss", "pks"}
+	for i := 0; i < 50; i++ {
+		name := names[i%len(names)]
+		req := api.SampleRequest{Workload: name, Scale: 1, Options: api.RequestOptions{
+			Theta: 0.1 + 0.01*float64(i), Method: methods[i%len(methods)], Seed: uint64(i + 1),
+		}}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := servedPlan(t, ts.URL+"/v1/sample", "application/json", string(body))
+		if want := inProcessPlan(t, srv, req); string(got) != string(want) {
+			t.Fatalf("request %d (%s θ=%g): served plan differs from the in-process plan", i, name, req.Options.Theta)
+		}
+		var want int64
+		for k, name := range names {
+			p, ok := cachedProfile(srv, name, 1)
+			if !ok {
+				if i < k {
+					continue // not requested yet
+				}
+				t.Fatalf("after request %d: %s was evicted from a cache that fits both", i, name)
+			}
+			// Request 2+k is the first memoizing one on names[k].
+			if memoized := sampler.Memoized(p); memoized != (i >= 2+k) {
+				t.Fatalf("after request %d: %s memoized %v", i, name, memoized)
+			}
+			want += int64(rows[name]) * profileRowBytes
+			if sampler.Memoized(p) {
+				want += sampler.MemoBytes(rows[name])
+			}
+		}
+		if used := srv.profiles.cost(); used != want || used > budget {
+			t.Fatalf("after request %d: profile cache holds %d estimated bytes, want %d within budget %d", i, used, want, budget)
+		}
+	}
+}
+
+// TestProfileMemoSpareBudget: a memo takes only budget no profile needs.
+// One that does not fit beside the cached profiles is not kept, and a new
+// profile that needs the room of a kept one drops that memo for good
+// instead of evicting a profile. Every plan is the in-process plan.
+func TestProfileMemoSpareBudget(t *testing.T) {
+	names := []string{"mergesort", "bfs_ny", "dwt2d"} // 49, 11 and 10 rows
+	base := map[string]int64{}
+	for _, name := range names {
+		w, err := sieve.GenerateWorkload(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base[name] = int64(len(w.Invocations)) * profileRowBytes
+	}
+	// Room for the first two profiles and the first one's memo, which is
+	// larger than the third profile.
+	budget := base[names[0]] + base[names[1]] + sampler.MemoBytes(int(base[names[0]]/profileRowBytes))
+	srv := New(Config{MaxBodyBytes: budget})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	seed := uint64(0)
+	request := func(name, method string) {
+		t.Helper()
+		seed++
+		req := api.SampleRequest{Workload: name, Scale: 1, Options: api.RequestOptions{Method: method, Seed: seed}}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := servedPlan(t, ts.URL+"/v1/sample", "application/json", string(body)), inProcessPlan(t, srv, req); string(got) != string(want) {
+			t.Fatalf("%s %s: served plan differs from the in-process plan", name, method)
+		}
+		if used := srv.profiles.cost(); used > budget {
+			t.Fatalf("after %s %s: profile cache holds %d estimated bytes, budget %d", name, method, used, budget)
+		}
+	}
+	memoized := func(name string) bool {
+		t.Helper()
+		p, ok := cachedProfile(srv, name, 1)
+		if !ok {
+			t.Fatalf("%s was evicted", name)
+		}
+		return sampler.Memoized(p)
+	}
+
+	request(names[0], "")
+	request(names[1], "twophase")
+	if !memoized(names[0]) || memoized(names[1]) || srv.profiles.cost() != budget {
+		t.Fatalf("memoized %v and %v, %d estimated bytes; want true, false (no room) and %d",
+			memoized(names[0]), memoized(names[1]), srv.profiles.cost(), budget)
+	}
+	request(names[2], "pks") // needs the room of names[0]'s memo
+	for _, name := range names {
+		if memoized(name) {
+			t.Errorf("%s memoized after a profile needed the room", name)
+		}
+	}
+	if want := base[names[0]] + base[names[1]] + base[names[2]]; srv.profiles.cost() != want {
+		t.Errorf("profile cache holds %d estimated bytes, want the three profiles' %d", srv.profiles.cost(), want)
+	}
+	request(names[0], "rss") // a dropped memo stays empty
+	if memoized(names[0]) {
+		t.Error("a dropped memo filled again")
 	}
 }
 

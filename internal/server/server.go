@@ -554,12 +554,13 @@ func (s *Server) acquireSlot(ctx context.Context) (release func(), err error) {
 }
 
 // profile materializes the sampler input: the caller's CSV rows, or the
-// cached profile of a workload generated and profiled server-side. pks
-// additionally plans from the workload's 12-characteristic feature vectors
-// and golden per-invocation cycle reference (resolve already rejected pks
-// with CSV sources); every other method gets the rows alone. CSV parse
-// failures are the caller's data (400); for a workload only an unknown name
-// (caught in resolve) is the caller's fault.
+// cached profile of a workload generated and profiled server-side, handed
+// to every method as it is cached, memoized base stratifications included.
+// pks plans from the workload's 12-characteristic feature vectors and
+// golden per-invocation cycle reference (resolve already rejected pks with
+// CSV sources); the other methods read the rows alone. CSV parse failures
+// are the caller's data (400); for a workload only an unknown name (caught
+// in resolve) is the caller's fault.
 func (s *Server) profile(ctx context.Context, rv *resolved) (*sieve.MethodProfile, error) {
 	if rv.req.ProfileCSV != "" {
 		rows, err := profiler.ParseRows(rv.req.ProfileCSV)
@@ -568,11 +569,7 @@ func (s *Server) profile(ctx context.Context, rv *resolved) (*sieve.MethodProfil
 		}
 		return &sieve.MethodProfile{Rows: rows}, nil
 	}
-	p, err := s.workloadProfile(ctx, rv)
-	if err != nil || rv.method == sampler.MethodPKS {
-		return p, err
-	}
-	return &sieve.MethodProfile{Rows: p.Rows}, nil
+	return s.workloadProfile(ctx, rv)
 }
 
 // profileRowBytes estimates what one row of a cached workload profile holds:
@@ -592,10 +589,17 @@ func profileKey(workload string, scale float64, arch string) string {
 // scale, arch), so a profile is computed once and served from the profile
 // cache afterwards; the cached value is shared by every request and never
 // mutated. A miss fills rows, pks feature vectors and golden cycles at once,
-// so any method can plan from the entry. A profile whose estimated size
-// (rows × profileRowBytes) exceeds the whole budget is served but not kept,
-// and profiled only as far as the request's method needs. Two concurrent
-// first misses may both compute the profile; they produce the same value.
+// so any method can plan from the entry. An entry costs rows ×
+// profileRowBytes; a profile whose estimated size exceeds the whole budget
+// is served but not kept, and profiled only as far as the request's method
+// needs. A kept profile is memoized (see sampler.Memoize), so sieve,
+// twophase and rss stratify it once per option tuple whatever the seed.
+// The memo uses only spare budget: it is admitted, and its estimate
+// (sampler.MemoBytes) charged to the entry, when it first fills and only if
+// it fits beside the cached profiles, and it is dropped for good before any
+// profile is evicted. So a memo never costs a profile its place, and an
+// entry only pks reads is never charged for one. Two concurrent first
+// misses may both compute the profile; they produce the same value.
 func (s *Server) workloadProfile(ctx context.Context, rv *resolved) (*sieve.MethodProfile, error) {
 	key := profileKey(rv.req.Workload, rv.req.Scale, rv.arch)
 	if p, ok := s.profiles.get(key); ok {
@@ -635,6 +639,8 @@ func (s *Server) workloadProfile(ctx context.Context, rv *resolved) (*sieve.Meth
 		p.GoldenCycles = hw.MeasureWorkload(w)
 	}
 	if keep {
+		memo := sampler.MemoBytes(len(p.Rows))
+		sampler.Memoize(p, func(drop func()) bool { return attach(s.profiles, key, p, memo, drop) })
 		s.profiles.put(key, p, cost)
 	}
 	return p, nil
