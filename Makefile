@@ -104,10 +104,11 @@ report:
 serve:
 	$(GO) run ./cmd/sieved -addr :8372
 
-# Short fuzz pass over every fuzz target: the profiler CSV readers and the
-# sieved request decoder (CI runs the same).
+# Short fuzz pass over every fuzz target: the profiler CSV readers, the
+# sieved request decoder and the KDE grid's occupied-bin exactness (CI runs
+# the same).
 fuzz-smoke:
-	@for pkg in ./internal/profiler ./internal/server; do \
+	@for pkg in ./internal/profiler ./internal/server ./internal/kde; do \
 		for t in $$($(GO) test $$pkg -list 'Fuzz.*' | grep '^Fuzz'); do \
 			echo "fuzzing $$pkg $$t"; \
 			$(GO) test $$pkg -run XXX -fuzz "^$$t$$" -fuzztime 10s || exit 1; \

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"testing"
 
 	"github.com/gpusampling/sieve"
@@ -605,8 +606,13 @@ func BenchmarkPKSSelect(b *testing.B) {
 // kernel table when the bandwidth spans enough grid steps, falling back to
 // the exact evaluator otherwise (the narrow regime exercises the fallback).
 // "binned-into" is the same path through GridInto with caller-owned buffers,
-// the zero-allocation form the splitter uses.
+// the zero-allocation form the splitter uses. "lmc-tier3/binned-into" is
+// the traffic a Sieve miss serves: every Tier-3 kernel of the checked-in lmc
+// profile (tens of samples each) gridded at DefaultGridPoints, one op per
+// profile.
 func BenchmarkKDEGrid(b *testing.B) {
+	b.Run("lmc-tier3/binned-into", benchKDEGridTier3)
+
 	const nSamples, gridPoints = 50000, 2048
 	rng := rand.New(rand.NewSource(1))
 	samples := make([]float64, nSamples)
@@ -670,6 +676,52 @@ func BenchmarkKDEGrid(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+func benchKDEGridTier3(b *testing.B) {
+	f, err := os.Open("testdata/profile_lmc_scale0.01.csv")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	p, err := sieve.ReadProfileCSV(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := sieve.ProfileRows(p)
+	sums, err := sieve.Characterize(rows, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	counts := map[string][]float64{}
+	for _, r := range rows {
+		counts[r.Kernel] = append(counts[r.Kernel], r.InstructionCount)
+	}
+	var ests []*kde.Estimator
+	for _, s := range sums {
+		if s.Tier != sieve.Tier3 {
+			continue
+		}
+		est, err := kde.New(counts[s.Kernel], 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ests = append(ests, est)
+	}
+	if len(ests) == 0 {
+		b.Fatal("profile has no Tier-3 kernels")
+	}
+	xs, ds := make([]float64, kde.DefaultGridPoints), make([]float64, kde.DefaultGridPoints)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, est := range ests {
+			if err := est.GridInto(ctx, xs, ds); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

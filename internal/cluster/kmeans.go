@@ -39,6 +39,8 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+
+	"github.com/gpusampling/sieve/internal/stats"
 )
 
 // Result describes a k-means clustering.
@@ -206,7 +208,7 @@ func KMeansDataset(ds *Dataset, cfg Config, scratch *Scratch) (*Result, error) {
 		// exactly like the parallel reduction below.
 		var best *Result
 		for _, seed := range seeds {
-			lloyd(ds, &cfg, rand.New(rand.NewSource(seed)), scratch)
+			lloyd(ds, &cfg, rand.New(stats.NewDrawSource(seed)), scratch)
 			if best == nil || scratch.inertia < best.Inertia {
 				best = materialize(ds, &cfg, scratch)
 			}
@@ -225,7 +227,7 @@ func KMeansDataset(ds *Dataset, cfg Config, scratch *Scratch) (*Result, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			var s Scratch
-			lloyd(ds, &cfg, rand.New(rand.NewSource(seed)), &s)
+			lloyd(ds, &cfg, rand.New(stats.NewDrawSource(seed)), &s)
 			results[i] = materialize(ds, &cfg, &s)
 		}(i, seed)
 	}

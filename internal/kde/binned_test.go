@@ -214,13 +214,29 @@ func TestValleysBinnedMatchesExact(t *testing.T) {
 // check over every kernel of the checked-in lmc profile — the fixture the
 // service smoke tests and golden plans are built from.
 func TestValleysConsistentOnProfileFixture(t *testing.T) {
+	kernels := 0
+	for name, counts := range lmcFixtureKernels(t) {
+		if len(counts) < 2 {
+			continue
+		}
+		kernels++
+		assertSameValleySplit(t, name, counts)
+	}
+	if kernels == 0 {
+		t.Fatal("fixture yielded no multi-invocation kernels")
+	}
+}
+
+// lmcFixtureKernels reads the checked-in lmc profile's instruction counts,
+// grouped by kernel name.
+func lmcFixtureKernels(t *testing.T) map[string][]float64 {
+	t.Helper()
 	f, err := os.Open("../../testdata/profile_lmc_scale0.01.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	r := csv.NewReader(f)
-	rows, err := r.ReadAll()
+	rows, err := csv.NewReader(f).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,17 +248,7 @@ func TestValleysConsistentOnProfileFixture(t *testing.T) {
 		}
 		byKernel[row[0]] = append(byKernel[row[0]], v)
 	}
-	kernels := 0
-	for name, counts := range byKernel {
-		if len(counts) < 2 {
-			continue
-		}
-		kernels++
-		assertSameValleySplit(t, name, counts)
-	}
-	if kernels == 0 {
-		t.Fatal("fixture yielded no multi-invocation kernels")
-	}
+	return byKernel
 }
 
 // assertSameValleySplit fits a Silverman KDE to xs and requires the binned

@@ -92,13 +92,15 @@ const binnedMinBandwidthSteps = 6
 //
 // The evaluator is linear-binned: the n samples are accumulated onto the
 // grid once (O(n)), and the density is then a convolution of the bin weights
-// with a truncated Gaussian kernel table (O(g·w) for w = kernel half-width
-// in grid steps, cut off at 6σ) — independent of the sample count per grid
-// point. Bandwidths too narrow for the grid to resolve
+// with a Gaussian kernel table truncated at 6σ, summed over the occupied
+// bins only (O(g·w_occupied) for w_occupied = occupied bins within a point's
+// kernel half-width) — independent of the sample count per grid point.
+// Bandwidths too narrow for the grid to resolve
 // (h < binnedMinBandwidthSteps·step) are evaluated exactly instead; see
 // GridExact for the reference evaluation. Cancellation is checked between
-// evaluation chunks on the exact fallback path (the binned path is
-// O(n + g·w) and runs in microseconds, so it is checked only on entry).
+// evaluation chunks on the exact fallback path; the binned path has no
+// chunks (its O(n + g·w_occupied) pass is one unit), so it is checked only
+// on entry.
 func (e *Estimator) GridContext(ctx context.Context, n int) (xs, ds []float64, err error) {
 	if n < 2 {
 		return nil, nil, fmt.Errorf("kde: grid needs at least 2 points, got %d", n)
@@ -113,9 +115,9 @@ func (e *Estimator) GridContext(ctx context.Context, n int) (xs, ds []float64, e
 
 // GridInto is GridContext writing into caller-provided slices: xs and ds
 // must have equal length ≥ 2 and are fully overwritten. All internal
-// scratch (bin weights, kernel table) comes from a pooled buffer, so the
-// steady-state allocation count is zero — the property the Tier-3 splitting
-// hot path relies on.
+// scratch (bin weights, kernel table, occupied-bin list) comes from pooled
+// buffers, so the steady-state allocation count is zero — the property the
+// Tier-3 splitting hot path relies on.
 func (e *Estimator) GridInto(ctx context.Context, xs, ds []float64) error {
 	n := len(xs)
 	if n < 2 {
@@ -134,9 +136,7 @@ func (e *Estimator) GridInto(ctx context.Context, xs, ds []float64) error {
 		sp.SetAttr("bandwidth", e.bandwidth)
 		sp.Add("evaluations", int64(n))
 	}
-	lo := e.samples[0] - 3*e.bandwidth
-	hi := e.samples[len(e.samples)-1] + 3*e.bandwidth
-	step := (hi - lo) / float64(n-1)
+	lo, step := e.gridSpan(n)
 	for i := range xs {
 		xs[i] = lo + float64(i)*step
 	}
@@ -157,9 +157,7 @@ func (e *Estimator) GridExact(n int) (xs, ds []float64, err error) {
 	if n < 2 {
 		return nil, nil, fmt.Errorf("kde: grid needs at least 2 points, got %d", n)
 	}
-	lo := e.samples[0] - 3*e.bandwidth
-	hi := e.samples[len(e.samples)-1] + 3*e.bandwidth
-	step := (hi - lo) / float64(n-1)
+	lo, step := e.gridSpan(n)
 	xs = make([]float64, n)
 	ds = make([]float64, n)
 	for i := range xs {
@@ -169,6 +167,14 @@ func (e *Estimator) GridExact(n int) (xs, ds []float64, err error) {
 		return nil, nil, err
 	}
 	return xs, ds, nil
+}
+
+// gridSpan returns the first position and the spacing of the n-point grid
+// spanning the sample range extended by 3 bandwidths on each side.
+func (e *Estimator) gridSpan(n int) (lo, step float64) {
+	lo = e.samples[0] - 3*e.bandwidth
+	hi := e.samples[len(e.samples)-1] + 3*e.bandwidth
+	return lo, (hi - lo) / float64(n-1)
 }
 
 // gridExactChunkPoints bounds how many grid points the exact path evaluates
@@ -224,7 +230,8 @@ func (e *Estimator) gridExactEval(xs, ds []float64) {
 // gridBinned fills ds with linear-binned densities: samples are spread onto
 // the two neighboring grid nodes in one O(n) pass, a truncated kernel table
 // is evaluated once per grid offset (w+1 Exp calls total, not per point),
-// and each density is a dot product of bin weights with that table.
+// and each density is a dot product of bin weights with that table, taken
+// over the occupied bins only (convolveOccupied).
 func (e *Estimator) gridBinned(xs, ds []float64, lo, step float64) {
 	g := len(xs)
 	h := e.bandwidth
@@ -261,26 +268,57 @@ func (e *Estimator) gridBinned(xs, ds []float64, lo, step float64) {
 		ktab[d] = math.Exp(-0.5 * u * u)
 	}
 
-	norm := invSqrt2Pi / (float64(len(e.samples)) * h)
-	for i := range ds {
-		first, last := i-halfW, i+halfW
-		if first < 0 {
-			first = 0
+	convolveOccupied(ds, bins, ktab, invSqrt2Pi/(float64(len(e.samples))*h))
+	putFloats(ktabBuf)
+	putFloats(binsBuf)
+}
+
+// convolveOccupied sets ds[i] = norm·Σ bins[j]·ktab[|i−j|] over the bins j
+// within len(ktab)−1 steps of i, summed descending from i and then
+// ascending from i+1. Only occupied (non-zero) bins are visited: an empty
+// bin contributes 0·ktab[d] = ±0, and adding a zero leaves a sum unchanged
+// bit for bit, so skipping it yields exactly the dense convolution while
+// the cost per point falls from the window width to the occupied bins in
+// the window. Real Tier-3 kernels bin tens of samples onto 512 nodes, so
+// most of each window is empty.
+func convolveOccupied(ds, bins, ktab []float64, norm float64) {
+	g, halfW := len(bins), len(ktab)-1
+	idxBuf := getInts(g)
+	idx := *idxBuf
+	wBuf := getFloats(g)
+	w := *wBuf
+	occ := 0
+	for j, b := range bins {
+		if b != 0 {
+			idx[occ], w[occ] = j, b
+			occ++
 		}
-		if last > g-1 {
-			last = g - 1
+	}
+	idx, w = idx[:occ], w[:occ]
+	// [first, split) are the occupied bins in [i−halfW, i], [split, end)
+	// those in (i, i+halfW]; all three advance monotonically with i.
+	first, split, end := 0, 0, 0
+	for i := range ds {
+		for first < occ && idx[first] < i-halfW {
+			first++
+		}
+		for split < occ && idx[split] <= i {
+			split++
+		}
+		for end < occ && idx[end] <= i+halfW {
+			end++
 		}
 		var acc float64
-		for j, d := i, 0; j >= first; j, d = j-1, d+1 {
-			acc += bins[j] * ktab[d]
+		for k := split - 1; k >= first; k-- {
+			acc += w[k] * ktab[i-idx[k]]
 		}
-		for j, d := i+1, 1; j <= last; j, d = j+1, d+1 {
-			acc += bins[j] * ktab[d]
+		for k := split; k < end; k++ {
+			acc += w[k] * ktab[idx[k]-i]
 		}
 		ds[i] = acc * norm
 	}
-	putFloats(ktabBuf)
-	putFloats(binsBuf)
+	putFloats(wBuf)
+	putInts(idxBuf)
 }
 
 // floatsPool recycles the scratch buffers (bin weights, kernel tables, valley
@@ -302,6 +340,22 @@ func getFloats(n int) *[]float64 {
 
 // putFloats returns a buffer obtained from getFloats to the pool.
 func putFloats(buf *[]float64) { floatsPool.Put(buf) }
+
+// intsPool recycles the occupied-bin index lists of convolveOccupied.
+var intsPool = sync.Pool{New: func() any { s := make([]int, 0, 1024); return &s }}
+
+// getInts returns a pooled []int of length n; its contents are unspecified.
+func getInts(n int) *[]int {
+	buf := intsPool.Get().(*[]int)
+	if cap(*buf) < n {
+		*buf = make([]int, n)
+	}
+	*buf = (*buf)[:n]
+	return buf
+}
+
+// putInts returns a buffer obtained from getInts to the pool.
+func putInts(buf *[]int) { intsPool.Put(buf) }
 
 // SilvermanBandwidth returns Silverman's rule-of-thumb bandwidth
 // 0.9·min(σ, IQR/1.34)·n^(-1/5), with fallbacks for degenerate samples so the

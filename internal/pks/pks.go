@@ -26,6 +26,7 @@ import (
 	"github.com/gpusampling/sieve/internal/mat"
 	"github.com/gpusampling/sieve/internal/obs"
 	"github.com/gpusampling/sieve/internal/pca"
+	"github.com/gpusampling/sieve/internal/stats"
 )
 
 // DefaultMaxK is the paper-prescribed cap on the cluster count ("up to a
@@ -336,7 +337,7 @@ func SelectContext(ctx context.Context, features [][]float64, goldenCycles []flo
 		_, ksp := obs.StartSpan(ctx, "pks.k")
 		defer ksp.End()
 		ksp.SetAttr("k", k)
-		rng := rand.New(rand.NewSource(opts.Seed + int64(k)*7919))
+		rng := rand.New(stats.NewDrawSource(opts.Seed + int64(k)*7919))
 		km := clusterings[k]
 		if km == nil {
 			var err error

@@ -87,10 +87,9 @@ func (rankedSet) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Opti
 	}
 
 	// One generator serves every draw: reseeding it with a draw's subSeed
-	// gives exactly the stream a fresh rand.NewSource(subSeed) would. Its
-	// drawSource computes only the state words the draw reads, so a reseed
-	// costs O(1) instead of math/rand's full state fill.
-	rng := rand.New(&drawSource{})
+	// gives exactly the stream a fresh rand.NewSource(subSeed) would, at
+	// O(1) per reseed (stats.DrawSource).
+	rng := rand.New(&stats.DrawSource{})
 	specs := make([]core.StratumSpec, len(base.Strata))
 	for h := range base.Strata {
 		s := &base.Strata[h]

@@ -60,6 +60,10 @@ func (twoPhase) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Optio
 	// records its standard deviation — the dispersion signal Neyman
 	// allocation sizes the second phase by.
 	scores := make([]float64, len(base.Strata))
+	// One generator serves every pilot: reseeding it with a stratum's
+	// pilotSeed gives exactly the stream a fresh rand.NewSource would, at
+	// O(1) per reseed (stats.DrawSource).
+	rng := rand.New(&stats.DrawSource{})
 	for h := range base.Strata {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -78,7 +82,7 @@ func (twoPhase) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Optio
 		}
 		// Partial Fisher–Yates over the stratum's (deterministically
 		// ordered) member list: the first `pilot` swaps pick the subsample.
-		rng := rand.New(rand.NewSource(pilotSeed(opts.Seed, h)))
+		rng.Seed(pilotSeed(opts.Seed, h))
 		members := append([]int(nil), s.Invocations...)
 		var acc stats.Accumulator
 		for i := 0; i < pilot; i++ {

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/gpusampling/sieve/api"
@@ -173,4 +176,90 @@ func TestMetricsExposition(t *testing.T) {
 	if got := jsonKeys(t, scrape(t, ts.URL+"/debug/metrics")); strings.Join(got, " ") != strings.Join(wantKeys, " ") {
 		t.Errorf("/debug/metrics keys:\n%v\nwant:\n%v", got, wantKeys)
 	}
+}
+
+// TestScrapeStageCountsWithinRequests scrapes /metrics while cache hits are
+// being served and requires every scrape to be self-consistent: a request
+// is counted in sieved_requests_total when it starts, then in
+// sieved_request_seconds and last in sieved_stage_seconds when it finishes,
+// so no stage can have more observations than either — unless the scrape
+// reads a later-fed series before an earlier-fed one and a request starts
+// or finishes in between.
+func TestScrapeStageCountsWithinRequests(t *testing.T) {
+	srv := New(Config{})
+	h := srv.Handler()
+	csv := testCSV()
+	post := func() int {
+		req := httptest.NewRequest(http.MethodPost, "/v1/sample", strings.NewReader(csv))
+		req.Header.Set("Content-Type", "text/csv")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	if code := post(); code != http.StatusOK {
+		t.Fatalf("priming miss: status %d", code)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if code := post(); code != http.StatusOK {
+					t.Errorf("hit: status %d", code)
+					return
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 500; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var requests, observed int64 = -1, -1
+		stages := map[string]int64{}
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			name, v, ok := strings.Cut(line, " ")
+			if !ok || strings.HasPrefix(line, "#") {
+				continue
+			}
+			switch {
+			case name == "sieved_requests_total":
+				requests = mustInt(t, line, v)
+			case name == requestSecondsMetric+"_count":
+				observed = mustInt(t, line, v)
+			case strings.HasPrefix(name, stageSecondsMetric+"_count{"):
+				stages[name] = mustInt(t, line, v)
+			}
+		}
+		if requests < 0 || observed < 0 || len(stages) == 0 {
+			t.Fatalf("scrape %d lacks request or stage counts:\n%s", i, rec.Body.String())
+		}
+		if observed > requests {
+			t.Fatalf("scrape %d: %s_count = %d exceeds sieved_requests_total = %d", i, requestSecondsMetric, observed, requests)
+		}
+		for name, n := range stages {
+			if n > observed {
+				t.Fatalf("scrape %d: %s = %d exceeds %s_count = %d", i, name, n, requestSecondsMetric, observed)
+			}
+		}
+	}
+}
+
+func mustInt(t *testing.T, line, v string) int64 {
+	t.Helper()
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		t.Fatalf("sample %q: %v", line, err)
+	}
+	return n
 }

@@ -249,6 +249,10 @@ func writeHistogram(w io.Writer, name, labels string, h *obs.Histogram) {
 func (m *metrics) prometheus(cacheLen func() int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		// Read before the counters, though written after them: a request
+		// bumps requests when it starts and feeds the histograms when it
+		// ends, so no histogram count exceeds requests in one scrape.
+		hists := m.histogramText()
 		sample := func(name, kind string, v int64) {
 			fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", name, kind, name, v)
 		}
@@ -273,27 +277,36 @@ func (m *metrics) prometheus(cacheLen func() int) http.HandlerFunc {
 		// Build/protocol identity: the same version /healthz reports, as a
 		// constant gauge with the value in a label (the node_exporter idiom).
 		fmt.Fprintf(w, "# TYPE sieved_build_info gauge\nsieved_build_info{version=%q} 1\n", api.Version)
+		_, _ = io.WriteString(w, hists)
+	}
+}
 
-		// Request-latency histograms: the overall one always, each status
-		// class and serving stage once it holds an observation.
-		fmt.Fprintf(w, "# TYPE %s histogram\n", requestSecondsMetric)
-		writeHistogram(w, requestSecondsMetric, "", m.request)
-		for i, h := range m.byClass {
-			if h.Count() > 0 {
-				name := requestSecondsMetric + "_class_" + classLabels[i]
-				fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-				writeHistogram(w, name, "", h)
-			}
-		}
-		header = "# TYPE " + stageSecondsMetric + " histogram\n"
-		for _, st := range m.stagesByName {
-			if h := m.stages[st]; h.Count() > 0 {
-				fmt.Fprint(w, header)
-				header = ""
-				writeHistogram(w, stageSecondsMetric, fmt.Sprintf("stage=%q,", st.String()), h)
-			}
+// histogramText renders the request-latency histograms: the overall one
+// always, each status class and serving stage once it holds an observation.
+// The stage histograms are read first because a finishing request feeds
+// them after the overall one, so no stage count exceeds the overall count.
+func (m *metrics) histogramText() string {
+	var stages strings.Builder
+	header := "# TYPE " + stageSecondsMetric + " histogram\n"
+	for _, st := range m.stagesByName {
+		if h := m.stages[st]; h.Count() > 0 {
+			stages.WriteString(header)
+			header = ""
+			writeHistogram(&stages, stageSecondsMetric, fmt.Sprintf("stage=%q,", st.String()), h)
 		}
 	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "# TYPE %s histogram\n", requestSecondsMetric)
+	writeHistogram(&b, requestSecondsMetric, "", m.request)
+	for i, h := range m.byClass {
+		if h.Count() > 0 {
+			name := requestSecondsMetric + "_class_" + classLabels[i]
+			fmt.Fprintf(&b, "# TYPE %s histogram\n", name)
+			writeHistogram(&b, name, "", h)
+		}
+	}
+	b.WriteString(stages.String())
+	return b.String()
 }
 
 // Publish registers the counters on the global expvar namespace under
