@@ -14,6 +14,10 @@
 // validates the speedup-vs-scale extrapolation; baselines adds the
 // TBPoint-style related-work comparator; xval rank-correlates the analytical
 // model with the cycle-level simulator.
+//
+// Stdout is byte-reproducible for a given scale, θ and seed, at any
+// -workers; the only host-dependent numbers, sim's wall-clock simulation
+// times, go to stderr.
 package main
 
 import (
@@ -190,6 +194,10 @@ func produce(r *experiments.Runner, id string) (*experiments.Table, error) {
 	case "sim":
 		rows, err := r.SimStudy(0)
 		if err != nil {
+			return nil, err
+		}
+		// Wall-clock times go to stderr so stdout stays byte-reproducible.
+		if err := experiments.RenderSimWall(rows).Print(os.Stderr); err != nil {
 			return nil, err
 		}
 		return experiments.RenderSimStudy(rows), nil

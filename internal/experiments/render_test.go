@@ -173,8 +173,12 @@ func TestRenderSimStudyStructure(t *testing.T) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	out := renderToString(t, tab)
-	if !strings.Contains(out, "100ms") || !strings.Contains(out, "5000") {
-		t.Fatalf("sim fields missing:\n%s", out)
+	if !strings.Contains(out, "5000") || strings.Contains(out, "100ms") {
+		t.Fatalf("sim fields missing or wall time not split off:\n%s", out)
+	}
+	wall := renderToString(t, RenderSimWall(rows))
+	if !strings.Contains(wall, "100ms") || !strings.Contains(wall, "40ms") {
+		t.Fatalf("wall times missing:\n%s", wall)
 	}
 }
 
