@@ -35,8 +35,10 @@ const (
 // k-means restarts per candidate k.
 type PKSOptions = pks.Options
 
-// PKSPlan is a complete PKS selection: clusters, representatives and the
-// count weights its estimator uses.
+// PKSPlan is a complete PKS selection: the clusters, their
+// representatives and the k-sweep's distortion. It carries no estimator: to
+// predict, plan with SampleMethod("pks", …), whose Plan has the PKS
+// estimator behind Predict and Speedup.
 type PKSPlan = pks.Result
 
 // PKSSelect runs the Principal Kernel Selection baseline: standardize the

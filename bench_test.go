@@ -62,8 +62,8 @@ func BenchmarkFig3Accuracy(b *testing.B) {
 	}
 	var sieveSum, pksSum float64
 	for _, ev := range evs {
-		sieveSum += ev.SieveError
-		pksSum += ev.PKSError
+		sieveSum += ev.Method("sieve").Error
+		pksSum += ev.Method("pks").Error
 	}
 	n := float64(len(evs))
 	b.ReportMetric(100*sieveSum/n, "sieve-err-pct")
@@ -81,8 +81,8 @@ func BenchmarkFig4Dispersion(b *testing.B) {
 	}
 	var sieveCoV, pksCoV float64
 	for _, ev := range evs {
-		sieveCoV += ev.SieveCoV
-		pksCoV += ev.PKSCoV
+		sieveCoV += ev.Method("sieve").CoV
+		pksCoV += ev.Method("pks").CoV
 	}
 	n := float64(len(evs))
 	b.ReportMetric(sieveCoV/n, "sieve-cov")
@@ -125,8 +125,8 @@ func BenchmarkFig6Speedup(b *testing.B) {
 		if ev.Name == "gst" {
 			continue
 		}
-		sieveSp += ev.SieveSpeedup
-		pksSp += ev.PKSSpeedup
+		sieveSp += ev.Method("sieve").Speedup
+		pksSp += ev.Method("pks").Speedup
 		n++
 	}
 	b.ReportMetric(sieveSp/n, "sieve-speedup-x")
@@ -160,8 +160,8 @@ func BenchmarkFig8Traditional(b *testing.B) {
 	}
 	var sieveSum, pksSum float64
 	for _, ev := range evs {
-		sieveSum += ev.SieveError
-		pksSum += ev.PKSError
+		sieveSum += ev.Method("sieve").Error
+		pksSum += ev.Method("pks").Error
 	}
 	n := float64(len(evs))
 	b.ReportMetric(100*sieveSum/n, "sieve-err-pct")
@@ -286,6 +286,18 @@ func (f *workloadFixture) planError(b *testing.B, plan *sieve.Plan) float64 {
 	return abs(pred.Cycles-f.total) / f.total
 }
 
+// pksError plans pks over the given feature rows through SampleMethod and
+// returns its prediction error.
+func (f *workloadFixture) pksError(b *testing.B, features [][]float64, opts sieve.PKSOptions) float64 {
+	b.Helper()
+	p := &sieve.MethodProfile{Rows: f.rows, Features: features, GoldenCycles: f.golden}
+	plan, err := sieve.SampleMethod("pks", p, sieve.MethodOptions{PKS: opts})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return f.planError(b, plan)
+}
+
 // BenchmarkAblationSieveSelection compares Sieve's representative policies
 // (the paper found dominant-CTA best and max-CTA less accurate).
 func BenchmarkAblationSieveSelection(b *testing.B) {
@@ -376,15 +388,7 @@ func BenchmarkAblationPKSKCap(b *testing.B) {
 		b.Run(fmt.Sprintf("k%d", maxK), func(b *testing.B) {
 			var e float64
 			for i := 0; i < b.N; i++ {
-				plan, err := sieve.PKSSelect(features, f.golden, sieve.PKSOptions{Seed: 1, MaxK: maxK})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pred, err := plan.PredictCycles(f.at)
-				if err != nil {
-					b.Fatal(err)
-				}
-				e = abs(pred-f.total) / f.total
+				e = f.pksError(b, features, sieve.PKSOptions{Seed: 1, MaxK: maxK})
 			}
 			b.ReportMetric(100*e, "err-pct")
 		})
@@ -412,15 +416,7 @@ func BenchmarkAblationTwoLevelProfiling(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var e float64
 			for i := 0; i < b.N; i++ {
-				plan, err := sieve.PKSSelect(sieve.FeatureRows(profile), f.golden, sieve.PKSOptions{Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pred, err := plan.PredictCycles(f.at)
-				if err != nil {
-					b.Fatal(err)
-				}
-				e = abs(pred-f.total) / f.total
+				e = f.pksError(b, sieve.FeatureRows(profile), sieve.PKSOptions{Seed: 1})
 			}
 			b.ReportMetric(100*e, "err-pct")
 			b.ReportMetric(profile.WallSeconds, "profiling-sec")
@@ -495,15 +491,7 @@ func BenchmarkBaselineClustering(b *testing.B) {
 		b.Run(algo.String(), func(b *testing.B) {
 			var e float64
 			for i := 0; i < b.N; i++ {
-				plan, err := sieve.PKSSelect(features, f.golden, sieve.PKSOptions{Seed: 1, Clustering: algo})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pred, err := plan.PredictCycles(f.at)
-				if err != nil {
-					b.Fatal(err)
-				}
-				e = abs(pred-f.total) / f.total
+				e = f.pksError(b, features, sieve.PKSOptions{Seed: 1, Clustering: algo})
 			}
 			b.ReportMetric(100*e, "err-pct")
 		})

@@ -39,10 +39,9 @@ func main() {
 		theta      = cliflags.Theta(flag.CommandLine)
 		seed       = cliflags.Seed(flag.CommandLine)
 		workers    = cliflags.Parallelism(flag.CommandLine, "workers")
-		method     = flag.String("method", "", "comma-separated sampling methodologies for the accuracy tables (empty = every registered strategy)")
+		method     = flag.String("method", "", "comma-separated sampling methodologies the accuracy tables compare beside sieve and pks (empty = every registered strategy)")
 		logLevel   = cliflags.LogLevel(flag.CommandLine)
 	)
-	stream, reservoir := cliflags.Stream(flag.CommandLine)
 	report, traceOut := cliflags.Report(flag.CommandLine)
 	flag.Parse()
 	logger := cliflags.MustLogger("experiments", *logLevel)
@@ -57,8 +56,7 @@ func main() {
 	}
 
 	r := experiments.NewRunner(experiments.Config{
-		Scale: *scale, Theta: *theta, Seed: *seed, Parallelism: *workers,
-		Stream: *stream, ReservoirSize: *reservoir, Ctx: ctx,
+		Scale: *scale, Theta: *theta, Seed: *seed, Parallelism: *workers, Ctx: ctx,
 		Methods: cliflags.SplitList(*method),
 	})
 	ids := strings.Split(strings.ToLower(*experiment), ",")

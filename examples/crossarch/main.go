@@ -88,19 +88,21 @@ func main() {
 		if err != nil {
 			fatal(logger, err)
 		}
-		pksPlan, err := sieve.PKSSelect(sieve.FeatureRows(full), goldenA, sieve.PKSOptions{Seed: 1})
+		pksPlan, err := sieve.SampleMethod("pks", &sieve.MethodProfile{
+			Rows: sieve.ProfileRows(profile), Features: sieve.FeatureRows(full), GoldenCycles: goldenA,
+		}, sieve.MethodOptions{PKS: sieve.PKSOptions{Seed: 1}})
 		if err != nil {
 			fatal(logger, err)
 		}
-		pksA, err := pksPlan.PredictCycles(atA)
+		pksA, err := pksPlan.Predict(atA)
 		if err != nil {
 			fatal(logger, err)
 		}
-		pksT, err := pksPlan.PredictCycles(atT)
+		pksT, err := pksPlan.Predict(atT)
 		if err != nil {
 			fatal(logger, err)
 		}
-		pksSpeedup := turing.Seconds(pksT) / ampere.Seconds(pksA)
+		pksSpeedup := turing.Seconds(pksT.Cycles) / ampere.Seconds(pksA.Cycles)
 
 		se := math.Abs(sieveSpeedup-golden) / golden
 		pe := math.Abs(pksSpeedup-golden) / golden

@@ -64,11 +64,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pksPlan, err := sieve.PKSSelect(sieve.FeatureRows(fullProfile), golden, sieve.PKSOptions{Seed: 1})
+		pksPlan, err := sieve.SampleMethod("pks", &sieve.MethodProfile{
+			Rows: sieve.ProfileRows(icProfile), Features: sieve.FeatureRows(fullProfile), GoldenCycles: golden,
+		}, sieve.MethodOptions{PKS: sieve.PKSOptions{Seed: 1}})
 		if err != nil {
 			log.Fatal(err)
 		}
-		pksPred, err := pksPlan.PredictCycles(at)
+		pksPred, err := pksPlan.Predict(at)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,7 +80,7 @@ func main() {
 		}
 
 		sieveErr := math.Abs(sievePred.Cycles-total) / total
-		pksErr := math.Abs(pksPred-total) / total
+		pksErr := math.Abs(pksPred.Cycles-total) / total
 		sieveSum += sieveErr
 		pksSum += pksErr
 		fmt.Printf("%-14s %12d %10.2f%% %10.2f%% %11.0fx %11.0fx %11.1fx\n",

@@ -102,6 +102,83 @@ func TestPredictErrors(t *testing.T) {
 	}
 }
 
+// countWeighted assembles a count-weighted plan (the PKS estimator) over
+// four equal-instruction invocations: {0, 1, 2} represented by 0, and {3}.
+func countWeighted(t *testing.T) *Result {
+	t.Helper()
+	p := profileOf(
+		[3]interface{}{"a", 100.0, 64},
+		[3]interface{}{"a", 100.0, 64},
+		[3]interface{}{"a", 100.0, 64},
+		[3]interface{}{"a", 100.0, 64},
+	)
+	res, err := Assemble(p, []StratumSpec{
+		{Kernel: "c0", Tier: Tier2, Members: []int{0, 1, 2}, Representative: 0},
+		{Kernel: "c1", Tier: Tier1, Members: []int{3}, Representative: 3},
+	}, DefaultTheta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.CountWeighted = true
+	return res
+}
+
+// TestPredictCountWeighted: a count-weighted plan predicts Σ stratum size ×
+// representative cycles, whatever the instruction shares, and rejects the
+// inputs the instruction-weighted estimator rejects.
+func TestPredictCountWeighted(t *testing.T) {
+	res := countWeighted(t)
+	pred, err := res.Predict(func(i int) (float64, error) { return float64(100 * (i + 1)), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 3*100.0 + 1*400.0; pred.Cycles != want {
+		t.Fatalf("predicted %g, want %g", pred.Cycles, want)
+	}
+	if want := 100.0 + 400.0; pred.RepresentativeCycles != want {
+		t.Fatalf("representative cycles %g, want %g", pred.RepresentativeCycles, want)
+	}
+	if _, err := res.Predict(func(int) (float64, error) { return 0, nil }); err == nil {
+		t.Fatal("want error on zero cycles")
+	}
+	if _, err := res.Predict(func(int) (float64, error) { return 0, fmt.Errorf("x") }); err == nil {
+		t.Fatal("want error from source")
+	}
+	empty := &Result{CountWeighted: true}
+	if _, err := empty.Predict(func(int) (float64, error) { return 1, nil }); err == nil {
+		t.Fatal("want error for empty plan")
+	}
+}
+
+// TestCountWeightedSpeedupAndCoV: speedup and within-stratum dispersion read
+// a count-weighted plan's membership the way they read a Sieve plan's.
+func TestCountWeightedSpeedupAndCoV(t *testing.T) {
+	res := countWeighted(t)
+	sp, err := res.Speedup([]float64{10, 10, 10, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp != 2 {
+		t.Fatalf("speedup = %g, want 2 (two representatives of four equals)", sp)
+	}
+	// Stratum {0, 1, 2} has cycles {10, 30, 20}: mean 20, population
+	// standard deviation √(200/3). Stratum {3} adds zero dispersion, and
+	// the strata weigh 3 and 1.
+	cov, err := res.WeightedCycleCoV([]float64{10, 30, 20, 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 3 * math.Sqrt(200.0/3) / 20 / 4; math.Abs(cov-want) > 1e-12 {
+		t.Fatalf("weighted CoV = %g, want %g", cov, want)
+	}
+	if _, err := res.Speedup(nil); err == nil {
+		t.Fatal("want error for short golden")
+	}
+	if _, err := res.WeightedCycleCoV(nil); err == nil {
+		t.Fatal("want error for short golden")
+	}
+}
+
 func TestRepresentativeIndicesSortedUnique(t *testing.T) {
 	p := profileOf(
 		[3]interface{}{"b", 10.0, 64},

@@ -3,8 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/gpusampling/sieve/internal/core"
 	"github.com/gpusampling/sieve/internal/gpu"
 	"github.com/gpusampling/sieve/internal/pks"
+	"github.com/gpusampling/sieve/internal/sampler"
 	"github.com/gpusampling/sieve/internal/sim"
 	"github.com/gpusampling/sieve/internal/stats"
 	"github.com/gpusampling/sieve/internal/trace"
@@ -31,33 +33,22 @@ func (r *Runner) Baselines() ([]BaselineRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		src := cyclesFrom(p.golden)
 		row := BaselineRow{Name: name}
-
-		sievePred, err := p.sieve.Predict(src)
-		if err != nil {
+		if row.Sieve, err = p.predictError(p.plans[core.MethodSieve]); err != nil {
 			return nil, err
 		}
-		row.Sieve = relErr(sievePred.Cycles, p.total)
-
-		pksPred, err := p.pks.PredictCycles(src)
-		if err != nil {
+		if row.PKS, err = p.predictError(p.plans[sampler.MethodPKS]); err != nil {
 			return nil, err
 		}
-		row.PKS = relErr(pksPred, p.total)
-
-		tb, err := pks.SelectContext(r.cfg.ctx(), p.features, p.golden, pks.Options{
-			Seed: r.cfg.Seed, Clustering: pks.AlgoHierarchical,
-			Parallelism: r.cfg.Parallelism,
-		})
+		opts := r.cfg.options()
+		opts.PKS.Clustering = pks.AlgoHierarchical
+		tb, err := sampler.Run(r.cfg.ctx(), sampler.MethodPKS, p.profile, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s: tbpoint: %w", name, err)
 		}
-		tbPred, err := tb.PredictCycles(src)
-		if err != nil {
+		if row.TBPoint, err = p.predictError(tb); err != nil {
 			return nil, err
 		}
-		row.TBPoint = relErr(tbPred, p.total)
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -119,7 +110,7 @@ func (r *Runner) CrossValidate(maxWarpInstrs int) ([]XValRow, error) {
 			return nil, err
 		}
 		var analytical, simulated []float64
-		for _, idx := range p.sieve.RepresentativeIndices() {
+		for _, idx := range p.plans[core.MethodSieve].RepresentativeIndices() {
 			inv := &p.w.Invocations[idx]
 			tr, err := trace.Generate(inv, maxWarpInstrs, r.cfg.Seed)
 			if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/gpusampling/sieve/internal/core"
 	"github.com/gpusampling/sieve/internal/gpu"
 	"github.com/gpusampling/sieve/internal/stats"
 )
@@ -95,7 +96,7 @@ func (r *Runner) DSE() ([]DSEResult, error) {
 			golden := model.MeasureWorkload(p.w)
 			total := stats.Sum(golden)
 			// Sampled: measure only the representatives, reuse the plan.
-			pred, err := p.sieve.Predict(cyclesFrom(golden))
+			pred, err := p.plans[core.MethodSieve].Predict(cyclesFrom(golden))
 			if err != nil {
 				return nil, fmt.Errorf("%s @ %s: %w", name, arch.Name, err)
 			}

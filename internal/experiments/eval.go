@@ -7,6 +7,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/gpusampling/sieve/internal/core"
 	"github.com/gpusampling/sieve/internal/cudamodel"
@@ -30,49 +31,49 @@ type Config struct {
 	Scale float64
 	// Theta is Sieve's CoV threshold; 0 selects core.DefaultTheta.
 	Theta float64
-	// Seed drives PKS's k-means and random selection.
+	// Seed drives every seeded draw: PKS's k-means and random selection,
+	// twophase's pilot subsample and rss's ranked-set draws.
 	Seed int64
 	// Parallelism bounds the workers inside the sampling pipelines
 	// (stratification fan-out, PKS k-sweep); 0 selects GOMAXPROCS,
 	// 1 forces sequential execution. Results are identical either way.
 	Parallelism int
-	// Stream routes Sieve stratification through the bounded-memory
-	// streaming pipeline (core.StratifyStreamContext) instead of the
-	// materializing one. With the default ReservoirSize every
-	// experiment-scale kernel fits its reservoir, so tables and figures are
-	// unchanged.
-	Stream bool
-	// ReservoirSize bounds the rows retained per kernel in Stream mode;
-	// 0 selects a generous default that keeps experiment-scale workloads
-	// exact (the evaluation needs full membership lists for Speedup and
-	// WeightedCycleCoV).
-	ReservoirSize int
 	// Ctx, when non-nil, is the context every sampling pipeline runs under;
 	// attach an obs.Collector to it (cmd/experiments -report/-trace-out) to
 	// record per-stage spans across all experiments. Nil means Background.
 	Ctx context.Context
-	// Methods restricts which sampling methodologies the accuracy
-	// comparisons evaluate (canonical names, e.g. "sieve", "pks",
-	// "twophase", "rss"); nil or empty selects every registered strategy.
-	// Sieve and PKS are always prepared regardless — the other figures
-	// need their plans — so the filter only prunes the extra strategies.
+	// Methods selects the sampling methodologies the accuracy comparisons
+	// add to sieve and pks (canonical names, e.g. "twophase", "rss"); nil
+	// or empty selects every registered strategy. Sieve and PKS are always
+	// planned and compared, since the other figures read their plans.
 	Methods []string
 }
 
-// methodNames resolves the methodology list for the accuracy comparisons:
-// the configured subset, or every registered strategy with the two paper
-// baselines leading for readable tables.
+// methodNames lists the methodologies every workload is planned with, in
+// table order: the two paper baselines, then the configured (or every
+// registered) extra strategy.
 func (c Config) methodNames() []string {
-	if len(c.Methods) > 0 {
-		return c.Methods
-	}
 	names := []string{core.MethodSieve, sampler.MethodPKS}
-	for _, n := range sampler.Names() {
-		if n != core.MethodSieve && n != sampler.MethodPKS {
+	extra := c.Methods
+	if len(extra) == 0 {
+		extra = sampler.Names()
+	}
+	for _, n := range extra {
+		if !slices.Contains(names, n) {
 			names = append(names, n)
 		}
 	}
 	return names
+}
+
+// options returns the sampler options every experiment plans with: the
+// configured θ, parallelism and seed, PKS's own options included.
+func (c Config) options() sampler.Options {
+	return sampler.Options{
+		Core: core.Options{Theta: c.Theta, Parallelism: c.Parallelism},
+		Seed: c.Seed,
+		PKS:  pks.Options{Seed: c.Seed, Parallelism: c.Parallelism},
+	}
 }
 
 // ctx returns the configured context, defaulting to Background.
@@ -97,26 +98,11 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.ReservoirSize == 0 {
-		c.ReservoirSize = 1 << 20
-	}
 	return c
 }
 
-// stratify runs Sieve stratification at the given θ through whichever
-// pipeline the config selects — every experiment call site goes through
-// here so -stream exercises the streaming path end to end.
-func (c Config) stratify(rows []core.InvocationProfile, theta float64) (*core.Result, error) {
-	opts := core.Options{Theta: theta, Parallelism: c.Parallelism}
-	if !c.Stream {
-		return core.StratifyContext(c.ctx(), rows, opts)
-	}
-	return core.StratifyStreamContext(c.ctx(), core.SliceSource(rows),
-		core.StreamOptions{Options: opts, ReservoirSize: c.ReservoirSize})
-}
-
-// Evaluation is the per-workload comparison of Sieve and PKS on one
-// architecture — the raw material of Figs. 3–6 and 8.
+// Evaluation is the per-workload comparison of the sampling methodologies
+// on one architecture — the raw material of Figs. 3–6 and 8.
 type Evaluation struct {
 	Name  string
 	Suite string
@@ -126,19 +112,8 @@ type Evaluation struct {
 
 	GoldenCycles float64 // total measured cycles (golden reference)
 
-	SieveError   float64 // |predicted-measured|/measured
-	SieveSpeedup float64
-	SieveCoV     float64 // weighted within-stratum cycle CoV
-	SieveStrata  int
-
-	PKSError    float64
-	PKSSpeedup  float64
-	PKSCoV      float64
-	PKSClusters int
-
-	// Methods is the full methodology comparison (sieve and pks included,
-	// mirroring the legacy fields above), one entry per evaluated strategy in
-	// table order.
+	// Methods holds one entry per planned methodology in table order,
+	// sieve and pks first.
 	Methods []MethodEval
 }
 
@@ -151,48 +126,48 @@ type MethodEval struct {
 	// Units is the number of sampling units backing the plan (strata for the
 	// stratified methods, clusters for pks).
 	Units int
+	// Speedup is total golden cycles over the representatives' cycles.
+	Speedup float64
+	// CoV is the invocation-weighted within-unit cycle CoV (Fig. 4).
+	CoV float64
 	// Interval is the methodology's own error confidence interval, when the
 	// strategy quantifies one (twophase, rss); nil otherwise.
 	Interval *core.ErrorInterval
 }
 
-// methodRows returns the evaluation's per-method comparison, synthesizing
-// the two legacy columns for evaluations built before Methods existed (or
-// synthetic test fixtures that only populate them).
-func (ev *Evaluation) methodRows() []MethodEval {
-	if len(ev.Methods) > 0 {
-		return ev.Methods
+// Method returns the named methodology's entry, or the zero MethodEval if
+// the evaluation has none. Every evaluation carries sieve and pks.
+func (ev *Evaluation) Method(name string) MethodEval {
+	for _, me := range ev.Methods {
+		if me.Method == name {
+			return me
+		}
 	}
-	return []MethodEval{
-		{Method: core.MethodSieve, Error: ev.SieveError, Units: ev.SieveStrata},
-		{Method: sampler.MethodPKS, Error: ev.PKSError, Units: ev.PKSClusters},
-	}
+	return MethodEval{}
 }
 
 // prepared bundles the expensive per-workload artifacts shared by the
-// figures: the generated workload, golden cycles and both sampling plans.
+// figures: the generated workload, golden cycles, the sampler profile and
+// every method's plan.
 type prepared struct {
 	w      *cudamodel.Workload
 	hw     *gpu.Model
 	golden []float64
 	total  float64
 
-	sieveProfile []core.InvocationProfile
-	sieve        *core.Result
+	// profile holds the instruction-count rows Sieve plans from, the
+	// 12-characteristic features PKS clusters and the golden cycles PKS
+	// calibrates k against.
+	profile      *sampler.Profile
 	sieveProfSec float64 // modeled instruction-count profiling time
+	fullProfSec  float64 // modeled 12-metric profiling time
 
-	features    [][]float64
-	pks         *pks.Result
-	fullProfSec float64 // modeled 12-metric profiling time
-
-	// methodPlans holds the registry-built plans of the extra strategies
-	// (twophase, rss, …) keyed by method name; sieve and pks live in their
-	// dedicated fields above.
-	methodPlans map[string]*core.Result
+	// plans holds each methodology's plan, keyed by method name.
+	plans map[string]*core.Result
 }
 
-// prepare generates the workload and runs both sampling pipelines on the
-// baseline (Ampere) hardware model.
+// prepare generates the workload, profiles it on the baseline (Ampere)
+// hardware model and plans it with every configured methodology.
 func prepare(spec workloads.Spec, cfg Config) (*prepared, error) {
 	cfg = cfg.withDefaults()
 	w, err := workloads.Generate(spec, cfg.Scale)
@@ -207,80 +182,50 @@ func prepare(spec workloads.Spec, cfg Config) (*prepared, error) {
 	p.golden = hw.MeasureWorkload(w)
 	p.total = stats.Sum(p.golden)
 
-	// Sieve pipeline: instruction-count profile → stratification.
 	icProf, err := profiler.NewInstructionCountProfiler().Profile(w, hw)
 	if err != nil {
 		return nil, err
 	}
-	p.sieveProfile = icProf.Rows()
-	p.sieveProfSec = icProf.WallSeconds
-	p.sieve, err = cfg.stratify(p.sieveProfile, cfg.Theta)
-	if err != nil {
-		return nil, err
-	}
-
-	// PKS pipeline: full profile → PCA → k-means with golden k-selection.
 	fullProf, err := profiler.NewFullProfiler().Profile(w, hw)
 	if err != nil {
 		return nil, err
 	}
-	p.features = fullProf.Features()
+	p.profile = &sampler.Profile{Rows: icProf.Rows(), Features: fullProf.Features(), GoldenCycles: p.golden}
+	p.sieveProfSec = icProf.WallSeconds
 	p.fullProfSec = fullProf.WallSeconds
-	p.pks, err = pks.SelectContext(cfg.ctx(), p.features, p.golden, pks.Options{Seed: cfg.Seed, Parallelism: cfg.Parallelism})
-	if err != nil {
-		return nil, err
-	}
 
-	// Extra strategies from the sampler registry (twophase, rss, …), planned
-	// from the same rows so the accuracy tables compare methodologies on
-	// identical inputs.
-	p.methodPlans = make(map[string]*core.Result)
-	sp := &sampler.Profile{Rows: p.sieveProfile, Features: p.features, GoldenCycles: p.golden}
+	p.plans = make(map[string]*core.Result)
 	for _, m := range cfg.methodNames() {
-		if m == core.MethodSieve || m == sampler.MethodPKS {
-			continue
-		}
-		plan, err := sampler.Run(cfg.ctx(), m, sp, sampler.Options{
-			Core: core.Options{Theta: cfg.Theta, Parallelism: cfg.Parallelism},
-			Seed: cfg.Seed,
-		})
-		if err != nil {
+		if p.plans[m], err = sampler.Run(cfg.ctx(), m, p.profile, cfg.options()); err != nil {
 			return nil, fmt.Errorf("%s: %s plan: %w", spec.Name, m, err)
 		}
-		p.methodPlans[m] = plan
 	}
 	return p, nil
 }
 
-// methodEvals builds the per-methodology accuracy rows for one prepared
-// workload, reusing the already-computed sieve and pks errors.
-func (p *prepared) methodEvals(cfg Config, sieveErr, pksErr float64) ([]MethodEval, error) {
-	src := cyclesFrom(p.golden)
-	var out []MethodEval
-	for _, m := range cfg.methodNames() {
-		switch m {
-		case core.MethodSieve:
-			out = append(out, MethodEval{Method: m, Error: sieveErr, Units: p.sieve.NumStrata()})
-		case sampler.MethodPKS:
-			out = append(out, MethodEval{Method: m, Error: pksErr, Units: p.pks.K})
-		default:
-			plan, ok := p.methodPlans[m]
-			if !ok {
-				return nil, fmt.Errorf("method %q was not prepared (configured after Warm?)", m)
-			}
-			pred, err := plan.Predict(src)
-			if err != nil {
-				return nil, fmt.Errorf("%s predict: %w", m, err)
-			}
-			out = append(out, MethodEval{
-				Method:   m,
-				Error:    relErr(pred.Cycles, p.total),
-				Units:    plan.NumStrata(),
-				Interval: plan.Interval,
-			})
-		}
+// predictError is a plan's |predicted-measured|/measured cycles on the
+// golden run.
+func (p *prepared) predictError(plan *core.Result) (float64, error) {
+	pred, err := plan.Predict(cyclesFrom(p.golden))
+	if err != nil {
+		return 0, err
 	}
-	return out, nil
+	return relErr(pred.Cycles, p.total), nil
+}
+
+// methodEval measures one planned methodology against the golden run.
+func (p *prepared) methodEval(method string) (MethodEval, error) {
+	plan := p.plans[method]
+	me := MethodEval{Method: method, Units: plan.NumStrata(), Interval: plan.Interval}
+	var err error
+	if me.Error, err = p.predictError(plan); err != nil {
+		return me, err
+	}
+	if me.Speedup, err = plan.Speedup(p.golden); err != nil {
+		return me, err
+	}
+	me.CoV, err = plan.WeightedCycleCoV(p.golden)
+	return me, err
 }
 
 // cyclesFrom adapts a golden cycle slice into a CycleSource.

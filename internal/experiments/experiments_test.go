@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/gpusampling/sieve/internal/core"
 	"github.com/gpusampling/sieve/internal/cudamodel"
+	"github.com/gpusampling/sieve/internal/sampler"
 	"github.com/gpusampling/sieve/internal/workloads"
 )
 
@@ -73,17 +73,18 @@ func TestEvaluateWorkloadBasics(t *testing.T) {
 	if ev.Name != "gru" || ev.Suite != workloads.SuiteCactus {
 		t.Fatalf("identity %s/%s", ev.Suite, ev.Name)
 	}
-	if ev.SieveError < 0 || ev.PKSError < 0 {
+	s, p := ev.Method("sieve"), ev.Method("pks")
+	if s.Error < 0 || p.Error < 0 {
 		t.Fatal("negative errors")
 	}
-	if ev.SieveSpeedup <= 1 || ev.PKSSpeedup <= 1 {
-		t.Fatalf("speedups must exceed 1: %g, %g", ev.SieveSpeedup, ev.PKSSpeedup)
+	if s.Speedup <= 1 || p.Speedup <= 1 {
+		t.Fatalf("speedups must exceed 1: %g, %g", s.Speedup, p.Speedup)
 	}
-	if ev.SieveStrata < ev.Kernels {
-		t.Fatalf("Sieve has %d strata for %d kernels; at least one per kernel required", ev.SieveStrata, ev.Kernels)
+	if s.Units < ev.Kernels {
+		t.Fatalf("Sieve has %d strata for %d kernels; at least one per kernel required", s.Units, ev.Kernels)
 	}
-	if ev.PKSClusters < 1 || ev.PKSClusters > 20 {
-		t.Fatalf("PKS clusters = %d", ev.PKSClusters)
+	if p.Units < 1 || p.Units > 20 {
+		t.Fatalf("PKS clusters = %d", p.Units)
 	}
 }
 
@@ -133,11 +134,12 @@ func TestHeadlineShape(t *testing.T) {
 	}
 	var sieveSum, pksSum float64
 	for _, ev := range evs {
-		sieveSum += ev.SieveError
-		pksSum += ev.PKSError
-		if ev.SieveCoV >= ev.PKSCoV {
+		s, p := ev.Method("sieve"), ev.Method("pks")
+		sieveSum += s.Error
+		pksSum += p.Error
+		if s.CoV >= p.CoV {
 			t.Errorf("%s: Sieve stratum CoV %.3f not below PKS cluster CoV %.3f",
-				ev.Name, ev.SieveCoV, ev.PKSCoV)
+				ev.Name, s.CoV, p.CoV)
 		}
 	}
 	n := float64(len(evs))
@@ -154,9 +156,9 @@ func TestHeadlineShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lbm.SieveError > 0.05 || lbm.PKSError > 0.1 {
+	if s, p := lbm.Method("sieve"), lbm.Method("pks"); s.Error > 0.05 || p.Error > 0.1 {
 		t.Fatalf("traditional workload should be easy: sieve %.2f%%, pks %.2f%%",
-			100*lbm.SieveError, 100*lbm.PKSError)
+			100*s.Error, 100*p.Error)
 	}
 }
 
@@ -318,47 +320,11 @@ func avg(xs []float64) float64 {
 }
 
 func coreTierFractionsImpl(p *prepared) ([][3]float64, error) {
-	return core.TierFractions(p.sieveProfile, Fig2Thetas)
+	return core.TierFractions(p.profile.Rows, Fig2Thetas)
 }
 
 func coreStratifyAt(p *prepared, theta float64) (*core.Result, error) {
-	return core.StratifyContext(context.Background(), p.sieveProfile, core.Options{Theta: theta})
-}
-
-// TestStreamConfigMatchesMaterialized: with the default (exact-at-scale)
-// reservoir, routing the experiments through the streaming pipeline must
-// reproduce the materialized plan byte for byte, so every figure and table
-// is unchanged under -stream.
-func TestStreamConfigMatchesMaterialized(t *testing.T) {
-	spec, err := workloads.ByName("gru")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := prepare(spec, testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamCfg := testCfg
-	streamCfg.Stream = true
-	streamed, err := prepare(spec, streamCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed.sieve.Sampled {
-		t.Fatal("default experiment reservoir must keep the plan exact")
-	}
-	if !reflect.DeepEqual(streamed.sieve.Strata, exact.sieve.Strata) {
-		t.Fatal("streaming experiments produced a different plan")
-	}
-	evExact, err := NewRunner(testCfg).evaluate(spec.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evStream, err := NewRunner(streamCfg).evaluate(spec.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(evExact, evStream) {
-		t.Fatalf("evaluations diverge:\n exact  %+v\n stream %+v", evExact, evStream)
-	}
+	opts := testCfg.withDefaults().options()
+	opts.Core.Theta = theta
+	return sampler.Run(context.Background(), core.MethodSieve, p.profile, opts)
 }

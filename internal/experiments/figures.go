@@ -7,6 +7,7 @@ import (
 	"github.com/gpusampling/sieve/internal/cudamodel"
 	"github.com/gpusampling/sieve/internal/gpu"
 	"github.com/gpusampling/sieve/internal/pks"
+	"github.com/gpusampling/sieve/internal/sampler"
 	"github.com/gpusampling/sieve/internal/stats"
 	"github.com/gpusampling/sieve/internal/workloads"
 )
@@ -76,7 +77,7 @@ func (r *Runner) Fig2() ([]TierRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		fr, err := core.TierFractions(p.sieveProfile, Fig2Thetas)
+		fr, err := core.TierFractions(p.profile.Rows, Fig2Thetas)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +155,7 @@ func RenderAccuracy(title string, evs []*Evaluation, paperNote string) *Table {
 		return fmt.Sprintf("[%+.2f%%, %+.2f%%]", 100*me.Interval.Low, 100*me.Interval.High)
 	}
 	for _, ev := range evs {
-		for _, me := range ev.methodRows() {
+		for _, me := range ev.Methods {
 			t.Rows = append(t.Rows, []string{
 				ev.Name, ev.Suite, me.Method, pct(me.Error), fmt.Sprintf("%d", me.Units), interval(me),
 			})
@@ -186,9 +187,10 @@ func RenderFig4(evs []*Evaluation) *Table {
 	}
 	var sSum, pSum float64
 	for _, ev := range evs {
-		t.Rows = append(t.Rows, []string{ev.Name, fmt.Sprintf("%.3f", ev.SieveCoV), fmt.Sprintf("%.3f", ev.PKSCoV)})
-		sSum += ev.SieveCoV
-		pSum += ev.PKSCoV
+		s, p := ev.Method(core.MethodSieve), ev.Method(sampler.MethodPKS)
+		t.Rows = append(t.Rows, []string{ev.Name, fmt.Sprintf("%.3f", s.CoV), fmt.Sprintf("%.3f", p.CoV)})
+		sSum += s.CoV
+		pSum += p.CoV
 	}
 	n := float64(len(evs))
 	t.Rows = append(t.Rows, []string{"average", fmt.Sprintf("%.3f", sSum/n), fmt.Sprintf("%.3f", pSum/n)})
@@ -217,12 +219,9 @@ func (r *Runner) Fig5() ([]SelectionRow, error) {
 			return nil, err
 		}
 		row := SelectionRow{Name: name}
-		src := cyclesFrom(p.golden)
-		sievePred, err := p.sieve.Predict(src)
-		if err != nil {
+		if row.Sieve, err = p.predictError(p.plans[core.MethodSieve]); err != nil {
 			return nil, err
 		}
-		row.Sieve = relErr(sievePred.Cycles, p.total)
 		for _, pol := range []struct {
 			policy pks.Policy
 			dst    *float64
@@ -231,18 +230,17 @@ func (r *Runner) Fig5() ([]SelectionRow, error) {
 			{pks.SelectRandom, &row.Random},
 			{pks.SelectCentroid, &row.Centroid},
 		} {
-			res := p.pks
+			plan := p.plans[sampler.MethodPKS]
 			if pol.policy != pks.SelectFirst {
-				res, err = pks.SelectContext(r.cfg.ctx(), p.features, p.golden, pks.Options{Seed: r.cfg.Seed, Selection: pol.policy, Parallelism: r.cfg.Parallelism})
-				if err != nil {
+				opts := r.cfg.options()
+				opts.PKS.Selection = pol.policy
+				if plan, err = sampler.Run(r.cfg.ctx(), sampler.MethodPKS, p.profile, opts); err != nil {
 					return nil, fmt.Errorf("%s: pks %v: %w", name, pol.policy, err)
 				}
 			}
-			pred, err := res.PredictCycles(src)
-			if err != nil {
+			if *pol.dst, err = p.predictError(plan); err != nil {
 				return nil, err
 			}
-			*pol.dst = relErr(pred, p.total)
 		}
 		rows = append(rows, row)
 	}
@@ -280,15 +278,16 @@ func RenderFig6(evs []*Evaluation) (*Table, error) {
 	}
 	var sieveSp, pksSp []float64
 	for _, ev := range evs {
+		s, p := ev.Method(core.MethodSieve), ev.Method(sampler.MethodPKS)
 		t.Rows = append(t.Rows, []string{
-			ev.Name, times(ev.SieveSpeedup), times(ev.PKSSpeedup),
-			fmt.Sprintf("%d", ev.SieveStrata), fmt.Sprintf("%d", ev.PKSClusters),
+			ev.Name, times(s.Speedup), times(p.Speedup),
+			fmt.Sprintf("%d", s.Units), fmt.Sprintf("%d", p.Units),
 		})
 		if ev.Name == "gst" {
 			continue
 		}
-		sieveSp = append(sieveSp, ev.SieveSpeedup)
-		pksSp = append(pksSp, ev.PKSSpeedup)
+		sieveSp = append(sieveSp, s.Speedup)
+		pksSp = append(pksSp, p.Speedup)
 	}
 	sHM, err := stats.HarmonicMean(sieveSp)
 	if err != nil {
@@ -411,28 +410,22 @@ func (r *Runner) Fig9() ([]CrossArchRow, error) {
 		goldenA := ampere.Seconds(p.total)
 		goldenT := turing.Seconds(stats.Sum(turingCycles))
 
-		sievePredA, err := p.sieve.Predict(cyclesFrom(p.golden))
-		if err != nil {
-			return nil, err
+		row := CrossArchRow{Name: spec.Name, Golden: goldenT / goldenA}
+		for _, m := range []struct {
+			method string
+			dst    *float64
+		}{{core.MethodSieve, &row.Sieve}, {sampler.MethodPKS, &row.PKS}} {
+			predA, err := p.plans[m.method].Predict(cyclesFrom(p.golden))
+			if err != nil {
+				return nil, err
+			}
+			predT, err := p.plans[m.method].Predict(cyclesFrom(turingCycles))
+			if err != nil {
+				return nil, err
+			}
+			*m.dst = turing.Seconds(predT.Cycles) / ampere.Seconds(predA.Cycles)
 		}
-		sievePredT, err := p.sieve.Predict(cyclesFrom(turingCycles))
-		if err != nil {
-			return nil, err
-		}
-		pksPredA, err := p.pks.PredictCycles(cyclesFrom(p.golden))
-		if err != nil {
-			return nil, err
-		}
-		pksPredT, err := p.pks.PredictCycles(cyclesFrom(turingCycles))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, CrossArchRow{
-			Name:   spec.Name,
-			Golden: goldenT / goldenA,
-			Sieve:  turing.Seconds(sievePredT.Cycles) / ampere.Seconds(sievePredA.Cycles),
-			PKS:    turing.Seconds(pksPredT) / ampere.Seconds(pksPredA),
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -482,7 +475,9 @@ var Fig10Thetas = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 // excluded from the speedup mean, as in Fig. 6.
 func (r *Runner) Fig10() ([]ThetaPoint, error) {
 	var out []ThetaPoint
+	opts := r.cfg.options()
 	for _, theta := range Fig10Thetas {
+		opts.Core.Theta = theta
 		var errSum float64
 		var speedups []float64
 		names := challengingNames()
@@ -491,15 +486,15 @@ func (r *Runner) Fig10() ([]ThetaPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := r.cfg.stratify(p.sieveProfile, theta)
+			res, err := sampler.Run(r.cfg.ctx(), core.MethodSieve, p.profile, opts)
 			if err != nil {
 				return nil, err
 			}
-			pred, err := res.Predict(cyclesFrom(p.golden))
+			e, err := p.predictError(res)
 			if err != nil {
 				return nil, err
 			}
-			errSum += relErr(pred.Cycles, p.total)
+			errSum += e
 			if name == "gst" {
 				continue
 			}

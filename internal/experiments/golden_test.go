@@ -26,7 +26,7 @@ func TestGoldenFigures(t *testing.T) {
 	}
 	r := NewRunner(Config{Scale: 0.02})
 	var buf bytes.Buffer
-	print := func(tab *Table, err error) {
+	emit := func(tab *Table, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
@@ -51,12 +51,12 @@ func TestGoldenFigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	print(RenderAccuracy("Fig. 3", fig3, "scale 0.02"), nil)
-	print(RenderFig4(fig3), nil)
-	print(RenderFig5(fig5), nil)
-	print(RenderFig6(fig3))
-	print(RenderAccuracy("Fig. 8", fig8, "scale 0.02"), nil)
-	print(RenderBaselines(baselines), nil)
+	emit(RenderAccuracy("Fig. 3", fig3, "scale 0.02"), nil)
+	emit(RenderFig4(fig3), nil)
+	emit(RenderFig5(fig5), nil)
+	emit(RenderFig6(fig3))
+	emit(RenderAccuracy("Fig. 8", fig8, "scale 0.02"), nil)
+	emit(RenderBaselines(baselines), nil)
 
 	if *updateGolden {
 		if err := os.WriteFile(goldenFiguresFile, buf.Bytes(), 0o644); err != nil {

@@ -21,23 +21,26 @@ func renderToString(t *testing.T, tab *Table) string {
 }
 
 func syntheticEvaluations() []*Evaluation {
+	ev := func(name, suite string, sieve, pks MethodEval) *Evaluation {
+		sieve.Method, pks.Method = "sieve", "pks"
+		return &Evaluation{Name: name, Suite: suite, Methods: []MethodEval{sieve, pks}}
+	}
 	return []*Evaluation{
-		{Name: "alpha", Suite: "Cactus", SieveError: 0.01, PKSError: 0.2,
-			SieveSpeedup: 100, PKSSpeedup: 200, SieveCoV: 0.1, PKSCoV: 0.5,
-			SieveStrata: 10, PKSClusters: 5},
-		{Name: "gst", Suite: "Cactus", SieveError: 0.002, PKSError: 0.01,
-			SieveSpeedup: 1.1, PKSSpeedup: 1.2, SieveCoV: 0.3, PKSCoV: 1.5,
-			SieveStrata: 30, PKSClusters: 20},
-		{Name: "beta", Suite: "MLPerf", SieveError: 0.03, PKSError: 0.5,
-			SieveSpeedup: 300, PKSSpeedup: 150, SieveCoV: 0.2, PKSCoV: 0.9,
-			SieveStrata: 40, PKSClusters: 18},
+		ev("alpha", "Cactus",
+			MethodEval{Error: 0.01, Speedup: 100, CoV: 0.1, Units: 10},
+			MethodEval{Error: 0.2, Speedup: 200, CoV: 0.5, Units: 5}),
+		ev("gst", "Cactus",
+			MethodEval{Error: 0.002, Speedup: 1.1, CoV: 0.3, Units: 30},
+			MethodEval{Error: 0.01, Speedup: 1.2, CoV: 1.5, Units: 20}),
+		ev("beta", "MLPerf",
+			MethodEval{Error: 0.03, Speedup: 300, CoV: 0.2, Units: 40},
+			MethodEval{Error: 0.5, Speedup: 150, CoV: 0.9, Units: 18}),
 	}
 }
 
 func TestRenderAccuracyStructure(t *testing.T) {
 	tab := RenderAccuracy("title", syntheticEvaluations(), "note")
-	// Long form: 3 workloads × 2 methods (legacy fields synthesize
-	// sieve+pks) + per-method average and max rows.
+	// Long form: 3 workloads × 2 methods + per-method average and max rows.
 	if len(tab.Rows) != 3*2+2+2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -114,7 +117,8 @@ func TestRenderFig6ExcludesGst(t *testing.T) {
 }
 
 func TestRenderFig6ErrorsOnAllGst(t *testing.T) {
-	evs := []*Evaluation{{Name: "gst", SieveSpeedup: 1, PKSSpeedup: 1}}
+	evs := []*Evaluation{{Name: "gst", Methods: []MethodEval{
+		{Method: "sieve", Speedup: 1}, {Method: "pks", Speedup: 1}}}}
 	if _, err := RenderFig6(evs); err == nil {
 		t.Fatal("want error when no workload remains for the mean")
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // Runner memoizes the expensive per-workload pipeline artifacts (generation,
-// golden measurement, Sieve stratification, PKS selection) so the figures can
-// share them within one process.
+// golden measurement, profiles, every method's plan) so the figures can share
+// them within one process.
 type Runner struct {
 	cfg Config
 
@@ -126,39 +126,18 @@ func (r *Runner) evaluate(name string) (*Evaluation, error) {
 		Invocations:  p.w.NumInvocations(),
 		Kernels:      p.w.NumKernels(),
 		GoldenCycles: p.total,
-		SieveStrata:  p.sieve.NumStrata(),
-		PKSClusters:  p.pks.K,
 	}
-	src := cyclesFrom(p.golden)
-	sievePred, err := p.sieve.Predict(src)
-	if err != nil {
-		return nil, fmt.Errorf("%s: sieve predict: %w", name, err)
-	}
-	ev.SieveError = relErr(sievePred.Cycles, p.total)
-	if ev.SieveSpeedup, err = p.sieve.Speedup(p.golden); err != nil {
-		return nil, err
-	}
-	if ev.SieveCoV, err = p.sieve.WeightedCycleCoV(p.golden); err != nil {
-		return nil, err
-	}
-	pksPred, err := p.pks.PredictCycles(src)
-	if err != nil {
-		return nil, fmt.Errorf("%s: pks predict: %w", name, err)
-	}
-	ev.PKSError = relErr(pksPred, p.total)
-	if ev.PKSSpeedup, err = p.pks.Speedup(p.golden); err != nil {
-		return nil, err
-	}
-	if ev.PKSCoV, err = p.pks.WeightedCycleCoV(p.golden); err != nil {
-		return nil, err
-	}
-	if ev.Methods, err = p.methodEvals(r.cfg, ev.SieveError, ev.PKSError); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+	for _, m := range r.cfg.methodNames() {
+		me, err := p.methodEval(m)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %s: %w", name, m, err)
+		}
+		ev.Methods = append(ev.Methods, me)
 	}
 	return ev, nil
 }
 
-// Evaluations returns the Sieve-vs-PKS evaluation for every named workload.
+// Evaluations returns the methodology comparison for every named workload.
 func (r *Runner) Evaluations(names []string) ([]*Evaluation, error) {
 	out := make([]*Evaluation, 0, len(names))
 	for _, name := range names {

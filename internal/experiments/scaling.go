@@ -3,8 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/gpusampling/sieve/internal/core"
 	"github.com/gpusampling/sieve/internal/gpu"
 	"github.com/gpusampling/sieve/internal/profiler"
+	"github.com/gpusampling/sieve/internal/sampler"
 	"github.com/gpusampling/sieve/internal/stats"
 	"github.com/gpusampling/sieve/internal/workloads"
 )
@@ -59,7 +61,7 @@ func (r *Runner) Scaling() ([]ScalingRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := r.cfg.stratify(prof.Rows(), r.cfg.Theta)
+			plan, err := sampler.Run(r.cfg.ctx(), core.MethodSieve, &sampler.Profile{Rows: prof.Rows()}, r.cfg.options())
 			if err != nil {
 				return nil, err
 			}

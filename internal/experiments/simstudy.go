@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"github.com/gpusampling/sieve/internal/core"
 	"github.com/gpusampling/sieve/internal/gpu"
 	"github.com/gpusampling/sieve/internal/sim"
 	"github.com/gpusampling/sieve/internal/trace"
@@ -54,7 +55,7 @@ func (r *Runner) SimStudy(maxWarpInstrs int) ([]SimStudyRow, error) {
 		}
 		var traces []*trace.Trace
 		row := SimStudyRow{Name: name}
-		for _, idx := range p.sieve.RepresentativeIndices() {
+		for _, idx := range p.plans[core.MethodSieve].RepresentativeIndices() {
 			tr, err := trace.Generate(&p.w.Invocations[idx], maxWarpInstrs, r.cfg.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("%s: trace invocation %d: %w", name, idx, err)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/gpusampling/sieve/internal/core"
 	"github.com/gpusampling/sieve/internal/cudamodel"
 )
 
@@ -44,7 +45,7 @@ func (r *Runner) WarmupStudy() ([]WarmupRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		warmPred, err := p.sieve.Predict(cyclesFrom(p.golden))
+		warmPred, err := p.plans[core.MethodSieve].Predict(cyclesFrom(p.golden))
 		if err != nil {
 			return nil, err
 		}
@@ -53,7 +54,7 @@ func (r *Runner) WarmupStudy() ([]WarmupRow, error) {
 		coldCycles := make(map[int]float64)
 		var penalty float64
 		var n int
-		for _, idx := range p.sieve.RepresentativeIndices() {
+		for _, idx := range p.plans[core.MethodSieve].RepresentativeIndices() {
 			inv := p.w.Invocations[idx] // copy
 			chill(&inv)
 			cold := p.hw.Cycles(&inv)
@@ -61,7 +62,7 @@ func (r *Runner) WarmupStudy() ([]WarmupRow, error) {
 			penalty += cold / p.golden[idx]
 			n++
 		}
-		coldPred, err := p.sieve.Predict(func(i int) (float64, error) {
+		coldPred, err := p.plans[core.MethodSieve].Predict(func(i int) (float64, error) {
 			c, ok := coldCycles[i]
 			if !ok {
 				return 0, fmt.Errorf("invocation %d is not a representative", i)

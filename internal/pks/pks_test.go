@@ -2,7 +2,6 @@ package pks
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -160,91 +159,6 @@ func TestKSelectionUsesGoldenReference(t *testing.T) {
 	}
 	if res.K < 2 {
 		t.Fatalf("separable 4-kernel data should need ≥ 2 clusters, got %d", res.K)
-	}
-}
-
-func TestPredictCyclesWeightsBySize(t *testing.T) {
-	res := &Result{
-		K: 2,
-		Clusters: []Cluster{
-			{Invocations: []int{0, 1, 2}, Representative: 0},
-			{Invocations: []int{3}, Representative: 3},
-		},
-	}
-	pred, err := res.PredictCycles(func(i int) (float64, error) {
-		return float64(100 * (i + 1)), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 3*100.0 + 1*400.0; pred != want {
-		t.Fatalf("predicted %g, want %g", pred, want)
-	}
-	if _, err := res.PredictCycles(func(int) (float64, error) { return 0, nil }); err == nil {
-		t.Fatal("want error on zero cycles")
-	}
-	if _, err := res.PredictCycles(func(int) (float64, error) { return 0, fmt.Errorf("x") }); err == nil {
-		t.Fatal("want error from source")
-	}
-	empty := &Result{}
-	if _, err := empty.PredictCycles(func(int) (float64, error) { return 1, nil }); err == nil {
-		t.Fatal("want error for empty result")
-	}
-}
-
-func TestSpeedupAndCoV(t *testing.T) {
-	res := &Result{
-		K: 1,
-		Clusters: []Cluster{
-			{Invocations: []int{0, 1, 2, 3}, Representative: 0},
-		},
-	}
-	golden := []float64{10, 10, 10, 10}
-	sp, err := res.Speedup(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp != 4 {
-		t.Fatalf("speedup = %g", sp)
-	}
-	cov, err := res.WeightedCycleCoV(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov != 0 {
-		t.Fatalf("CoV of constant cluster = %g", cov)
-	}
-	// Heterogeneous cluster: CoV of {10, 30} around 20 is 0.5.
-	res.Clusters[0].Invocations = []int{0, 1}
-	cov, err = res.WeightedCycleCoV([]float64{10, 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cov-0.5) > 1e-12 {
-		t.Fatalf("CoV = %g, want 0.5", cov)
-	}
-	if _, err := res.Speedup(nil); err == nil {
-		t.Fatal("want error for short golden")
-	}
-	if _, err := res.WeightedCycleCoV(nil); err == nil {
-		t.Fatal("want error for short golden")
-	}
-}
-
-func TestRepresentativeIndicesSorted(t *testing.T) {
-	f, g := syntheticProfile(3, 15, 8)
-	res, err := SelectContext(context.Background(), f, g, Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idxs := res.RepresentativeIndices()
-	if len(idxs) != res.K {
-		t.Fatalf("%d representatives for K=%d", len(idxs), res.K)
-	}
-	for i := 1; i < len(idxs); i++ {
-		if idxs[i] <= idxs[i-1] {
-			t.Fatalf("not sorted: %v", idxs)
-		}
 	}
 }
 

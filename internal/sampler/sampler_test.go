@@ -99,8 +99,9 @@ func TestSieveIdentity(t *testing.T) {
 
 // TestPKSIdentity pins the PKS side: the registry strategy's strata are
 // exactly pks.SelectContext's clusters (same members, same representatives,
-// same order) and the count-weighted plan predicts the same cycle total as
-// the legacy PKS estimator.
+// same order) and the count-weighted plan predicts the PKS estimator's cycle
+// total, Σ cluster size × representative cycles, kept here as a test-local
+// reference.
 func TestPKSIdentity(t *testing.T) {
 	p := testProfile(t, "lmc", 0.02)
 	popts := pks.Options{Seed: 7}
@@ -136,9 +137,13 @@ func TestPKSIdentity(t *testing.T) {
 		}
 		return p.GoldenCycles[i], nil
 	}
-	legacyCycles, err := legacy.PredictCycles(cycles)
-	if err != nil {
-		t.Fatalf("legacy predict: %v", err)
+	var legacyCycles float64
+	for _, c := range legacy.Clusters {
+		v, err := cycles(c.Representative)
+		if err != nil {
+			t.Fatalf("reference predict: %v", err)
+		}
+		legacyCycles += float64(c.Size()) * v
 	}
 	pred, err := plan.Predict(cycles)
 	if err != nil {

@@ -113,24 +113,38 @@ func TestPublicPKSBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	counts, err := ProfileInstructionCounts(w, hw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	full, err := ProfileFull(w, hw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	golden := hw.MeasureWorkload(w)
-	plan, err := PKSSelect(FeatureRows(full), golden, PKSOptions{Seed: 3})
+	plan, err := SampleMethod("pks", &MethodProfile{
+		Rows: ProfileRows(counts), Features: FeatureRows(full), GoldenCycles: golden,
+	}, MethodOptions{PKS: PKSOptions{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.K < 1 || plan.K > 20 {
-		t.Fatalf("PKS chose k = %d", plan.K)
+	if k := plan.NumStrata(); k < 1 || k > 20 {
+		t.Fatalf("PKS chose k = %d", k)
 	}
-	pred, err := plan.PredictCycles(func(i int) (float64, error) { return golden[i], nil })
+	pred, err := plan.Predict(func(i int) (float64, error) { return golden[i], nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred <= 0 {
+	if pred.Cycles <= 0 {
 		t.Fatal("degenerate PKS prediction")
+	}
+	// PKSSelect is the clustering behind the plan: same k.
+	sel, err := PKSSelect(FeatureRows(full), golden, PKSOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel.K != plan.NumStrata() {
+		t.Fatalf("PKSSelect chose k = %d, the plan has %d clusters", sel.K, plan.NumStrata())
 	}
 }
 
