@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -97,6 +98,17 @@ func TestGoldenMethodPlans(t *testing.T) {
 			}
 		}
 	}
+	checkGolden(t, goldenMethodsFile, got, func(e entry) (string, json.RawMessage) {
+		return fmt.Sprintf("%s@%g %s seed %d", e.Workload, e.Scale, e.Method, e.Seed), e.Plan
+	})
+}
+
+// checkGolden compares got, one JSON entry per line, with the fixture file
+// byte for byte, or rewrites the file under -update-golden. On a mismatch it
+// names every entry whose plan drifted; describe labels an entry and returns
+// its plan.
+func checkGolden[E any](t *testing.T, file string, got []E, describe func(E) (string, json.RawMessage)) {
+	t.Helper()
 	var buf bytes.Buffer
 	buf.WriteString("[\n")
 	for i, e := range got {
@@ -113,33 +125,34 @@ func TestGoldenMethodPlans(t *testing.T) {
 	buf.WriteString("]\n")
 
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenMethodsFile), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenMethodsFile, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(file, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenMethodsFile)
+	want, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(buf.Bytes(), want) {
 		return
 	}
-	var wantEntries []entry
+	var wantEntries []E
 	if err := json.Unmarshal(want, &wantEntries); err != nil {
-		t.Fatalf("%s: %v", goldenMethodsFile, err)
+		t.Fatalf("%s: %v", file, err)
 	}
 	for i, e := range got {
+		name, plan := describe(e)
 		if i >= len(wantEntries) {
-			t.Errorf("extra plan %s@%g %s seed %d", e.Workload, e.Scale, e.Method, e.Seed)
+			t.Errorf("extra plan %s", name)
 			continue
 		}
-		if w := wantEntries[i]; !bytes.Equal(e.Plan, w.Plan) {
-			t.Errorf("%s@%g %s seed %d: plan bytes drifted from %s", e.Workload, e.Scale, e.Method, e.Seed, goldenMethodsFile)
+		if _, w := describe(wantEntries[i]); !bytes.Equal(plan, w) {
+			t.Errorf("%s: plan bytes drifted from %s", name, file)
 		}
 	}
-	t.Fatalf("plans differ from %s", goldenMethodsFile)
+	t.Fatalf("plans differ from %s", file)
 }
