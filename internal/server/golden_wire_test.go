@@ -43,6 +43,28 @@ func TestGoldenSampleWire(t *testing.T) {
 	}
 }
 
+// TestGoldenStreamWire pins the stream-mode /v1/sample envelopes, plan ids
+// included, for a text/csv body and a workload, each with a reservoir small
+// enough to sample the plan. The fixture was captured before stream mode
+// joined the method registry.
+func TestGoldenStreamWire(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	_, csv := postCSV(t, ts.URL+"/v1/sample?stream=true&reservoir_size=2&seed=7", testCSV())
+	resp, err := http.Post(ts.URL+"/v1/sample", "application/json",
+		strings.NewReader(`{"workload":"gru","scale":0.01,"options":{"stream":true,"reservoir_size":8,"seed":7}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	workload, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(csv)+string(workload), string(golden(t, "golden_sample_stream.json")); got != want {
+		t.Fatalf("stream envelopes drifted:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestGoldenErrorWire pins the {"error": …} failure document.
 func TestGoldenErrorWire(t *testing.T) {
 	ts := newTestServer(t, Config{})
