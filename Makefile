@@ -48,7 +48,7 @@ bench-compare:
 # reservoir), recorded to BENCH_stream.json.
 bench-stream:
 	$(GO) test -run XXX -bench 'BenchmarkSampleStream' \
-		-benchmem -benchtime 1x -json . > BENCH_stream.json
+		-benchmem -count 5 -benchtime 1s -json . > BENCH_stream.json
 	@echo "benchmark event stream written to BENCH_stream.json"
 
 # Plan-service request latency: a full cache-miss sampling request vs the

@@ -49,13 +49,15 @@ type RequestOptions struct {
 	// count, so this is a scheduling knob only: it does not participate in
 	// the plan's content hash.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Stream selects the bounded-memory streaming sampler.
+	// Stream selects the sieve method's bounded-memory stream mode; a
+	// text/csv body streams without its table being built. Other methods 400.
 	Stream bool `json:"stream,omitempty"`
 	// ReservoirSize bounds rows retained per kernel in stream mode.
 	ReservoirSize int `json:"reservoir_size,omitempty"`
-	// Seed seeds the streaming reservoir priority hash. It participates in
-	// the plan's content hash even outside stream mode, so load generators
-	// can use it as a cache salt to force a cold cache per run.
+	// Seed seeds the plan's randomized draws (stream reservoirs, twophase,
+	// rss, pks; 0 keeps their defaults). It participates in the plan's
+	// content hash even where nothing is drawn, so load generators can use
+	// it as a cache salt to force a cold cache per run.
 	Seed uint64 `json:"seed,omitempty"`
 	// Arch picks the hardware model for workload-mode profiling: "ampere"
 	// (the default) or "turing". sieved answers any other value with 400.

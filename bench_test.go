@@ -798,25 +798,23 @@ func BenchmarkSampleStream(b *testing.B) {
 		}
 	}
 	for _, n := range []int{20000, 80000, 320000} {
-		opts := sieve.StreamOptions{ReservoirSize: 1024}
+		opts := sieve.MethodOptions{Stream: true, ReservoirSize: 1024}
+		stream := func(b *testing.B, opts sieve.MethodOptions) {
+			b.ReportAllocs()
+			var p sieve.MethodProfile
+			for i := 0; i < b.N; i++ {
+				p.Source = synthSource(n)
+				if _, err := sieve.SampleMethod("", &p, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 		b.Run(fmt.Sprintf("stream/seq/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
 			o := opts
-			o.Parallelism = 1
-			for i := 0; i < b.N; i++ {
-				if _, err := sieve.SampleStream(synthSource(n), o); err != nil {
-					b.Fatal(err)
-				}
-			}
+			o.Core.Parallelism = 1
+			stream(b, o)
 		})
-		b.Run(fmt.Sprintf("stream/par/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sieve.SampleStream(synthSource(n), opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("stream/par/n=%d", n), func(b *testing.B) { stream(b, opts) })
 		b.Run(fmt.Sprintf("materialized/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -20,7 +20,6 @@ import (
 
 	"github.com/gpusampling/sieve"
 	"github.com/gpusampling/sieve/internal/cliflags"
-	"github.com/gpusampling/sieve/internal/core"
 	"github.com/gpusampling/sieve/internal/pks"
 	"github.com/gpusampling/sieve/internal/sampler"
 )
@@ -82,6 +81,7 @@ type runConfig struct {
 	Method                 string
 	Seed                   int64
 	Report, TraceOut       string
+	planned                func(*sieve.Plan) // if set, receives the plan (for tests)
 }
 
 func run(cfg runConfig) error {
@@ -126,8 +126,8 @@ func run(cfg runConfig) error {
 	if _, err := sampler.New(method); err != nil {
 		return err
 	}
-	if method != core.MethodSieve && cfg.Stream {
-		return fmt.Errorf("-method %s does not support -stream (only the default sieve sampler streams)", method)
+	if err := sampler.CheckStream(method, cfg.Stream); err != nil {
+		return err
 	}
 
 	// -report / -trace-out attach an observability collector to the context the
@@ -141,6 +141,7 @@ func run(cfg runConfig) error {
 	}
 
 	var profile *sieve.Profile
+	var source sieve.RowSource
 	var w *sieve.Workload
 	switch {
 	case specFile != "":
@@ -163,15 +164,19 @@ func run(cfg runConfig) error {
 		}
 	case profileIn != "":
 		validate = false // no workload to measure
-		if cfg.Stream {
-			// Leave the profile on disk: SampleCSV streams it row by row.
-			break
-		}
 		f, err := os.Open(profileIn)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
+		if cfg.Stream {
+			// The bounded-memory path end to end: the plan streams the file
+			// row by row and the profile table is never built.
+			if source, err = sieve.CSVSource(f); err != nil {
+				return err
+			}
+			break
+		}
 		if profile, err = sieve.ReadProfileCSV(f); err != nil {
 			return err
 		}
@@ -205,48 +210,36 @@ func run(cfg runConfig) error {
 		fmt.Printf("profile CSV written to %s\n", profileOut)
 	}
 
-	var plan *sieve.Plan
-	switch {
-	case cfg.Stream && profile == nil:
-		// -stream -profile-in: the bounded-memory path end to end — the
-		// profile table is never materialized.
-		f, err := os.Open(profileIn)
+	mp := &sieve.MethodProfile{Source: source}
+	if source == nil {
+		mp.Rows = sieve.ProfileRows(profile)
+	}
+	if method == sampler.MethodPKS {
+		if w == nil {
+			return fmt.Errorf("-method pks needs a generated workload (-workload or -spec): its feature vectors and golden cycle reference come from full profiling")
+		}
+		full, err := sieve.ProfileFull(w, hw)
 		if err != nil {
 			return err
 		}
-		plan, err = sieve.SampleCSVContext(ctx, f, sieve.StreamOptions{Options: opts, ReservoirSize: cfg.Reservoir})
-		f.Close()
-		if err != nil {
-			return err
-		}
+		mp.Features = sieve.FeatureRows(full)
+		mp.GoldenCycles = hw.MeasureWorkload(w)
+	}
+	plan, err := sieve.SampleMethodContext(ctx, method, mp, sieve.MethodOptions{
+		Core:          opts,
+		Seed:          cfg.Seed,
+		PKS:           pks.Options{Seed: cfg.Seed, Parallelism: cfg.Parallelism},
+		Stream:        cfg.Stream,
+		ReservoirSize: cfg.Reservoir,
+	})
+	if err != nil {
+		return err
+	}
+	if cfg.planned != nil {
+		cfg.planned(plan)
+	}
+	if source != nil {
 		fmt.Printf("streamed profile from %s\n", profileIn)
-	case cfg.Stream:
-		plan, err = sieve.SampleStreamContext(ctx, sieve.SliceSource(sieve.ProfileRows(profile)),
-			sieve.StreamOptions{Options: opts, ReservoirSize: cfg.Reservoir})
-		if err != nil {
-			return err
-		}
-	default:
-		mp := &sieve.MethodProfile{Rows: sieve.ProfileRows(profile)}
-		if method == sampler.MethodPKS {
-			if w == nil {
-				return fmt.Errorf("-method pks needs a generated workload (-workload or -spec): its feature vectors and golden cycle reference come from full profiling")
-			}
-			full, err := sieve.ProfileFull(w, hw)
-			if err != nil {
-				return err
-			}
-			mp.Features = sieve.FeatureRows(full)
-			mp.GoldenCycles = hw.MeasureWorkload(w)
-		}
-		plan, err = sieve.SampleMethodContext(ctx, method, mp, sieve.MethodOptions{
-			Core: opts,
-			Seed: cfg.Seed,
-			PKS:  pks.Options{Seed: cfg.Seed, Parallelism: cfg.Parallelism},
-		})
-		if err != nil {
-			return err
-		}
 	}
 	if col != nil {
 		if err := cliflags.WriteObsOutputs(col, cfg.Report, cfg.TraceOut); err != nil {

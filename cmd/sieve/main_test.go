@@ -74,7 +74,7 @@ func TestRunStream(t *testing.T) {
 	}
 
 	// Streaming straight from a generated workload, with validation: the
-	// sampler sees the rows through SliceSource and still predicts.
+	// sampler streams the in-memory rows and still predicts.
 	cfg = base()
 	cfg.Workload, cfg.Stream, cfg.Validate = "gru", true, true
 	if err := run(cfg); err != nil {

@@ -110,7 +110,7 @@ func TestSampleStreamContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	baseline := runtime.NumGoroutine()
-	_, err := sieve.SampleStreamContext(ctx, sieve.SliceSource(profile), sieve.StreamOptions{})
+	_, err := sieve.SampleMethodContext(ctx, "", &sieve.MethodProfile{Rows: profile}, sieve.MethodOptions{Stream: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -120,7 +120,11 @@ func TestSampleStreamContextCanceled(t *testing.T) {
 func TestSampleCSVContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := sieve.SampleCSVContext(ctx, csvReader(t, syntheticProfile(2, 8)), sieve.StreamOptions{})
+	src, err := sieve.CSVSource(csvReader(t, syntheticProfile(2, 8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sieve.SampleMethodContext(ctx, "", &sieve.MethodProfile{Source: src}, sieve.MethodOptions{Stream: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -204,14 +208,14 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := sieve.Sample(syntheticProfile(1, 4), sieve.Options{ThetaSet: true}); !errors.Is(err, sieve.ErrInvalidTheta) {
 		t.Fatalf("explicit zero theta err = %v, want ErrInvalidTheta", err)
 	}
-	if _, err := sieve.SampleStream(sieve.SliceSource(nil), sieve.StreamOptions{}); !errors.Is(err, sieve.ErrEmptyProfile) {
+	if _, err := sieve.SampleMethod("", &sieve.MethodProfile{}, sieve.MethodOptions{Stream: true}); !errors.Is(err, sieve.ErrEmptyProfile) {
 		t.Fatalf("empty stream err = %v, want ErrEmptyProfile", err)
 	}
 
 	// A kernel overflowing its reservoir marks the plan Sampled; exact-
 	// membership metrics must refuse with ErrSampledPlan.
 	profile := syntheticProfile(1, 64)
-	plan, err := sieve.SampleStream(sieve.SliceSource(profile), sieve.StreamOptions{ReservoirSize: 8})
+	plan, err := sieve.SampleMethod("", &sieve.MethodProfile{Rows: profile}, sieve.MethodOptions{Stream: true, ReservoirSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

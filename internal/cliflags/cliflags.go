@@ -24,7 +24,7 @@ import (
 const (
 	thetaHelp       = "Sieve CoV threshold θ separating Tier-2 from Tier-3 (paper default 0.4)"
 	parallelismHelp = "worker count for the parallel sampling pipelines (1 = sequential; results are byte-identical at any value)"
-	seedHelp        = "deterministic RNG seed for PKS clustering and k-means restarts (0 = default)"
+	seedHelp        = "deterministic RNG seed for the seeded methods (pks, twophase, rss) and stream-mode reservoirs (0 = default)"
 	archHelp        = "hardware model: ampere, turing, or a JSON arch file"
 	streamHelp      = "use the bounded-memory streaming sampler (single pass, per-kernel reservoirs)"
 	reservoirHelp   = "rows retained per kernel in -stream mode (0 = default)"

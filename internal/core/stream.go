@@ -29,18 +29,6 @@ type StreamOptions struct {
 	BatchSize int
 }
 
-// streamOptions is the single conversion point between the sampling options
-// and the ingestion layer's knobs; parallelism comes from the embedded
-// Options after defaulting so the two layers can never disagree.
-func (o StreamOptions) streamOptions(parallelism int) stream.Options {
-	return stream.Options{
-		ReservoirSize: o.ReservoirSize,
-		Seed:          o.Seed,
-		Parallelism:   parallelism,
-		BatchSize:     o.BatchSize,
-	}
-}
-
 // RowSource yields the next profile row, or io.EOF after the last one. Rows
 // must arrive in strictly ascending global Index order (the natural order of
 // a chronological profile log), which is how the single pass detects
@@ -106,7 +94,12 @@ func StratifyStreamContext(ctx context.Context, next RowSource, opts StreamOptio
 			InstructionCount: p.InstructionCount,
 			CTASize:          p.CTASize,
 		}, nil
-	}, opts.streamOptions(o.Parallelism))
+	}, stream.Options{
+		ReservoirSize: opts.ReservoirSize,
+		Seed:          opts.Seed,
+		Parallelism:   o.Parallelism, // after defaulting, so the layers agree
+		BatchSize:     opts.BatchSize,
+	})
 	if err != nil {
 		return nil, err
 	}

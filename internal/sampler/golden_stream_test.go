@@ -34,16 +34,17 @@ type streamEntry struct {
 
 // streamOptions are the golden options of TestGoldenMethodPlans in stream
 // mode.
-func streamOptions(reservoir int, seed int64) sieve.StreamOptions {
-	return sieve.StreamOptions{
-		Options: sieve.Options{
+func streamOptions(reservoir int, seed int64) sieve.MethodOptions {
+	return sieve.MethodOptions{
+		Core: sieve.Options{
 			Theta:         sieve.DefaultTheta,
 			Selection:     sieve.SelectDominantCTAFirst,
 			Tier3Splitter: sieve.SplitKDE,
 			Parallelism:   2,
 		},
+		Seed:          seed,
+		Stream:        true,
 		ReservoirSize: reservoir,
-		Seed:          uint64(seed),
 	}
 }
 
@@ -66,7 +67,7 @@ func TestGoldenStreamPlans(t *testing.T) {
 		p := methodProfile(t, wl.name, wl.scale, "sieve")
 		for _, seed := range []int64{1, 7} {
 			for _, reservoir := range []int{0, 8} {
-				plan, err := sieve.SampleStreamContext(context.Background(), sieve.SliceSource(p.Rows), streamOptions(reservoir, seed))
+				plan, err := sieve.SampleMethodContext(context.Background(), "sieve", p, streamOptions(reservoir, seed))
 				if err != nil {
 					t.Fatalf("%s@%g reservoir %d seed %d: %v", wl.name, wl.scale, reservoir, seed, err)
 				}
@@ -93,13 +94,17 @@ func TestGoldenStreamPlans(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 7} {
 		for _, reservoir := range []int{0, 8} {
-			plan, err := sieve.SampleCSVContext(context.Background(), bytes.NewReader(csv), streamOptions(reservoir, seed))
+			src, err := sieve.CSVSource(bytes.NewReader(csv))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := sieve.SampleMethodContext(context.Background(), "sieve", &sieve.MethodProfile{Source: src}, streamOptions(reservoir, seed))
 			if err != nil {
 				t.Fatalf("lmc csv reservoir %d seed %d: %v", reservoir, seed, err)
 			}
 			e := newStreamEntry(t, "csv", reservoir, seed, plan)
 			if reservoir == 0 {
-				want, err := sieve.SampleMethod("sieve", &sieve.MethodProfile{Rows: sieve.ProfileRows(prof)}, sieve.MethodOptions{Core: streamOptions(0, seed).Options, Seed: seed})
+				want, err := sieve.SampleMethod("sieve", &sieve.MethodProfile{Rows: sieve.ProfileRows(prof)}, sieve.MethodOptions{Core: streamOptions(0, seed).Core, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -14,6 +14,7 @@ package sampler
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -23,13 +24,16 @@ import (
 	"github.com/gpusampling/sieve/internal/pks"
 )
 
-// Profile is the input every strategy plans from. Rows is always required;
-// Features and GoldenCycles are optional side channels that feature-based
-// methodologies (PKS) consume and instruction-count-only methodologies
-// ignore.
+// Profile is the input every strategy plans from: its Rows, or in stream
+// mode either Rows or a Source yielding them, never both. Features and
+// GoldenCycles are optional side channels that feature-based methodologies
+// (PKS) consume and instruction-count-only methodologies ignore.
 type Profile struct {
 	// Rows is the per-invocation instruction-count profile, chronological.
 	Rows []core.InvocationProfile
+	// Source yields the rows once, in ascending Index order, so stream mode
+	// never builds the row table.
+	Source core.RowSource
 	// Features holds one characteristic vector per row (chronological,
 	// parallel to Rows) for feature-clustering methodologies. Nil for
 	// methods that don't need it.
@@ -85,6 +89,11 @@ type Options struct {
 	// (including its zero seed), so registry-built PKS plans match the legacy
 	// call paths exactly.
 	PKS pks.Options
+	// Stream makes the sieve method plan in one bounded-memory pass
+	// (core.StratifyStreamContext) keeping ReservoirSize rows per kernel,
+	// with Seed seeding the reservoirs; no other method streams.
+	Stream        bool
+	ReservoirSize int
 }
 
 // WithDefaults validates the options and fills defaults. Strategies call it
@@ -118,6 +127,14 @@ func (o Options) WithDefaults() (Options, error) {
 		return o, fmt.Errorf("sampler: resamples %d < 2 (an interval needs at least two resamples)", o.Resamples)
 	}
 	return o, nil
+}
+
+// CheckStream rejects stream mode for every method but sieve.
+func CheckStream(method string, stream bool) error {
+	if method = Canonical(method); stream && method != core.MethodSieve {
+		return fmt.Errorf("method %q does not support stream mode (only the default sieve sampler streams)", method)
+	}
+	return nil
 }
 
 // Sampler is one sampling methodology: it turns a profile into a complete,
@@ -189,14 +206,20 @@ func Names() []string {
 
 // Run resolves the named strategy and builds its plan under a sampler.plan
 // observability span (method, rows and strata attributes). It is the entry
-// point the root API, the service and the experiments harness share.
-// Strategy errors are returned as the strategy reported them: they already
-// name their layer, so the default method fails with exactly the errors
-// core.StratifyContext reports.
+// point the root API, the service, the CLIs and the experiments harness
+// share. Strategy errors are returned as the strategy reported them: they
+// already name their layer, so the default method fails with exactly the
+// errors core reports.
 func Run(ctx context.Context, method string, p *Profile, opts Options) (*core.Result, error) {
 	s, err := New(method)
 	if err != nil {
 		return nil, err
+	}
+	if err := CheckStream(method, opts.Stream); err != nil {
+		return nil, err
+	}
+	if p.Source != nil && (p.Rows != nil || !opts.Stream) {
+		return nil, errors.New("sampler: a profile with a Source needs stream mode and no Rows")
 	}
 	ctx, sp := obs.StartSpan(ctx, "sampler.plan")
 	defer sp.End()
@@ -209,6 +232,9 @@ func Run(ctx context.Context, method string, p *Profile, opts Options) (*core.Re
 		return nil, err
 	}
 	if sp.Active() {
+		if p.Source != nil { // every ingested row is in one tier
+			sp.SetAttr("rows", res.TierInvocations[0]+res.TierInvocations[1]+res.TierInvocations[2])
+		}
 		sp.SetAttr("strata", len(res.Strata))
 	}
 	return res, nil

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/gpusampling/sieve"
 	"github.com/gpusampling/sieve/internal/core"
 	"github.com/gpusampling/sieve/internal/gpu"
 	"github.com/gpusampling/sieve/internal/pks"
@@ -16,6 +17,7 @@ import (
 	"github.com/gpusampling/sieve/internal/sampler"
 	"github.com/gpusampling/sieve/internal/sampler/rss"
 	"github.com/gpusampling/sieve/internal/sampler/twophase"
+	"github.com/gpusampling/sieve/internal/stream"
 	"github.com/gpusampling/sieve/internal/workloads"
 )
 
@@ -271,6 +273,59 @@ func TestRunReturnsStrategyErrors(t *testing.T) {
 	}
 	if !errors.Is(viaRun, core.ErrInvalidTheta) {
 		t.Fatalf("Run error %v does not wrap core.ErrInvalidTheta", viaRun)
+	}
+}
+
+// TestRunStreamProfiles: stream mode is an option of the sieve method only,
+// and a profile sets exactly one of Rows and Source. Every other method is
+// rejected with CheckStream's message (from the root API too), a Source-only
+// profile outside stream mode gets an error that says so instead of
+// core's ErrEmptyProfile, and a profile with both is refused. Stream mode's
+// default seed is the stream layer's, so a zero seed plans the reservoirs
+// stream mode has always kept.
+func TestRunStreamProfiles(t *testing.T) {
+	ctx := context.Background()
+	p := testProfile(t, "lmc", 0.02)
+	for _, method := range sampler.Names() {
+		if method == core.MethodSieve {
+			continue
+		}
+		want := sampler.CheckStream(method, true)
+		if want == nil {
+			t.Fatalf("CheckStream(%s, true) accepts stream mode", method)
+		}
+		_, err := sieve.SampleMethodContext(ctx, method, p, sampler.Options{Stream: true})
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s in stream mode: err = %v, want %v", method, err, want)
+		}
+	}
+	if err := sampler.CheckStream("", true); err != nil {
+		t.Errorf("the default method must stream: %v", err)
+	}
+
+	_, err := sampler.Run(ctx, "sieve", &sampler.Profile{Source: core.SliceSource(p.Rows)}, sampler.Options{})
+	if err == nil || errors.Is(err, core.ErrEmptyProfile) || !strings.Contains(err.Error(), "stream mode") {
+		t.Errorf("Source-only profile without Stream: err = %v, want an error naming stream mode", err)
+	}
+	_, err = sampler.Run(ctx, "sieve", &sampler.Profile{Rows: p.Rows, Source: core.SliceSource(p.Rows)}, sampler.Options{Stream: true})
+	if err == nil || !strings.Contains(err.Error(), "no Rows") {
+		t.Errorf("profile with Rows and Source: err = %v, want a refusal", err)
+	}
+
+	if sampler.DefaultSeed != stream.DefaultSeed {
+		t.Fatalf("sampler.DefaultSeed %d != stream.DefaultSeed %d: a zero seed would move every stream plan", sampler.DefaultSeed, stream.DefaultSeed)
+	}
+	small := sampler.Options{Stream: true, ReservoirSize: 8}
+	fromRows, err := sampler.Run(ctx, "sieve", &sampler.Profile{Rows: p.Rows}, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := core.StratifyStreamContext(ctx, core.SliceSource(p.Rows), core.StreamOptions{ReservoirSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fromRows.Sampled || !reflect.DeepEqual(fromRows, direct) {
+		t.Error("a zero-seed stream plan differs from core's default-seed stream plan")
 	}
 }
 

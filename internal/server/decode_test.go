@@ -193,11 +193,14 @@ func TestBodyFramingOnTheWire(t *testing.T) {
 
 // referenceKey spells key's hashed bytes with the fmt format they are
 // defined by; key appends them by hand, and plan ids depend on every byte.
+// The stream, reservoir and seed fields are read from the wire request, as
+// they were hashed before resolve kept them in the method options.
 func referenceKey(rv *resolved, kind string) string {
 	h := sha256.New()
+	o := rv.req.Options
 	fmt.Fprintf(h, "%s|theta=%g|sel=%d|split=%d|stream=%v|res=%d|seed=%d|arch=%s|",
-		kind, rv.opts.Theta, rv.opts.Selection, rv.opts.Tier3Splitter,
-		rv.req.Options.Stream, rv.stream.ReservoirSize, rv.stream.Seed, rv.arch)
+		kind, rv.opts.Core.Theta, rv.opts.Core.Selection, rv.opts.Core.Tier3Splitter,
+		o.Stream, o.ReservoirSize, o.Seed, rv.arch)
 	if rv.method != core.MethodSieve {
 		fmt.Fprintf(h, "method=%s|", rv.method)
 	}

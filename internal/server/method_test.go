@@ -4,8 +4,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"github.com/gpusampling/sieve/api"
+	"github.com/gpusampling/sieve/internal/core"
+	"github.com/gpusampling/sieve/internal/sampler"
 )
 
 // postSample POSTs a JSON sample request built from src (profile_csv or
@@ -274,5 +279,35 @@ func TestMethodRequestCounters(t *testing.T) {
 		if !strings.Contains(string(text), line) {
 			t.Errorf("/metrics missing %q", line)
 		}
+	}
+}
+
+// TestStreamRejectsNonSieveMethods: stream mode under any registered method
+// but sieve is a 400 carrying sampler.CheckStream's one message, for both
+// profile sources. resolve answers it before the request is hashed, so no
+// cache lookup or computation is counted.
+func TestStreamRejectsNonSieveMethods(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	for _, method := range sampler.Names() {
+		if method == core.MethodSieve {
+			continue
+		}
+		want := sampler.CheckStream(method, true).Error()
+		for _, src := range []map[string]any{{"profile_csv": testCSV()}, {"workload": "lmc", "scale": 0.01}} {
+			src["options"] = map[string]any{"method": method, "stream": true}
+			status, body := postSample(t, ts.URL+"/v1/sample", src)
+			var e api.Error
+			if err := json.Unmarshal(body, &e); err != nil {
+				t.Fatal(err)
+			}
+			if status != http.StatusBadRequest || e.Message != want {
+				t.Errorf("%s stream %v: status %d, error %q; want 400 and %q", method, src, status, e.Message, want)
+			}
+		}
+	}
+	if m, c := srv.metrics.CacheMisses.Value(), srv.metrics.Computations.Value(); m != 0 || c != 0 {
+		t.Errorf("rejected requests counted %d cache misses and %d computations, want 0", m, c)
 	}
 }

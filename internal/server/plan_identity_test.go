@@ -13,7 +13,7 @@ import (
 
 	"github.com/gpusampling/sieve"
 	"github.com/gpusampling/sieve/api"
-	"github.com/gpusampling/sieve/internal/pks"
+	"github.com/gpusampling/sieve/internal/core"
 	"github.com/gpusampling/sieve/internal/sampler"
 )
 
@@ -25,8 +25,10 @@ const identitySeed = 7
 // library: for every registered method, both profile sources and every
 // request path, the plan bytes the service answers equal marshalPlan of the
 // plan sieve.SampleMethodContext builds in-process with the options the
-// server resolved the request to. Stream mode is checked the same way against
-// sieve.SampleCSVContext.
+// server resolved the request to. The default method is checked in stream
+// mode too, with an 8-row reservoir that samples the plan: the service
+// streams a CSV body through sieve.CSVSource, while the in-process reference
+// streams the parsed rows.
 func TestServedPlanIdentity(t *testing.T) {
 	srv := New(Config{})
 	csvBytes, err := os.ReadFile(filepath.Join("..", "..", "testdata", "profile_lmc_scale0.01.csv"))
@@ -41,44 +43,40 @@ func TestServedPlanIdentity(t *testing.T) {
 		{"csv", api.SampleRequest{ProfileCSV: csv}},
 		{"workload", api.SampleRequest{Workload: "lmc", Scale: 0.01}},
 	}
+	type mode struct {
+		name string
+		opts api.RequestOptions
+	}
 	for _, method := range sampler.Names() {
+		modes := []mode{{"", api.RequestOptions{Method: method, Seed: identitySeed}}}
+		if method == core.MethodSieve {
+			modes = append(modes, mode{"-stream", api.RequestOptions{Stream: true, ReservoirSize: 8, Seed: identitySeed}})
+		}
 		for _, src := range sources {
 			if method == sampler.MethodPKS && src.req.ProfileCSV != "" {
 				continue // pks plans from server-side feature profiling only
 			}
-			req := src.req
-			req.Options = api.RequestOptions{Method: method, Seed: identitySeed}
-			t.Run(method+"/"+src.name, func(t *testing.T) {
-				want := inProcessPlan(t, srv, req)
-				for path, got := range servedPlans(t, req) {
-					if string(got) != string(want) {
-						t.Errorf("%s: served plan differs from the in-process plan:\n got %s\nwant %s", path, got, want)
+			for _, m := range modes {
+				req := src.req
+				req.Options = m.opts
+				t.Run(method+m.name+"/"+src.name, func(t *testing.T) {
+					want := inProcessPlan(t, srv, req)
+					var plan api.Plan
+					if err := json.Unmarshal(want, &plan); err != nil {
+						t.Fatal(err)
 					}
-				}
-			})
-		}
-	}
-
-	t.Run("sieve-stream/csv", func(t *testing.T) {
-		req := api.SampleRequest{ProfileCSV: csv, Options: api.RequestOptions{Stream: true, ReservoirSize: 8, Seed: identitySeed}}
-		rv, err := srv.resolve(cloneRequest(req))
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := sieve.SampleCSVContext(context.Background(), strings.NewReader(csv), rv.stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !plan.Sampled {
-			t.Fatal("an 8-row reservoir should sample the lmc fixture")
-		}
-		want := mustMarshalPlan(t, plan)
-		for path, got := range servedPlans(t, req) {
-			if string(got) != string(want) {
-				t.Errorf("%s: served stream plan differs from sieve.SampleCSVContext:\n got %s\nwant %s", path, got, want)
+					if plan.Sampled != req.Options.Stream {
+						t.Fatalf("sampled = %v: an 8-row reservoir, and only it, should sample the lmc profile", plan.Sampled)
+					}
+					for path, got := range servedPlans(t, req) {
+						if string(got) != string(want) {
+							t.Errorf("%s: served plan differs from the in-process plan:\n got %s\nwant %s", path, got, want)
+						}
+					}
+				})
 			}
 		}
-	})
+	}
 }
 
 // cloneRequest copies a request so resolve's defaulting cannot leak into the
@@ -128,12 +126,7 @@ func inProcessPlan(t *testing.T, srv *Server, req api.SampleRequest) []byte {
 			p.GoldenCycles = hw.MeasureWorkload(w)
 		}
 	}
-	opts := sieve.MethodOptions{
-		Core: rv.opts,
-		Seed: int64(rv.stream.Seed),
-		PKS:  pks.Options{Seed: int64(rv.stream.Seed), Parallelism: rv.opts.Parallelism},
-	}
-	plan, err := sieve.SampleMethodContext(context.Background(), rv.method, p, opts)
+	plan, err := sieve.SampleMethodContext(context.Background(), rv.method, p, rv.opts)
 	if err != nil {
 		t.Fatal(err)
 	}

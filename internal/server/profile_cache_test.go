@@ -99,7 +99,7 @@ func TestProfileCacheSharedAcrossMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := sampler.Options{Core: rv.opts}.WithDefaults()
+	opts, err := rv.opts.WithDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -386,13 +386,13 @@ func optionsFromQuery(q url.Values, o *api.RequestOptions) error {
 	return err
 }
 
-// resolved is a fully-validated request: concrete sieve options plus the
+// resolved is a fully-validated request: concrete method options plus the
 // profile source, ready to hash and run.
 type resolved struct {
-	req    *api.SampleRequest
-	opts   sieve.Options
-	stream sieve.StreamOptions
-	arch   string
+	req *api.SampleRequest
+	// opts plans the request; its seed, the request's, also salts the key.
+	opts sieve.MethodOptions
+	arch string
 	// method is the canonicalized sampling methodology ("sieve" for the
 	// default / empty wire value).
 	method string
@@ -449,8 +449,8 @@ func (s *Server) resolve(req *api.SampleRequest) (*resolved, error) {
 	if _, err := sampler.New(method); err != nil {
 		return nil, badRequest{err}
 	}
-	if method != core.MethodSieve && req.Options.Stream {
-		return nil, badRequest{fmt.Errorf("method %q does not support stream mode (only the default sieve sampler streams)", method)}
+	if err := sampler.CheckStream(method, req.Options.Stream); err != nil {
+		return nil, badRequest{err}
 	}
 	if method == sampler.MethodPKS && req.ProfileCSV != "" {
 		return nil, badRequest{errors.New(`method "pks" requires workload mode: its 12-characteristic feature vectors and golden cycle reference are profiled server-side`)}
@@ -478,13 +478,15 @@ func (s *Server) resolve(req *api.SampleRequest) (*resolved, error) {
 			return nil, badRequest{fmt.Errorf("scale %g outside (0, 1]", req.Scale)}
 		}
 	}
+	seed := int64(req.Options.Seed)
 	return &resolved{
-		req:  req,
-		opts: o,
-		stream: sieve.StreamOptions{
-			Options:       o,
+		req: req,
+		opts: sieve.MethodOptions{
+			Core:          o,
+			Seed:          seed,
+			PKS:           pks.Options{Seed: seed, Parallelism: o.Parallelism},
+			Stream:        req.Options.Stream,
 			ReservoirSize: req.Options.ReservoirSize,
-			Seed:          req.Options.Seed,
 		},
 		arch:   arch,
 		method: method,
@@ -506,12 +508,12 @@ func (s *Server) resolve(req *api.SampleRequest) (*resolved, error) {
 func (rv *resolved) key(kind string) string {
 	b := make([]byte, 0, 128)
 	b = append(append(b, kind...), "|theta="...)
-	b = strconv.AppendFloat(b, rv.opts.Theta, 'g', -1, 64)
-	b = strconv.AppendInt(append(b, "|sel="...), int64(rv.opts.Selection), 10)
-	b = strconv.AppendInt(append(b, "|split="...), int64(rv.opts.Tier3Splitter), 10)
-	b = strconv.AppendBool(append(b, "|stream="...), rv.req.Options.Stream)
-	b = strconv.AppendInt(append(b, "|res="...), int64(rv.stream.ReservoirSize), 10)
-	b = strconv.AppendUint(append(b, "|seed="...), rv.stream.Seed, 10)
+	b = strconv.AppendFloat(b, rv.opts.Core.Theta, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, "|sel="...), int64(rv.opts.Core.Selection), 10)
+	b = strconv.AppendInt(append(b, "|split="...), int64(rv.opts.Core.Tier3Splitter), 10)
+	b = strconv.AppendBool(append(b, "|stream="...), rv.opts.Stream)
+	b = strconv.AppendInt(append(b, "|res="...), int64(rv.opts.ReservoirSize), 10)
+	b = strconv.AppendUint(append(b, "|seed="...), uint64(rv.opts.Seed), 10)
 	b = append(append(append(b, "|arch="...), rv.arch...), '|')
 	// Non-default methodologies are canonicalized into the hash so the same
 	// source sampled under two methods addresses two distinct plans. The
@@ -553,15 +555,23 @@ func (s *Server) acquireSlot(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// profile materializes the sampler input: the caller's CSV rows, or the
-// cached profile of a workload generated and profiled server-side, handed
-// to every method as it is cached, memoized base stratifications included.
-// pks plans from the workload's 12-characteristic feature vectors and
-// golden per-invocation cycle reference (resolve already rejected pks with
-// CSV sources); the other methods read the rows alone. CSV parse failures
-// are the caller's data (400); for a workload only an unknown name (caught
-// in resolve) is the caller's fault.
+// profile builds the sampler input: the caller's CSV rows, or the cached
+// profile of a workload generated and profiled server-side, handed to every
+// method as it is cached, memoized base stratifications included. A stream
+// request's CSV body becomes a row source instead, so the profile table is
+// never built. pks plans from the workload's 12-characteristic feature
+// vectors and golden per-invocation cycle reference (resolve already
+// rejected pks with CSV sources); the other methods read the rows alone. CSV
+// parse failures are the caller's data (400); for a workload only an unknown
+// name (caught in resolve) is the caller's fault.
 func (s *Server) profile(ctx context.Context, rv *resolved) (*sieve.MethodProfile, error) {
+	if rv.opts.Stream && rv.req.ProfileCSV != "" {
+		src, err := sieve.CSVSource(strings.NewReader(rv.req.ProfileCSV))
+		if err != nil {
+			return nil, badRequest{err}
+		}
+		return &sieve.MethodProfile{Source: src}, nil
+	}
 	if rv.req.ProfileCSV != "" {
 		rows, err := profiler.ParseRows(rv.req.ProfileCSV)
 		if err != nil {
@@ -646,32 +656,14 @@ func (s *Server) workloadProfile(ctx context.Context, rv *resolved) (*sieve.Meth
 	return p, nil
 }
 
-// samplePlan runs the sampling pipeline for the resolved request: every
-// method plans from the materialized profile through one
-// SampleMethodContext call. Stream mode (default method only, enforced by
-// resolve) is the exception: its input is a row source, so a CSV body
-// streams row by row without the profile table ever being built. The request
-// seed doubles as the methodology seed, so clients reproduce stochastic
-// plans (twophase pilots, rss draws) the same way they salt the cache: via
-// options.seed.
+// samplePlan runs the sampling pipeline for the resolved request: one
+// SampleMethodContext call on its profile, stream mode included.
 func (s *Server) samplePlan(ctx context.Context, rv *resolved) (*sieve.Plan, error) {
-	if rv.req.Options.Stream && rv.req.ProfileCSV != "" {
-		plan, err := sieve.SampleCSVContext(ctx, strings.NewReader(rv.req.ProfileCSV), rv.stream)
-		return plan, rv.callerError(err)
-	}
 	p, err := s.profile(ctx, rv)
 	if err != nil {
 		return nil, err
 	}
-	if rv.req.Options.Stream {
-		return sieve.SampleStreamContext(ctx, sieve.SliceSource(p.Rows), rv.stream)
-	}
-	seed := int64(rv.stream.Seed)
-	plan, err := sieve.SampleMethodContext(ctx, rv.method, p, sieve.MethodOptions{
-		Core: rv.opts,
-		Seed: seed,
-		PKS:  pks.Options{Seed: seed, Parallelism: rv.opts.Parallelism},
-	})
+	plan, err := sieve.SampleMethodContext(ctx, rv.method, p, rv.opts)
 	return plan, rv.callerError(err)
 }
 
@@ -879,12 +871,13 @@ func (s *Server) serveCharacterize(w http.ResponseWriter, r *http.Request) int {
 	}
 	defer release()
 	compCtx, comp := startStage(ctx, stageCompute)
+	rv.opts.Stream = false // characterization needs the row table, not a source
 	p, err := s.profile(compCtx, rv)
 	if err != nil {
 		comp.end()
 		return s.writeError(w, err)
 	}
-	sums, err := sieve.CharacterizeContext(compCtx, p.Rows, rv.opts.Theta)
+	sums, err := sieve.CharacterizeContext(compCtx, p.Rows, rv.opts.Core.Theta)
 	comp.end()
 	if err != nil {
 		return s.writeError(w, rv.callerError(err))

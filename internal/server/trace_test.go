@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -172,6 +173,62 @@ func TestTracedSampleEndToEnd(t *testing.T) {
 	var errDoc api.Error
 	if status := getJSON(t, ts.URL+"/debug/traces/"+strings.Repeat("ff", 16), &errDoc); status != http.StatusNotFound {
 		t.Fatalf("unknown trace id status %d, want 404", status)
+	}
+}
+
+// TestTracedStreamSample: a sampled stream-mode request plans through the
+// method registry like every other, so its span tree reads compute →
+// sampler.plan → core.stratify_stream, and sampler.plan's rows attribute
+// counts the rows the stream ingested although the CSV body was never
+// parsed into a table.
+func TestTracedStreamSample(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	id := strings.Repeat("cd", 16)
+	csv := testCSV()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sample?stream=true&reservoir_size=2", strings.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "text/csv")
+	req.Header.Set(api.TraceHeader, id+"-01")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env api.PlanEnvelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream sample: status %d, err %v", resp.StatusCode, err)
+	}
+	var plan api.Plan
+	if err := json.Unmarshal(env.Plan, &plan); err != nil || !plan.Sampled {
+		t.Fatalf("a 2-row reservoir should sample the test profile (sampled %v, err %v)", plan.Sampled, err)
+	}
+
+	status, tr := getTrace(t, ts.URL, id)
+	if status != http.StatusOK {
+		t.Fatalf("GET /debug/traces/%s status %d", id, status)
+	}
+	child := func(sp *api.TraceSpan, name string) *api.TraceSpan {
+		t.Helper()
+		for _, c := range sp.Children {
+			if c.Name == name {
+				return c
+			}
+		}
+		t.Fatalf("span %s has no %s child", sp.Name, name)
+		return nil
+	}
+	comp := findSpan(tr.Spans, stageCompute.String())
+	if comp == nil {
+		t.Fatal("no compute span")
+	}
+	sp := child(comp, "sampler.plan")
+	child(sp, "core.stratify_stream")
+	rows := strings.Count(csv, "\n") - 1 // minus the header
+	if got, _ := sp.Attrs["rows"].(float64); int(got) != rows {
+		t.Errorf("sampler.plan rows = %v, want the %d ingested rows", sp.Attrs["rows"], rows)
 	}
 }
 

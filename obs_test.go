@@ -68,12 +68,13 @@ func TestCollectorDoesNotChangePlans(t *testing.T) {
 		})
 	}
 	for _, reservoir := range []int{0, 32} { // exact and overflowed
-		base, err := SampleStream(SliceSource(rows), StreamOptions{ReservoirSize: reservoir})
+		opts := MethodOptions{Stream: true, ReservoirSize: reservoir}
+		base, err := SampleMethod("", &MethodProfile{Rows: rows}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx := WithCollector(context.Background(), NewCollector())
-		observed, err := SampleStreamContext(ctx, SliceSource(rows), StreamOptions{ReservoirSize: reservoir})
+		observed, err := SampleMethodContext(ctx, "", &MethodProfile{Rows: rows}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func TestReportCoversPipelineStages(t *testing.T) {
 	if _, err := SampleContext(ctx, rows, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SampleStreamContext(ctx, SliceSource(rows), StreamOptions{}); err != nil {
+	if _, err := SampleMethodContext(ctx, "", &MethodProfile{Rows: rows}, MethodOptions{Stream: true}); err != nil {
 		t.Fatal(err)
 	}
 	features := make([][]float64, len(rows))

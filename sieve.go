@@ -138,14 +138,15 @@ func SampleContext(ctx context.Context, profile []InvocationProfile, opts Option
 func Methods() []string { return sampler.Names() }
 
 // MethodProfile is the input a sampling methodology plans from: the
-// instruction-count rows every method needs, plus the optional feature
-// vectors and golden cycle counts that feature-clustering methods (pks)
-// require.
+// instruction-count rows every method needs (or, in stream mode, a Source
+// yielding them), plus the optional feature vectors and golden cycle counts
+// that feature-clustering methods (pks) require.
 type MethodProfile = sampler.Profile
 
 // MethodOptions carries the methodology knobs: the shared core options plus
 // per-strategy parameters (Seed, PilotFraction, Budget, SetSize, Resamples,
-// PKS).
+// PKS) and the default sieve method's bounded-memory stream mode (Stream,
+// ReservoirSize).
 type MethodOptions = sampler.Options
 
 // ErrorInterval is a methodology-supplied confidence interval on a plan's
@@ -161,7 +162,8 @@ func SampleMethod(method string, p *MethodProfile, opts MethodOptions) (*Plan, e
 }
 
 // SampleMethodContext is SampleMethod with cancellation, observed between
-// strata and resamples.
+// strata and resamples; a stream-mode pass also observes it between
+// ingestion batches, then drains its shards and returns ctx.Err().
 func SampleMethodContext(ctx context.Context, method string, p *MethodProfile, opts MethodOptions) (*Plan, error) {
 	return sampler.Run(ctx, method, p, opts)
 }

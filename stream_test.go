@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// TestSampleStreamMatchesSample drives the public streaming API end to end
-// on real generated workloads: whenever every kernel fits its reservoir the
-// streamed plan must be byte-identical to Sample's, at any parallelism,
-// whether the rows arrive from a slice or straight from a profile CSV.
+// TestSampleStreamMatchesSample drives stream mode through the public API end
+// to end on real generated workloads: whenever every kernel fits its
+// reservoir the streamed plan must be byte-identical to Sample's, at any
+// parallelism, whether the rows arrive from a slice or straight from a
+// profile CSV.
 func TestSampleStreamMatchesSample(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload pipelines in -short mode")
@@ -35,11 +36,12 @@ func TestSampleStreamMatchesSample(t *testing.T) {
 			}
 
 			for _, parallelism := range []int{1, 3, 0} {
-				opts := StreamOptions{
-					Options:       Options{Parallelism: parallelism},
+				opts := MethodOptions{
+					Core:          Options{Parallelism: parallelism},
+					Stream:        true,
 					ReservoirSize: len(rows) + 1, // every kernel fits
 				}
-				got, err := SampleStream(SliceSource(rows), opts)
+				got, err := SampleMethod("", &MethodProfile{Rows: rows}, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -54,18 +56,22 @@ func TestSampleStreamMatchesSample(t *testing.T) {
 				}
 			}
 
-			// The CSV route: WriteProfileCSV → SampleCSV must land on the
+			// The CSV route: WriteProfileCSV → CSVSource must land on the
 			// same plan without materializing the table.
 			var buf bytes.Buffer
 			if err := WriteProfileCSV(profile, &buf); err != nil {
 				t.Fatal(err)
 			}
-			got, err := SampleCSV(&buf, StreamOptions{ReservoirSize: len(rows) + 1})
+			csvSrc, err := CSVSource(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := SampleMethod("", &MethodProfile{Source: csvSrc}, MethodOptions{Stream: true, ReservoirSize: len(rows) + 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got.Strata, want.Strata) {
-				t.Fatal("SampleCSV strata diverge from Sample")
+				t.Fatal("CSV-source strata diverge from Sample")
 			}
 
 			// Predictions from the streamed plan match the materialized one.
@@ -107,7 +113,7 @@ func TestSampleStreamBoundedReservoir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := SampleStream(SliceSource(rows), StreamOptions{ReservoirSize: 8})
+	plan, err := SampleMethod("", &MethodProfile{Rows: rows}, MethodOptions{Stream: true, ReservoirSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
