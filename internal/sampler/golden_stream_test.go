@@ -143,13 +143,7 @@ func goldenSievePlans(t *testing.T) map[string]json.RawMessage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var entries []struct {
-		Workload string          `json:"workload"`
-		Scale    float64         `json:"scale"`
-		Method   string          `json:"method"`
-		Seed     int64           `json:"seed"`
-		Plan     json.RawMessage `json:"plan"`
-	}
+	var entries []methodEntry
 	if err := json.Unmarshal(raw, &entries); err != nil {
 		t.Fatalf("%s: %v", goldenMethodsFile, err)
 	}

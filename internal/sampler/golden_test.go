@@ -55,6 +55,15 @@ func methodProfile(tb testing.TB, workload string, scale float64, method string)
 	return p
 }
 
+// methodEntry is one pinned plan of golden_methods.json.
+type methodEntry struct {
+	Workload string          `json:"workload"`
+	Scale    float64         `json:"scale"`
+	Method   string          `json:"method"`
+	Seed     int64           `json:"seed"`
+	Plan     json.RawMessage `json:"plan"`
+}
+
 // TestGoldenMethodPlans pins the JSON bytes of the plan each of sieve,
 // twophase, rss and pks produces on two workload-mode profiles at two seeds,
 // with the options sieved resolves for a request that sets only the method
@@ -62,14 +71,7 @@ func methodProfile(tb testing.TB, workload string, scale float64, method string)
 // the pks k-sweep, rss's reused generator) must leave every byte unchanged.
 // Regenerate with -update-golden only when a plan changes on purpose.
 func TestGoldenMethodPlans(t *testing.T) {
-	type entry struct {
-		Workload string          `json:"workload"`
-		Scale    float64         `json:"scale"`
-		Method   string          `json:"method"`
-		Seed     int64           `json:"seed"`
-		Plan     json.RawMessage `json:"plan"`
-	}
-	var got []entry
+	var got []methodEntry
 	for _, wl := range []struct {
 		name  string
 		scale float64
@@ -94,11 +96,11 @@ func TestGoldenMethodPlans(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got = append(got, entry{wl.name, wl.scale, method, seed, doc})
+				got = append(got, methodEntry{wl.name, wl.scale, method, seed, doc})
 			}
 		}
 	}
-	checkGolden(t, goldenMethodsFile, got, func(e entry) (string, json.RawMessage) {
+	checkGolden(t, goldenMethodsFile, got, func(e methodEntry) (string, json.RawMessage) {
 		return fmt.Sprintf("%s@%g %s seed %d", e.Workload, e.Scale, e.Method, e.Seed), e.Plan
 	})
 }
