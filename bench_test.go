@@ -759,10 +759,11 @@ func abs(x float64) float64 {
 
 // BenchmarkSampleStream measures the bounded-memory streaming sampler
 // against the materializing path on a synthetic multi-kernel source. The
-// rows are generated on the fly, so the streaming variants' allocs/op stay
+// rows are generated on the fly, so the streaming pass's allocs/op stay
 // bounded by kernels × reservoir while the materialized variant must first
 // build the full row slice — the gap widens with the invocation count (see
-// BENCH_stream.json).
+// BENCH_stream.json). The streaming pass is sequential at any parallelism,
+// so there is one streaming variant, stream/seq.
 func BenchmarkSampleStream(b *testing.B) {
 	// synthSource yields n deterministic rows across 8 kernels mixing the
 	// three tiers: constant, low-variance and bimodal instruction counts.
@@ -799,7 +800,7 @@ func BenchmarkSampleStream(b *testing.B) {
 	}
 	for _, n := range []int{20000, 80000, 320000} {
 		opts := sieve.MethodOptions{Stream: true, ReservoirSize: 1024}
-		stream := func(b *testing.B, opts sieve.MethodOptions) {
+		b.Run(fmt.Sprintf("stream/seq/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			var p sieve.MethodProfile
 			for i := 0; i < b.N; i++ {
@@ -808,13 +809,7 @@ func BenchmarkSampleStream(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		}
-		b.Run(fmt.Sprintf("stream/seq/n=%d", n), func(b *testing.B) {
-			o := opts
-			o.Core.Parallelism = 1
-			stream(b, o)
 		})
-		b.Run(fmt.Sprintf("stream/par/n=%d", n), func(b *testing.B) { stream(b, opts) })
 		b.Run(fmt.Sprintf("materialized/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

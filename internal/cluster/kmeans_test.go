@@ -217,72 +217,3 @@ func TestKMeansKEqualsN(t *testing.T) {
 		t.Fatalf("K=N should use every cluster, got %v", res.Assignments)
 	}
 }
-
-func TestWithinClusterValues(t *testing.T) {
-	vals := []float64{10, 20, 30, 40}
-	assign := []int{0, 1, 0, 1}
-	groups, err := WithinClusterValues(vals, assign, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups[0]) != 2 || groups[0][0] != 10 || groups[0][1] != 30 {
-		t.Fatalf("group 0 = %v", groups[0])
-	}
-	if len(groups[1]) != 2 || groups[1][0] != 20 || groups[1][1] != 40 {
-		t.Fatalf("group 1 = %v", groups[1])
-	}
-	if _, err := WithinClusterValues(vals, assign[:3], 2); err == nil {
-		t.Fatal("want error on length mismatch")
-	}
-	if _, err := WithinClusterValues(vals, []int{0, 1, 0, 5}, 2); err == nil {
-		t.Fatal("want error on out-of-range assignment")
-	}
-	if _, err := WithinClusterValues(vals, assign, 0); err == nil {
-		t.Fatal("want error on k=0")
-	}
-}
-
-func TestMeanSilhouetteSeparatedVsMixed(t *testing.T) {
-	pts := twoBlobs(40, 11)
-	good := make([]int, len(pts))
-	for i := range good {
-		good[i] = i % 2
-	}
-	gs, err := MeanSilhouette(pts, good, 2, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs < 0.9 {
-		t.Fatalf("well-separated silhouette = %g, want > 0.9", gs)
-	}
-	// Random assignment should score much worse.
-	r := rng(13)
-	bad := make([]int, len(pts))
-	for i := range bad {
-		bad[i] = r.Intn(2)
-	}
-	bs, err := MeanSilhouette(pts, bad, 2, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bs >= gs {
-		t.Fatalf("random assignment silhouette %g not worse than correct %g", bs, gs)
-	}
-}
-
-func TestMeanSilhouetteEdgeCases(t *testing.T) {
-	// Single cluster → 0 by convention.
-	s, err := MeanSilhouette([][]float64{{1}, {2}}, []int{0, 0}, 1, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 0 {
-		t.Fatalf("k=1 silhouette = %g", s)
-	}
-	if _, err := MeanSilhouette([][]float64{{1}}, []int{0, 1}, 2, 100); err == nil {
-		t.Fatal("want error on length mismatch")
-	}
-	if _, err := MeanSilhouette([][]float64{{1}, {2}}, []int{0, 7}, 2, 100); err == nil {
-		t.Fatal("want error on out-of-range assignment")
-	}
-}

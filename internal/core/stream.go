@@ -10,8 +10,10 @@ import (
 )
 
 // StreamOptions configures bounded-memory streaming stratification. The
-// embedded Options carry the usual θ/selection/splitter/parallelism knobs;
-// the extra fields bound the streaming pass itself.
+// embedded Options carry the usual θ/selection/splitter knobs; the extra
+// fields bound the streaming pass itself. Parallelism is ignored: the
+// ingestion pass and the per-kernel loop are sequential, so a stream plan has
+// the same bytes at any worker count.
 type StreamOptions struct {
 	Options
 	// ReservoirSize bounds the rows retained per kernel;
@@ -22,11 +24,8 @@ type StreamOptions struct {
 	ReservoirSize int
 	// Seed seeds the deterministic reservoir priority hash;
 	// stream.DefaultSeed if zero. Reservoir membership is a pure function
-	// of (Seed, invocation index), independent of Parallelism.
+	// of (Seed, invocation index).
 	Seed uint64
-	// BatchSize is the dispatch granularity of the sharded streaming pass;
-	// stream.DefaultBatchSize if zero.
-	BatchSize int
 }
 
 // RowSource yields the next profile row, or io.EOF after the last one. Rows
@@ -58,16 +57,15 @@ func SliceSource(rows []InvocationProfile) RowSource {
 //
 //   - Every kernel fits its reservoir → the plan is byte-identical to
 //     StratifyContext on the same rows, at any Parallelism.
-//   - A kernel overflows → its tier comes from the merged accumulators, its
+//   - A kernel overflows → its tier comes from the online accumulators, its
 //     representative and instruction totals remain exact (streaming
 //     frequency/first tracking covers every invocation), but Tier-3 KDE
 //     splitting runs on the reservoir sample, stratum membership lists are
 //     partial, and the plan is marked Sampled.
 //
-// The ingestion pass checks ctx between dispatch batches and the per-kernel
+// The ingestion pass checks ctx every 1024 rows and the per-kernel
 // stratification loop checks it between kernels, so a cancelled or timed-out
-// context stops the single pass mid-stream, drains the ingestion shards, and
-// reports ctx.Err().
+// context stops the single pass mid-stream and reports ctx.Err().
 func StratifyStreamContext(ctx context.Context, next RowSource, opts StreamOptions) (*Result, error) {
 	o, err := opts.Options.withDefaults()
 	if err != nil {
@@ -80,7 +78,6 @@ func StratifyStreamContext(ctx context.Context, next RowSource, opts StreamOptio
 	defer sp.End()
 	if sp.Active() {
 		sp.SetAttr("theta", o.Theta)
-		sp.SetAttr("parallelism", o.Parallelism)
 		sp.SetAttr("splitter", o.Tier3Splitter.String())
 	}
 	digest, err := stream.IngestContext(ctx, func() (stream.Row, error) {
@@ -97,8 +94,6 @@ func StratifyStreamContext(ctx context.Context, next RowSource, opts StreamOptio
 	}, stream.Options{
 		ReservoirSize: opts.ReservoirSize,
 		Seed:          opts.Seed,
-		Parallelism:   o.Parallelism, // after defaulting, so the layers agree
-		BatchSize:     opts.BatchSize,
 	})
 	if err != nil {
 		return nil, err

@@ -63,8 +63,8 @@ func samePlan(t *testing.T, want, got *Result, label string) {
 
 // TestStratifyStreamMatchesStratify is the headline equivalence: whenever
 // every kernel fits its reservoir, the streaming plan is byte-identical to
-// the materializing plan — at any Parallelism, any batch size, and any
-// reservoir at least as large as the biggest kernel.
+// the materializing plan — at any Parallelism and any reservoir at least as
+// large as the biggest kernel.
 func TestStratifyStreamMatchesStratify(t *testing.T) {
 	profile := streamProfile(900, 7)
 	for _, opts := range []Options{
@@ -81,7 +81,7 @@ func TestStratifyStreamMatchesStratify(t *testing.T) {
 		}
 		for _, p := range []int{1, 2, 3, 8} {
 			for _, reservoir := range []int{300, 1024, 100000} {
-				sopts := StreamOptions{Options: opts, ReservoirSize: reservoir, BatchSize: 64}
+				sopts := StreamOptions{Options: opts, ReservoirSize: reservoir}
 				sopts.Parallelism = p
 				got, err := StratifyStreamContext(context.Background(), rowSource(profile), sopts)
 				if err != nil {
@@ -97,7 +97,7 @@ func TestStratifyStreamMatchesStratify(t *testing.T) {
 }
 
 // TestStratifyStreamSampledPlan exercises the overflow path: the reservoir is
-// far smaller than the kernels, so tier decisions come from the merged
+// far smaller than the kernels, so tier decisions come from the online
 // accumulators and Tier-3 splits run on the sample.
 func TestStratifyStreamSampledPlan(t *testing.T) {
 	profile := streamProfile(3000, 11)

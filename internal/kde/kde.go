@@ -406,34 +406,6 @@ func SilvermanBandwidthSorted(sorted []float64) float64 {
 	return 0.9 * spread * math.Pow(float64(n), -0.2)
 }
 
-// ScottBandwidth returns Scott's rule bandwidth σ·n^(-1/5), with the same
-// degenerate-sample fallback as SilvermanBandwidth.
-func ScottBandwidth(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 1
-	}
-	var mean float64
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(n)
-	var varAcc float64
-	for _, x := range xs {
-		d := x - mean
-		varAcc += d * d
-	}
-	sigma := math.Sqrt(varAcc / float64(n))
-	if sigma == 0 {
-		if mean != 0 {
-			sigma = math.Abs(mean) * 1e-3
-		} else {
-			sigma = 1
-		}
-	}
-	return sigma * math.Pow(float64(n), -0.2)
-}
-
 // quantileSorted returns the q-quantile (0 ≤ q ≤ 1) of an already-sorted
 // sample using linear interpolation.
 func quantileSorted(sorted []float64, q float64) float64 {

@@ -130,9 +130,6 @@ func TestSilvermanBandwidthPositive(t *testing.T) {
 		if bw := SilvermanBandwidth(xs); bw <= 0 {
 			t.Fatalf("Silverman(%v) = %g, want > 0", xs, bw)
 		}
-		if bw := ScottBandwidth(xs); bw <= 0 {
-			t.Fatalf("Scott(%v) = %g, want > 0", xs, bw)
-		}
 	}
 }
 

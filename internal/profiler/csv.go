@@ -105,7 +105,6 @@ type CSVScanner struct {
 	rec     Record
 	err     error
 	line    int
-	n       int
 }
 
 // NewCSVScanner reads and validates the header, returning a scanner
@@ -126,9 +125,6 @@ func NewCSVScanner(r io.Reader) (*CSVScanner, error) {
 
 // Collected returns the metric names present in every record.
 func (s *CSVScanner) Collected() []string { return s.metrics }
-
-// NumRecords returns the number of records scanned so far.
-func (s *CSVScanner) NumRecords() int { return s.n }
 
 // Next advances to the next record. It returns false at end of input or on
 // error; Err distinguishes the two.
@@ -169,7 +165,6 @@ func (s *CSVScanner) Next() bool {
 	}
 	rec.Chars = charsFromVector(vec[:])
 	s.rec = rec
-	s.n++
 	return true
 }
 

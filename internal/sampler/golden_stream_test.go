@@ -32,15 +32,20 @@ type streamEntry struct {
 	Plan      json.RawMessage `json:"plan"`
 }
 
+// streamParallelism are the worker counts every stream entry is planned at.
+// Stream plans must not depend on the worker count, so each entry is planned
+// at all of them and must come out as one set of bytes.
+var streamParallelism = []int{1, 2, 4}
+
 // streamOptions are the golden options of TestGoldenMethodPlans in stream
-// mode.
-func streamOptions(reservoir int, seed int64) sieve.MethodOptions {
+// mode, at the given worker count.
+func streamOptions(reservoir int, seed int64, parallelism int) sieve.MethodOptions {
 	return sieve.MethodOptions{
 		Core: sieve.Options{
 			Theta:         sieve.DefaultTheta,
 			Selection:     sieve.SelectDominantCTAFirst,
 			Tier3Splitter: sieve.SplitKDE,
-			Parallelism:   2,
+			Parallelism:   parallelism,
 		},
 		Seed:          seed,
 		Stream:        true,
@@ -55,7 +60,8 @@ func streamOptions(reservoir int, seed int64) sieve.MethodOptions {
 // Sampled, and the seed picks which rows each reservoir keeps. The default
 // reservoir holds every kernel, so those plans must equal the non-stream sieve
 // plans byte for byte: the golden_methods.json entries for the workloads, the
-// materialized plan of the same rows for the CSV. Regenerate with
+// materialized plan of the same rows for the CSV. Every entry is planned at
+// each of streamParallelism and must have one set of bytes. Regenerate with
 // -update-golden only when a plan changes on purpose.
 func TestGoldenStreamPlans(t *testing.T) {
 	methodPlans := goldenSievePlans(t)
@@ -67,11 +73,9 @@ func TestGoldenStreamPlans(t *testing.T) {
 		p := methodProfile(t, wl.name, wl.scale, "sieve")
 		for _, seed := range []int64{1, 7} {
 			for _, reservoir := range []int{0, 8} {
-				plan, err := sieve.SampleMethodContext(context.Background(), "sieve", p, streamOptions(reservoir, seed))
-				if err != nil {
-					t.Fatalf("%s@%g reservoir %d seed %d: %v", wl.name, wl.scale, reservoir, seed, err)
-				}
-				e := newStreamEntry(t, "workload", reservoir, seed, plan)
+				e := planStreamEntry(t, fmt.Sprintf("%s@%g", wl.name, wl.scale), "workload", reservoir, seed, func(opts sieve.MethodOptions) (*sieve.Plan, error) {
+					return sieve.SampleMethodContext(context.Background(), "sieve", p, opts)
+				})
 				e.Workload, e.Scale = wl.name, wl.scale
 				if reservoir == 0 {
 					key := fmt.Sprintf("%s@%g seed %d", wl.name, wl.scale, seed)
@@ -94,17 +98,15 @@ func TestGoldenStreamPlans(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 7} {
 		for _, reservoir := range []int{0, 8} {
-			src, err := sieve.CSVSource(bytes.NewReader(csv))
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, err := sieve.SampleMethodContext(context.Background(), "sieve", &sieve.MethodProfile{Source: src}, streamOptions(reservoir, seed))
-			if err != nil {
-				t.Fatalf("lmc csv reservoir %d seed %d: %v", reservoir, seed, err)
-			}
-			e := newStreamEntry(t, "csv", reservoir, seed, plan)
+			e := planStreamEntry(t, "lmc csv", "csv", reservoir, seed, func(opts sieve.MethodOptions) (*sieve.Plan, error) {
+				src, err := sieve.CSVSource(bytes.NewReader(csv))
+				if err != nil {
+					return nil, err
+				}
+				return sieve.SampleMethodContext(context.Background(), "sieve", &sieve.MethodProfile{Source: src}, opts)
+			})
 			if reservoir == 0 {
-				want, err := sieve.SampleMethod("sieve", &sieve.MethodProfile{Rows: sieve.ProfileRows(prof)}, sieve.MethodOptions{Core: streamOptions(0, seed).Core, Seed: seed})
+				want, err := sieve.SampleMethod("sieve", &sieve.MethodProfile{Rows: sieve.ProfileRows(prof)}, sieve.MethodOptions{Core: streamOptions(0, seed, 2).Core, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -121,18 +123,32 @@ func TestGoldenStreamPlans(t *testing.T) {
 	})
 }
 
-// newStreamEntry records plan as a golden entry, checking that the plan is
-// Sampled exactly when the reservoir was set small enough to overflow.
-func newStreamEntry(t *testing.T, source string, reservoir int, seed int64, plan *sieve.Plan) streamEntry {
+// planStreamEntry plans one golden entry of the named profile at every worker
+// count in streamParallelism, checking that the plan bytes do not depend on it
+// and that the plan is Sampled exactly when the reservoir was set small enough
+// to overflow.
+func planStreamEntry(t *testing.T, name, source string, reservoir int, seed int64, plan func(sieve.MethodOptions) (*sieve.Plan, error)) streamEntry {
 	t.Helper()
-	if want := reservoir == 8; plan.Sampled != want {
-		t.Errorf("%s reservoir %d seed %d: Sampled = %v, want %v", source, reservoir, seed, plan.Sampled, want)
+	var e streamEntry
+	for i, p := range streamParallelism {
+		pl, err := plan(streamOptions(reservoir, seed, p))
+		if err != nil {
+			t.Fatalf("%s reservoir %d seed %d parallelism %d: %v", name, reservoir, seed, p, err)
+		}
+		doc, err := json.Marshal(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if want := reservoir == 8; pl.Sampled != want {
+				t.Errorf("%s reservoir %d seed %d: Sampled = %v, want %v", name, reservoir, seed, pl.Sampled, want)
+			}
+			e = streamEntry{Source: source, Reservoir: reservoir, Seed: seed, Sampled: pl.Sampled, Plan: doc}
+		} else if !bytes.Equal(doc, e.Plan) {
+			t.Errorf("%s reservoir %d seed %d: plan at parallelism %d differs from parallelism %d", name, reservoir, seed, p, streamParallelism[0])
+		}
 	}
-	doc, err := json.Marshal(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return streamEntry{Source: source, Reservoir: reservoir, Seed: seed, Sampled: plan.Sampled, Plan: doc}
+	return e
 }
 
 // goldenSievePlans reads the sieve entries of golden_methods.json, keyed by

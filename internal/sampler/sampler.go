@@ -91,7 +91,9 @@ type Options struct {
 	PKS pks.Options
 	// Stream makes the sieve method plan in one bounded-memory pass
 	// (core.StratifyStreamContext) keeping ReservoirSize rows per kernel,
-	// with Seed seeding the reservoirs; no other method streams.
+	// with Seed seeding the reservoirs; no other method streams. The pass
+	// is sequential and ignores Core.Parallelism, so a stream plan has the
+	// same bytes at any worker count.
 	Stream        bool
 	ReservoirSize int
 }

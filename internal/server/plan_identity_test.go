@@ -79,6 +79,32 @@ func TestServedPlanIdentity(t *testing.T) {
 	}
 }
 
+// TestStreamPlanIndependentOfParallelism posts the lmc fixture in stream mode
+// with an 8-row reservoir, which samples the plan, to servers whose worker
+// default differs. The plan key leaves parallelism out, so both servers must
+// answer the same plan_id and the same plan bytes.
+func TestStreamPlanIndependentOfParallelism(t *testing.T) {
+	csv, err := os.ReadFile(filepath.Join("..", "..", "testdata", "profile_lmc_scale0.01.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var envs []sampleEnvelope
+	for _, p := range []int{1, 2} {
+		status, body := postCSV(t, newTestServer(t, Config{Parallelism: p}).URL+"/v1/sample?stream=true&reservoir_size=8&seed=7", string(csv))
+		var env sampleEnvelope
+		if err := json.Unmarshal(body, &env); status != http.StatusOK || err != nil {
+			t.Fatalf("parallelism %d: status %d, %v: %s", p, status, err, body)
+		}
+		envs = append(envs, env)
+	}
+	if envs[0].PlanID != envs[1].PlanID {
+		t.Fatalf("plan_id differs across parallelism: %s vs %s", envs[0].PlanID, envs[1].PlanID)
+	}
+	if string(envs[0].Plan) != string(envs[1].Plan) {
+		t.Fatalf("plan bytes differ across parallelism:\n 1: %s\n 2: %s", envs[0].Plan, envs[1].Plan)
+	}
+}
+
 // cloneRequest copies a request so resolve's defaulting cannot leak into the
 // caller's value.
 func cloneRequest(req api.SampleRequest) *api.SampleRequest { return &req }

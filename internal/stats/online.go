@@ -82,27 +82,3 @@ func (a *Accumulator) Min() float64 { return a.min }
 
 // Max returns the largest accumulated sample, or 0 with no samples.
 func (a *Accumulator) Max() float64 { return a.max }
-
-// Merge folds another accumulator into a (Chan et al. parallel combination),
-// so per-shard accumulators can be reduced after a parallel profile pass.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	mean := a.mean + delta*float64(b.n)/float64(n)
-	m2 := a.m2 + b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n, a.mean, a.m2 = n, mean, m2
-	a.sum += b.sum
-}

@@ -1,10 +1,8 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestAccumulatorMatchesBatch(t *testing.T) {
@@ -61,54 +59,5 @@ func TestAccumulatorAddAll(t *testing.T) {
 	}
 	if a.Mean() != b.Mean() || a.Variance() != b.Variance() || a.N() != b.N() {
 		t.Fatal("AddAll should match element-wise Add")
-	}
-}
-
-func TestAccumulatorMergeEquivalentToSequential(t *testing.T) {
-	f := func(left, right []float64) bool {
-		clamp := func(vs []float64) []float64 {
-			out := make([]float64, 0, len(vs))
-			for _, v := range vs {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					continue
-				}
-				out = append(out, math.Mod(v, 1e6))
-			}
-			return out
-		}
-		l, r := clamp(left), clamp(right)
-		var a, b, whole Accumulator
-		a.AddAll(l)
-		b.AddAll(r)
-		whole.AddAll(l)
-		whole.AddAll(r)
-		a.Merge(&b)
-		if a.N() != whole.N() {
-			return false
-		}
-		if a.N() == 0 {
-			return true
-		}
-		return almostEqual(a.Mean(), whole.Mean(), 1e-6) &&
-			almostEqual(a.Variance(), whole.Variance(), 1e-6) &&
-			a.Min() == whole.Min() && a.Max() == whole.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAccumulatorMergeEmptyCases(t *testing.T) {
-	var a, b Accumulator
-	a.Add(3)
-	saved := a
-	a.Merge(&b) // merging empty is a no-op
-	if a != saved {
-		t.Fatal("merge with empty accumulator changed state")
-	}
-	var c Accumulator
-	c.Merge(&a) // merging into empty copies
-	if c.N() != 1 || c.Mean() != 3 {
-		t.Fatalf("merge into empty: N=%d mean=%g", c.N(), c.Mean())
 	}
 }

@@ -1,7 +1,5 @@
 package stream
 
-import "sort"
-
 // sample is one retained row with its hash priority.
 type sample struct {
 	row Row
@@ -11,10 +9,8 @@ type sample struct {
 // reservoir keeps a deterministic bounded uniform sample of a kernel's rows:
 // the cap rows with the smallest priority hash ("bottom-k" priority
 // sampling). Because the priority is a pure function of (seed, row index),
-// membership is independent of arrival order and of how rows were sharded
-// across workers, and two partial reservoirs merge exactly (bottom-k of the
-// union). Until the cap is exceeded the reservoir simply holds every row, so
-// small kernels stay exact.
+// membership is independent of arrival order. Until the cap is exceeded the
+// reservoir simply holds every row, so small kernels stay exact.
 type reservoir struct {
 	cap        int
 	seed       uint64
@@ -59,19 +55,6 @@ func (r *reservoir) add(row Row) {
 	}
 	r.rows[0] = s
 	r.siftDown(0)
-}
-
-// merge folds another reservoir (same cap and seed) into r: concatenate and,
-// on overflow, keep the bottom-k of the union by priority.
-func (r *reservoir) merge(o *reservoir) {
-	r.overflowed = r.overflowed || o.overflowed
-	r.rows = append(r.rows, o.rows...)
-	r.heaped = false
-	if len(r.rows) > r.cap {
-		r.overflowed = true
-		sort.Slice(r.rows, func(i, j int) bool { return worse(r.rows[j], r.rows[i]) })
-		r.rows = r.rows[:r.cap]
-	}
 }
 
 // heapify establishes the max-heap property (worst sample at the root).

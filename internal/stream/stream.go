@@ -14,15 +14,11 @@
 // Reservoir membership is decided by a priority hash over (seed, invocation
 // index): each kernel retains the ReservoirSize rows with the smallest
 // priority ("bottom-k" priority sampling). Because the priority is a pure
-// function of the record, membership is independent of arrival order, shard
-// assignment and worker count — the same rows survive at any Parallelism.
-// Records are dispatched to workers in fixed-size batches assigned
-// round-robin, and per-shard accumulators are merged in shard order
-// (stats.Accumulator.Merge), so every aggregate is reproducible for a fixed
-// (Parallelism, BatchSize) configuration; floating-point sums may differ in
-// the last ulp across *different* worker counts, exactly as any parallel
-// reduction does. Integer state (counts, CTA frequencies, first/dominant
-// rows, reservoir membership) is identical at any worker count.
+// function of the record, membership does not depend on arrival order. The
+// pass is one sequential loop that adds every row to its kernel's state in
+// arrival order, so every aggregate, floating-point sums included, is a pure
+// function of the source and the options, whatever the worker count of the
+// layers above.
 //
 // # Ordering contract
 //
@@ -38,7 +34,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync"
 
 	"github.com/gpusampling/sieve/internal/obs"
 	"github.com/gpusampling/sieve/internal/stats"
@@ -48,12 +43,13 @@ import (
 const (
 	// DefaultReservoirSize bounds the rows retained per kernel.
 	DefaultReservoirSize = 4096
-	// DefaultBatchSize is the number of records per dispatch batch in the
-	// sharded pass.
-	DefaultBatchSize = 1024
 	// DefaultSeed seeds the reservoir priority hash.
 	DefaultSeed = 1
 )
+
+// cancelCheckRows is how many rows the pass reads between checks of its
+// context.
+const cancelCheckRows = 1024
 
 // Row is one profiled kernel invocation — the minimal record the streaming
 // pass consumes.
@@ -84,13 +80,6 @@ type Options struct {
 	ReservoirSize int
 	// Seed seeds the reservoir priority hash; DefaultSeed if zero.
 	Seed uint64
-	// Parallelism is the number of ingestion shards: 0 selects 1
-	// (sequential). Reservoir membership and all integer state are
-	// identical at any value; see the package comment for float caveats.
-	Parallelism int
-	// BatchSize is the records-per-batch dispatch granularity of the
-	// sharded pass; DefaultBatchSize if zero.
-	BatchSize int
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -102,18 +91,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Seed == 0 {
 		o.Seed = DefaultSeed
-	}
-	if o.Parallelism == 0 {
-		o.Parallelism = 1
-	}
-	if o.Parallelism < 0 {
-		return o, fmt.Errorf("stream: negative parallelism %d", o.Parallelism)
-	}
-	if o.BatchSize == 0 {
-		o.BatchSize = DefaultBatchSize
-	}
-	if o.BatchSize < 1 {
-		return o, fmt.Errorf("stream: batch size %d < 1", o.BatchSize)
 	}
 	return o, nil
 }
@@ -162,34 +139,6 @@ func (d *KernelDigest) add(row Row) {
 		d.ctas[row.CTASize] = &CTAClass{Size: row.CTASize, Count: 1, First: row}
 	}
 	d.res.add(row)
-}
-
-// merge folds another shard's digest of the same kernel into d.
-func (d *KernelDigest) merge(o *KernelDigest) {
-	if o.acc.N() == 0 {
-		return
-	}
-	if d.acc.N() == 0 {
-		d.acc = o.acc
-		d.first = o.first
-	} else {
-		d.acc.Merge(&o.acc)
-		if o.first.Index < d.first.Index {
-			d.first = o.first
-		}
-	}
-	for size, oc := range o.ctas {
-		if c, ok := d.ctas[size]; ok {
-			c.Count += oc.Count
-			if oc.First.Index < c.First.Index {
-				c.First = oc.First
-			}
-		} else {
-			cc := *oc
-			d.ctas[size] = &cc
-		}
-	}
-	d.res.merge(&o.res)
 }
 
 // N returns the number of invocations seen for this kernel.
@@ -251,7 +200,7 @@ func (d *KernelDigest) MaxCTA() CTAClass {
 // complete kernels, ReservoirSize for overflowed ones.
 func (d *KernelDigest) Retained() int { return len(d.res.rows) }
 
-// Digest is the merged result of one streaming pass.
+// Digest is the result of one streaming pass.
 type Digest struct {
 	// Kernels holds one digest per kernel, sorted by kernel name.
 	Kernels []*KernelDigest
@@ -259,33 +208,13 @@ type Digest struct {
 	Rows int
 }
 
-// shard is one worker's private per-kernel state.
-type shard struct {
-	opts    Options
-	kernels map[string]*KernelDigest
-}
-
-func newShard(o Options) *shard {
-	return &shard{opts: o, kernels: make(map[string]*KernelDigest)}
-}
-
-func (s *shard) add(row Row) {
-	d, ok := s.kernels[row.Kernel]
-	if !ok {
-		d = newKernelDigest(row.Kernel, s.opts)
-		s.kernels[row.Kernel] = d
-	}
-	d.add(row)
-}
-
 // IngestContext drives one bounded-memory pass over the source. Rows are
 // validated (non-empty kernel, positive instruction count and CTA size) and
 // must arrive in strictly ascending Index order, which also rejects duplicate
-// indices. An empty source yields an empty digest, not an error. The reader
-// checks ctx once per dispatch batch (BatchSize rows), so a cancelled or
-// timed-out context stops the pass mid-stream — worker shards are drained and
-// their goroutines released — and the call reports ctx.Err() instead of a
-// digest.
+// indices. An empty source yields an empty digest, not an error. The pass
+// checks ctx before the first row and once per cancelCheckRows rows after
+// it, so a cancelled or timed-out context stops the pass mid-stream and the
+// call reports ctx.Err() instead of a digest.
 func IngestContext(ctx context.Context, next Source, opts Options) (*Digest, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
@@ -297,21 +226,37 @@ func IngestContext(ctx context.Context, next Source, opts Options) (*Digest, err
 	_, sp := obs.StartSpan(ctx, "stream.ingest")
 	defer sp.End()
 	if sp.Active() {
-		sp.SetAttr("parallelism", o.Parallelism)
-		sp.SetAttr("batch_size", o.BatchSize)
 		sp.SetAttr("reservoir_size", o.ReservoirSize)
 	}
-	var shards []*shard
-	var rows int
-	if o.Parallelism <= 1 {
-		shards, rows, err = ingestSequential(ctx, next, o)
-	} else {
-		shards, rows, err = ingestParallel(ctx, next, o)
+	kernels := make(map[string]*KernelDigest)
+	pos, lastIndex := 0, math.MinInt
+	for {
+		if pos%cancelCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		row, err := next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		row.Pos = pos
+		if err := validate(row, pos, lastIndex); err != nil {
+			return nil, err
+		}
+		lastIndex = row.Index
+		kd, ok := kernels[row.Kernel]
+		if !ok {
+			kd = newKernelDigest(row.Kernel, o)
+			kernels[row.Kernel] = kd
+		}
+		kd.add(row)
+		pos++
 	}
-	if err != nil {
-		return nil, err
-	}
-	d := assemble(shards, rows)
+	d := assemble(kernels, pos)
 	if sp.Active() {
 		sp.Add("rows", int64(d.Rows))
 		sp.SetAttr("kernels", len(d.Kernels))
@@ -348,128 +293,12 @@ func validate(row Row, pos, lastIndex int) error {
 	return nil
 }
 
-func ingestSequential(ctx context.Context, next Source, o Options) ([]*shard, int, error) {
-	sh := newShard(o)
-	pos, lastIndex := 0, math.MinInt
-	for {
-		// Check at the same granularity as the sharded pass: once per
-		// BatchSize rows, plus before the first.
-		if pos%o.BatchSize == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, err
-			}
-		}
-		row, err := next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		row.Pos = pos
-		if err := validate(row, pos, lastIndex); err != nil {
-			return nil, 0, err
-		}
-		lastIndex = row.Index
-		sh.add(row)
-		pos++
+// assemble sorts the kernels by name.
+func assemble(kernels map[string]*KernelDigest, rows int) *Digest {
+	dig := &Digest{Rows: rows, Kernels: make([]*KernelDigest, 0, len(kernels))}
+	for _, kd := range kernels {
+		dig.Kernels = append(dig.Kernels, kd)
 	}
-	return []*shard{sh}, pos, nil
-}
-
-// ingestParallel shards the pass: the reader validates rows and dispatches
-// fixed-size batches round-robin to worker-owned shards, so which worker
-// processes which row is a pure function of (arrival position, Parallelism,
-// BatchSize) and the merged result is reproducible.
-func ingestParallel(ctx context.Context, next Source, o Options) ([]*shard, int, error) {
-	shards := make([]*shard, o.Parallelism)
-	chans := make([]chan []Row, o.Parallelism)
-	pool := sync.Pool{New: func() any { return make([]Row, 0, o.BatchSize) }}
-	var wg sync.WaitGroup
-	for i := range shards {
-		shards[i] = newShard(o)
-		chans[i] = make(chan []Row, 2)
-		wg.Add(1)
-		go func(sh *shard, ch chan []Row) {
-			defer wg.Done()
-			for batch := range ch {
-				for i := range batch {
-					sh.add(batch[i])
-				}
-				pool.Put(batch[:0]) //nolint:staticcheck // slice reuse is the point
-			}
-		}(shards[i], chans[i])
-	}
-	closeAll := func() {
-		for _, ch := range chans {
-			close(ch)
-		}
-		wg.Wait()
-	}
-
-	batch := pool.Get().([]Row)
-	nextShard := 0
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		chans[nextShard] <- batch
-		nextShard = (nextShard + 1) % o.Parallelism
-		batch = pool.Get().([]Row)
-	}
-	pos, lastIndex := 0, math.MinInt
-	for {
-		// Cancellation is observed between dispatch batches: the current
-		// batch is abandoned, the shard channels close, and closeAll waits
-		// for every worker to exit before the error returns.
-		if pos%o.BatchSize == 0 {
-			if err := ctx.Err(); err != nil {
-				closeAll()
-				return nil, 0, err
-			}
-		}
-		row, err := next()
-		if err == io.EOF {
-			break
-		}
-		if err == nil {
-			row.Pos = pos
-			err = validate(row, pos, lastIndex)
-		}
-		if err != nil {
-			closeAll()
-			return nil, 0, err
-		}
-		lastIndex = row.Index
-		batch = append(batch, row)
-		if len(batch) == o.BatchSize {
-			flush()
-		}
-		pos++
-	}
-	flush()
-	closeAll()
-	return shards, pos, nil
-}
-
-// assemble merges the shards in shard order and sorts kernels by name.
-func assemble(shards []*shard, rows int) *Digest {
-	merged := make(map[string]*KernelDigest)
-	var names []string
-	for _, sh := range shards {
-		for name, d := range sh.kernels {
-			if m, ok := merged[name]; ok {
-				m.merge(d)
-			} else {
-				merged[name] = d
-				names = append(names, name)
-			}
-		}
-	}
-	sort.Strings(names)
-	dig := &Digest{Rows: rows, Kernels: make([]*KernelDigest, len(names))}
-	for i, name := range names {
-		dig.Kernels[i] = merged[name]
-	}
+	sort.Slice(dig.Kernels, func(i, j int) bool { return dig.Kernels[i].Name < dig.Kernels[j].Name })
 	return dig
 }

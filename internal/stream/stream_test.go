@@ -4,10 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"reflect"
 	"sort"
 	"testing"
+
+	"github.com/gpusampling/sieve/internal/stats"
 )
 
 // sliceSource yields rows from a slice, then io.EOF.
@@ -116,46 +117,64 @@ func TestReservoirBottomKMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestIngestDeterministicAcrossParallelism checks that reservoir membership,
-// counts, CTA classes and first rows are identical at any worker count and
-// batch size — the property the streaming stratifier's exactness rests on.
-func TestIngestDeterministicAcrossParallelism(t *testing.T) {
+// TestIngestDigestMatchesArrivalOrderFold checks every kernel's digest
+// against a brute-force fold of that kernel's rows in arrival order: the
+// accumulator bit for bit (floating-point sums included), the first row, the
+// CTA classes and the reservoir membership. A digest that is this fold is a
+// pure function of the source, which is what lets a stream plan have the same
+// bytes on every path and at any worker count.
+func TestIngestDigestMatchesArrivalOrderFold(t *testing.T) {
+	const cap = 64
 	rows := genRows(2000, 5)
-	base, err := IngestContext(context.Background(), sliceSource(rows), Options{ReservoirSize: 64, Parallelism: 1})
+	d, err := IngestContext(context.Background(), sliceSource(rows), Options{ReservoirSize: cap, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{2, 3, 8} {
-		for _, bs := range []int{1, 7, 256} {
-			d, err := IngestContext(context.Background(), sliceSource(rows), Options{ReservoirSize: 64, Parallelism: p, BatchSize: bs})
-			if err != nil {
-				t.Fatalf("p=%d bs=%d: %v", p, bs, err)
+	if d.Rows != len(rows) || len(d.Kernels) != 5 {
+		t.Fatalf("digest has %d rows, %d kernels; want %d, 5", d.Rows, len(d.Kernels), len(rows))
+	}
+	for _, kd := range d.Kernels {
+		var acc stats.Accumulator
+		var first Row
+		ctas := map[int]CTAClass{}
+		var pris []sample
+		for _, r := range rows {
+			if r.Kernel != kd.Name {
+				continue
 			}
-			if d.Rows != base.Rows || len(d.Kernels) != len(base.Kernels) {
-				t.Fatalf("p=%d bs=%d: shape diverges", p, bs)
+			r.Pos = r.Index // genRows numbers rows by arrival position
+			if acc.N() == 0 {
+				first = r
 			}
-			for i, kd := range d.Kernels {
-				bk := base.Kernels[i]
-				if kd.Name != bk.Name || kd.N() != bk.N() || kd.Complete() != bk.Complete() {
-					t.Fatalf("p=%d bs=%d kernel %s: summary diverges", p, bs, kd.Name)
-				}
-				if !reflect.DeepEqual(indicesOf(kd.Rows()), indicesOf(bk.Rows())) {
-					t.Fatalf("p=%d bs=%d kernel %s: reservoir membership diverges", p, bs, kd.Name)
-				}
-				if kd.First().Index != bk.First().Index {
-					t.Fatalf("p=%d bs=%d kernel %s: first row diverges", p, bs, kd.Name)
-				}
-				if kd.DominantCTA() != bk.DominantCTA() || kd.MaxCTA() != bk.MaxCTA() {
-					t.Fatalf("p=%d bs=%d kernel %s: CTA classes diverge", p, bs, kd.Name)
-				}
-				ka, ba := kd.Stats(), bk.Stats()
-				if ka.Min() != ba.Min() || ka.Max() != ba.Max() {
-					t.Fatalf("p=%d bs=%d kernel %s: min/max diverge", p, bs, kd.Name)
-				}
-				if math.Abs(ka.Sum()-ba.Sum()) > 1e-6*math.Abs(ba.Sum()) {
-					t.Fatalf("p=%d bs=%d kernel %s: sums diverge beyond tolerance", p, bs, kd.Name)
-				}
+			acc.Add(r.InstructionCount)
+			c, ok := ctas[r.CTASize]
+			if !ok {
+				c = CTAClass{Size: r.CTASize, First: r}
 			}
+			c.Count++
+			ctas[r.CTASize] = c
+			pris = append(pris, sample{row: r, pri: priority(3, r.Index)})
+		}
+		if kd.Stats() != acc {
+			t.Fatalf("kernel %s: accumulator %+v, want the arrival-order fold %+v", kd.Name, kd.Stats(), acc)
+		}
+		if kd.First() != first {
+			t.Fatalf("kernel %s: first row %+v, want %+v", kd.Name, kd.First(), first)
+		}
+		if dom := kd.DominantCTA(); dom != ctas[dom.Size] {
+			t.Fatalf("kernel %s: dominant CTA %+v, want %+v", kd.Name, dom, ctas[dom.Size])
+		}
+		if max := kd.MaxCTA(); max != ctas[max.Size] {
+			t.Fatalf("kernel %s: max CTA %+v, want %+v", kd.Name, max, ctas[max.Size])
+		}
+		sort.Slice(pris, func(a, b int) bool { return worse(pris[b], pris[a]) })
+		want := make([]int, cap)
+		for i := range want {
+			want[i] = pris[i].row.Index
+		}
+		sort.Ints(want)
+		if kd.Complete() || !reflect.DeepEqual(indicesOf(kd.Rows()), want) {
+			t.Fatalf("kernel %s: reservoir membership diverges from bottom-%d by priority", kd.Name, cap)
 		}
 	}
 }
@@ -178,10 +197,8 @@ func TestIngestValidation(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		for _, p := range []int{1, 4} {
-			if _, err := IngestContext(context.Background(), sliceSource(c.rows), Options{Parallelism: p, BatchSize: 1}); err == nil {
-				t.Fatalf("%s (parallelism %d): want error", c.name, p)
-			}
+		if _, err := IngestContext(context.Background(), sliceSource(c.rows), Options{}); err == nil {
+			t.Fatalf("%s: want error", c.name)
 		}
 	}
 }
@@ -197,7 +214,7 @@ func TestIngestSourceErrorPropagates(t *testing.T) {
 		n++
 		return r, nil
 	}
-	if _, err := IngestContext(context.Background(), src, Options{Parallelism: 4, BatchSize: 2}); err != boom {
+	if _, err := IngestContext(context.Background(), src, Options{}); err != boom {
 		t.Fatalf("err = %v, want source error", err)
 	}
 }
@@ -215,8 +232,6 @@ func TestIngestEmptySource(t *testing.T) {
 func TestIngestRejectsBadOptions(t *testing.T) {
 	for _, o := range []Options{
 		{ReservoirSize: -1},
-		{Parallelism: -2},
-		{BatchSize: -5},
 	} {
 		if _, err := IngestContext(context.Background(), sliceSource(nil), o); err == nil {
 			t.Fatalf("options %+v: want error", o)

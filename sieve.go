@@ -162,8 +162,8 @@ func SampleMethod(method string, p *MethodProfile, opts MethodOptions) (*Plan, e
 }
 
 // SampleMethodContext is SampleMethod with cancellation, observed between
-// strata and resamples; a stream-mode pass also observes it between
-// ingestion batches, then drains its shards and returns ctx.Err().
+// strata and resamples; a stream-mode pass also observes it every 1024
+// ingested rows and returns ctx.Err().
 func SampleMethodContext(ctx context.Context, method string, p *MethodProfile, opts MethodOptions) (*Plan, error) {
 	return sampler.Run(ctx, method, p, opts)
 }

@@ -13,9 +13,10 @@ import (
 // streams a profile's in-memory Rows: one pass feeds per-kernel online
 // accumulators and deterministic seeded reservoirs, so memory is
 // O(kernels × ReservoirSize) no matter how many invocations stream by.
-// Whenever every kernel fits its reservoir the plan is byte-identical to the
-// non-stream sieve plan on the same rows, at any Parallelism; otherwise it is
-// marked Sampled (exact totals and representatives, partial membership
+// Stream mode ignores Parallelism, so a stream plan has the same bytes at any
+// worker count. Whenever every kernel fits its reservoir the plan is
+// byte-identical to the non-stream sieve plan on the same rows; otherwise it
+// is marked Sampled (exact totals and representatives, partial membership
 // lists, reservoir-sampled Tier-3 splits). See docs/streaming.md.
 type RowSource = core.RowSource
 
