@@ -104,11 +104,14 @@ report:
 serve:
 	$(GO) run ./cmd/sieved -addr :8372
 
-# Short fuzz pass over every fuzz target: the profiler CSV readers, the
-# sieved request decoder and the KDE grid's occupied-bin exactness (CI runs
-# the same).
+# Packages holding fuzz targets: the profiler CSV readers, the sieved request
+# decoder, the KDE grid's occupied-bin exactness, streaming vs materialized
+# stratification, and the trace reader.
+FUZZ_PKGS = ./internal/profiler ./internal/server ./internal/kde ./internal/core ./internal/trace
+
+# Short fuzz pass over every fuzz target in FUZZ_PKGS (CI runs the same).
 fuzz-smoke:
-	@for pkg in ./internal/profiler ./internal/server ./internal/kde; do \
+	@for pkg in $(FUZZ_PKGS); do \
 		for t in $$($(GO) test $$pkg -list 'Fuzz.*' | grep '^Fuzz'); do \
 			echo "fuzzing $$pkg $$t"; \
 			$(GO) test $$pkg -run XXX -fuzz "^$$t$$" -fuzztime 10s || exit 1; \

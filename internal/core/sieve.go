@@ -414,14 +414,8 @@ func newResult(profile []InvocationProfile, theta float64) (*Result, error) {
 	}
 	for i := range profile {
 		p := &profile[i]
-		if p.Kernel == "" {
-			return nil, fmt.Errorf("core: profile row %d has no kernel name", i)
-		}
-		if p.InstructionCount <= 0 {
-			return nil, fmt.Errorf("core: profile row %d (kernel %s) has non-positive instruction count", i, p.Kernel)
-		}
-		if p.CTASize <= 0 {
-			return nil, fmt.Errorf("core: profile row %d (kernel %s) has non-positive CTA size", i, p.Kernel)
+		if err := checkRow(p, i); err != nil {
+			return nil, err
 		}
 		if _, dup := res.byIndex[p.Index]; dup {
 			return nil, fmt.Errorf("core: duplicate invocation index %d", p.Index)
@@ -430,6 +424,21 @@ func newResult(profile []InvocationProfile, theta float64) (*Result, error) {
 		res.posByIndex[p.Index] = i
 	}
 	return res, nil
+}
+
+// checkRow validates the row at position pos of a profile: it needs a kernel
+// name, a positive instruction count and a positive CTA size.
+func checkRow(p *InvocationProfile, pos int) error {
+	if p.Kernel == "" {
+		return fmt.Errorf("core: profile row %d has no kernel name", pos)
+	}
+	if p.InstructionCount <= 0 {
+		return fmt.Errorf("core: profile row %d (kernel %s) has non-positive instruction count", pos, p.Kernel)
+	}
+	if p.CTASize <= 0 {
+		return fmt.Errorf("core: profile row %d (kernel %s) has non-positive CTA size", pos, p.Kernel)
+	}
+	return nil
 }
 
 // setWeights totals the strata's instructions and sets each stratum's weight

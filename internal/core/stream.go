@@ -4,10 +4,24 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
+	"sort"
 
 	"github.com/gpusampling/sieve/internal/obs"
-	"github.com/gpusampling/sieve/internal/stream"
+	"github.com/gpusampling/sieve/internal/stats"
 )
+
+// Defaults for StreamOptions fields left zero.
+const (
+	// DefaultReservoirSize bounds the rows retained per kernel.
+	DefaultReservoirSize = 4096
+	// DefaultSeed seeds the reservoir priority hash.
+	DefaultSeed = 1
+)
+
+// cancelCheckRows is how many rows the ingestion pass reads between checks
+// of its context.
+const cancelCheckRows = 1024
 
 // StreamOptions configures bounded-memory streaming stratification. The
 // embedded Options carry the usual θ/selection/splitter knobs; the extra
@@ -17,15 +31,33 @@ import (
 type StreamOptions struct {
 	Options
 	// ReservoirSize bounds the rows retained per kernel;
-	// stream.DefaultReservoirSize if zero. Kernels whose invocation count
-	// fits the reservoir are stratified exactly — byte-identical to
-	// StratifyContext on the same rows; larger kernels fall back to sampled
-	// Tier-3 splitting and partial membership lists (Result.Sampled).
+	// DefaultReservoirSize if zero. Kernels whose invocation count fits the
+	// reservoir are stratified exactly — byte-identical to StratifyContext
+	// on the same rows; larger kernels fall back to sampled Tier-3 splitting
+	// and partial membership lists (Result.Sampled).
 	ReservoirSize int
-	// Seed seeds the deterministic reservoir priority hash;
-	// stream.DefaultSeed if zero. Reservoir membership is a pure function
-	// of (Seed, invocation index).
+	// Seed seeds the deterministic reservoir priority hash; DefaultSeed if
+	// zero. Reservoir membership is a pure function of (Seed, invocation
+	// index).
 	Seed uint64
+}
+
+// withDefaults returns the options with zero values replaced by defaults.
+func (o StreamOptions) withDefaults() (StreamOptions, error) {
+	var err error
+	if o.Options, err = o.Options.withDefaults(); err != nil {
+		return o, err
+	}
+	if o.ReservoirSize == 0 {
+		o.ReservoirSize = DefaultReservoirSize
+	}
+	if o.ReservoirSize < 1 {
+		return o, fmt.Errorf("core: reservoir size %d < 1", o.ReservoirSize)
+	}
+	if o.Seed == 0 {
+		o.Seed = DefaultSeed
+	}
+	return o, nil
 }
 
 // RowSource yields the next profile row, or io.EOF after the last one. Rows
@@ -65,40 +97,27 @@ func SliceSource(rows []InvocationProfile) RowSource {
 //
 // The ingestion pass checks ctx every 1024 rows and the per-kernel
 // stratification loop checks it between kernels, so a cancelled or timed-out
-// context stops the single pass mid-stream and reports ctx.Err().
+// context stops the single pass mid-stream and reports ctx.Err(). A source
+// error is returned as is.
 func StratifyStreamContext(ctx context.Context, next RowSource, opts StreamOptions) (*Result, error) {
-	o, err := opts.Options.withDefaults()
+	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	// The stream.ingest span (from IngestContext) and the per-kernel
-	// core.kernel spans nest under this one; without a collector StartSpan is
-	// a no-op and the pass is untouched.
+	// The stream.ingest span and the per-kernel core.kernel spans nest under
+	// this one; without a collector StartSpan is a no-op and the pass is
+	// untouched.
 	ctx, sp := obs.StartSpan(ctx, "core.stratify_stream")
 	defer sp.End()
 	if sp.Active() {
 		sp.SetAttr("theta", o.Theta)
 		sp.SetAttr("splitter", o.Tier3Splitter.String())
 	}
-	digest, err := stream.IngestContext(ctx, func() (stream.Row, error) {
-		p, err := next()
-		if err != nil {
-			return stream.Row{}, err
-		}
-		return stream.Row{
-			Kernel:           p.Kernel,
-			Index:            p.Index,
-			InstructionCount: p.InstructionCount,
-			CTASize:          p.CTASize,
-		}, nil
-	}, stream.Options{
-		ReservoirSize: opts.ReservoirSize,
-		Seed:          opts.Seed,
-	})
+	kernels, rows, err := ingest(ctx, next, o)
 	if err != nil {
 		return nil, err
 	}
-	if digest.Rows == 0 {
+	if rows == 0 {
 		return nil, fmt.Errorf("core: %w", ErrEmptyProfile)
 	}
 
@@ -107,78 +126,181 @@ func StratifyStreamContext(ctx context.Context, next RowSource, opts StreamOptio
 		byIndex:    make(map[int]*InvocationProfile),
 		posByIndex: make(map[int]int),
 	}
-	for _, kd := range digest.Kernels {
+	for _, kd := range kernels {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		var strata []Stratum
 		var tier Tier
-		if kd.Complete() {
+		if !kd.res.overflowed {
 			// Exact fallback: the reservoir holds every row, so run the
 			// very same per-kernel stratifier StratifyContext uses.
-			rows := res.registerRows(kd.Rows())
-			strata, tier, err = stratifyKernel(ctx, kd.Name, rows, o)
+			strata, tier, err = stratifyKernel(ctx, kd.name, res.registerRows(kd.res.rows), o.Options)
 		} else {
 			res.Sampled = true
-			strata, tier, err = stratifyKernelDigest(ctx, kd, o, res)
+			strata, tier, err = stratifyKernelDigest(ctx, kd, o.Options, res)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: kernel %s: %w", kd.Name, err)
+			return nil, fmt.Errorf("core: kernel %s: %w", kd.name, err)
 		}
-		res.TierInvocations[tier-1] += kd.N()
+		res.TierInvocations[tier-1] += kd.acc.N()
 		res.Strata = append(res.Strata, strata...)
 	}
 	res.setWeights()
 	if sp.Active() {
-		sp.SetAttr("kernels", len(digest.Kernels))
+		sp.SetAttr("kernels", len(kernels))
 		sp.SetAttr("strata", len(res.Strata))
 		sp.SetAttr("sampled", res.Sampled)
-		sp.Add("rows", int64(digest.Rows))
+		sp.Add("rows", int64(rows))
 	}
 	return res, nil
 }
 
-// registerRows copies retained stream rows into the result's lookup maps and
-// returns them as stratifier input.
-func (r *Result) registerRows(rows []stream.Row) []*InvocationProfile {
-	profs := make([]InvocationProfile, len(rows))
+// ctaClass summarizes the invocations of one kernel sharing a thread-block
+// size.
+type ctaClass struct {
+	size  int
+	count int
+	first sample // earliest invocation with this size
+}
+
+// kernelDigest is the bounded per-kernel state of one streaming pass.
+type kernelDigest struct {
+	name  string
+	acc   stats.Accumulator // instruction counts
+	first sample            // earliest invocation
+	ctas  map[int]*ctaClass // CTA size → class summary
+	res   reservoir
+}
+
+// add folds one row into the digest. Rows arrive in ascending Index order, so
+// the first row seen (overall and per CTA size) is the earliest.
+func (d *kernelDigest) add(s sample) {
+	d.acc.Add(s.row.InstructionCount)
+	if d.acc.N() == 1 {
+		d.first = s
+	}
+	if c, ok := d.ctas[s.row.CTASize]; ok {
+		c.count++
+	} else {
+		d.ctas[s.row.CTASize] = &ctaClass{size: s.row.CTASize, count: 1, first: s}
+	}
+	d.res.add(s)
+}
+
+// dominantCTA returns the most frequent CTA class; ties break toward the
+// class whose first invocation is earliest, matching selectRepresentative's
+// "size seen first" rule. Unlike reservoir contents this is exact: the
+// frequency map tracks every invocation.
+func (d *kernelDigest) dominantCTA() ctaClass {
+	var best *ctaClass
+	for _, c := range d.ctas {
+		if best == nil || c.count > best.count ||
+			(c.count == best.count && c.first.row.Index < best.first.row.Index) {
+			best = c
+		}
+	}
+	return *best
+}
+
+// maxCTA returns the class with the largest thread-block size (exact).
+func (d *kernelDigest) maxCTA() ctaClass {
+	var best *ctaClass
+	for _, c := range d.ctas {
+		if best == nil || c.size > best.size {
+			best = c
+		}
+	}
+	return *best
+}
+
+// ingest drives one bounded-memory pass over the source and returns one
+// digest per kernel, sorted by kernel name, plus the number of rows read.
+// Each row passes checkRow and must have an Index above the previous row's,
+// which also rejects duplicate indices. An empty source yields no digests,
+// not an error. The pass checks ctx before the first row and once per
+// cancelCheckRows rows after it.
+func ingest(ctx context.Context, next RowSource, o StreamOptions) ([]*kernelDigest, int, error) {
+	// Observability: record the pass as a stream.ingest span (row/kernel
+	// totals plus per-kernel exact-vs-sampled retention) when a collector
+	// rides ctx; a bare context skips all of it.
+	_, sp := obs.StartSpan(ctx, "stream.ingest")
+	defer sp.End()
+	if sp.Active() {
+		sp.SetAttr("reservoir_size", o.ReservoirSize)
+	}
+	byName := make(map[string]*kernelDigest)
+	pos, lastIndex := 0, math.MinInt
+	for ; ; pos++ {
+		if pos%cancelCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, err
+			}
+		}
+		row, err := next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		if err := checkRow(&row, pos); err != nil {
+			return nil, 0, err
+		}
+		if row.Index <= lastIndex {
+			return nil, 0, fmt.Errorf("core: profile row %d: invocation index %d not above previous index %d (streaming ingestion requires strictly ascending unique indices)", pos, row.Index, lastIndex)
+		}
+		lastIndex = row.Index
+		kd, ok := byName[row.Kernel]
+		if !ok {
+			kd = &kernelDigest{name: row.Kernel, ctas: make(map[int]*ctaClass), res: reservoir{cap: o.ReservoirSize}}
+			byName[row.Kernel] = kd
+		}
+		kd.add(sample{row: row, pos: pos, pri: priority(o.Seed, row.Index)})
+	}
+	kernels := make([]*kernelDigest, 0, len(byName))
+	for _, kd := range byName {
+		kernels = append(kernels, kd)
+	}
+	sort.Slice(kernels, func(i, j int) bool { return kernels[i].name < kernels[j].name })
+	if sp.Active() {
+		sp.Add("rows", int64(pos))
+		sp.SetAttr("kernels", len(kernels))
+		exact, sampled := 0, 0
+		for _, kd := range kernels {
+			if kd.res.overflowed {
+				sampled++
+			} else {
+				exact++
+			}
+			sp.Add("retained", int64(len(kd.res.rows)))
+		}
+		sp.SetAttr("kernels_exact", exact)
+		sp.SetAttr("kernels_sampled", sampled)
+	}
+	return kernels, pos, nil
+}
+
+// registerRows sorts a kernel's retained rows by Index, adds them to the
+// result's lookup maps and returns them as stratifier input.
+func (r *Result) registerRows(rows []sample) []*InvocationProfile {
+	sort.Slice(rows, func(a, b int) bool { return rows[a].row.Index < rows[b].row.Index })
 	out := make([]*InvocationProfile, len(rows))
-	for i, row := range rows {
-		profs[i] = profileRow(row)
-		r.byIndex[row.Index] = &profs[i]
-		r.posByIndex[row.Index] = row.Pos
-		out[i] = &profs[i]
+	for i := range rows {
+		s := &rows[i]
+		r.byIndex[s.row.Index] = &s.row
+		r.posByIndex[s.row.Index] = s.pos
+		out[i] = &s.row
 	}
 	return out
-}
-
-// registerRow copies one stream row (e.g. an off-reservoir representative)
-// into the result's lookup maps.
-func (r *Result) registerRow(row stream.Row) {
-	if _, ok := r.byIndex[row.Index]; ok {
-		return
-	}
-	p := profileRow(row)
-	r.byIndex[row.Index] = &p
-	r.posByIndex[row.Index] = row.Pos
-}
-
-// profileRow converts a stream row back into a profile row (dropping Pos).
-func profileRow(row stream.Row) InvocationProfile {
-	return InvocationProfile{
-		Kernel:           row.Kernel,
-		Index:            row.Index,
-		InstructionCount: row.InstructionCount,
-		CTASize:          row.CTASize,
-	}
 }
 
 // stratifyKernelDigest builds strata for a kernel that overflowed its
 // reservoir, from the digest's exact aggregates plus the bounded row sample.
 // Its core.kernel span mirrors stratifyKernel's, with sampled=true and the
 // retained-sample size alongside the exact invocation count.
-func stratifyKernelDigest(ctx context.Context, kd *stream.KernelDigest, opts Options, res *Result) ([]Stratum, Tier, error) {
-	acc := kd.Stats()
+func stratifyKernelDigest(ctx context.Context, kd *kernelDigest, opts Options, res *Result) ([]Stratum, Tier, error) {
+	acc := kd.acc
 	var tier Tier
 	switch {
 	case acc.Min() == acc.Max():
@@ -191,10 +313,10 @@ func stratifyKernelDigest(ctx context.Context, kd *stream.KernelDigest, opts Opt
 
 	ctx, sp := obs.StartSpan(ctx, "core.kernel")
 	defer sp.End()
-	rows := res.registerRows(kd.Rows())
+	rows := res.registerRows(kd.res.rows)
 	if sp.Active() {
-		sp.SetAttr("kernel", kd.Name)
-		sp.SetAttr("rows", kd.N())
+		sp.SetAttr("kernel", kd.name)
+		sp.SetAttr("rows", acc.N())
 		sp.SetAttr("retained", len(rows))
 		sp.SetAttr("tier", tier.String())
 		sp.SetAttr("cov", acc.CoV())
@@ -205,24 +327,29 @@ func stratifyKernelDigest(ctx context.Context, kd *stream.KernelDigest, opts Opt
 		// the representative are exact — the accumulator and the streaming
 		// CTA-frequency/first-row tracking saw every invocation — only the
 		// membership list is limited to the retained sample.
-		s := Stratum{Kernel: kd.Name, Tier: tier, InstructionSum: acc.Sum()}
+		s := Stratum{Kernel: kd.name, Tier: tier, InstructionSum: acc.Sum()}
 		s.Invocations = make([]int, len(rows))
 		for i, p := range rows {
 			s.Invocations[i] = p.Index
 		}
-		var rep stream.Row
+		var rep sample
 		switch {
 		case tier == Tier1 || opts.Selection == SelectFirstChronological:
-			rep = kd.First()
+			rep = kd.first
 		case opts.Selection == SelectDominantCTAFirst:
-			rep = kd.DominantCTA().First
+			rep = kd.dominantCTA().first
 		case opts.Selection == SelectMaxCTA:
-			rep = kd.MaxCTA().First
+			rep = kd.maxCTA().first
 		default:
 			return nil, tier, fmt.Errorf("unknown selection policy %d", opts.Selection)
 		}
-		res.registerRow(rep)
-		s.Representative = rep.Index
+		// The representative may have left the reservoir; the plan still
+		// needs its row for prediction.
+		if _, ok := res.byIndex[rep.row.Index]; !ok {
+			res.byIndex[rep.row.Index] = &rep.row
+			res.posByIndex[rep.row.Index] = rep.pos
+		}
+		s.Representative = rep.row.Index
 		if sp.Active() {
 			sp.SetAttr("strata", 1)
 			sp.SetAttr("strata_cov", []float64{acc.CoV()})
@@ -239,7 +366,7 @@ func stratifyKernelDigest(ctx context.Context, kd *stream.KernelDigest, opts Opt
 		counts[i] = p.InstructionCount
 		sampledSum += p.InstructionCount
 	}
-	strata, err := tier3Strata(ctx, sp, kd.Name, counts, rows, opts)
+	strata, err := tier3Strata(ctx, sp, kd.name, counts, rows, opts)
 	if err != nil {
 		return nil, tier, err
 	}

@@ -6,8 +6,8 @@
 // overhead, per-stage work, sampled-vs-golden error, Sections V–VI): every
 // run of the sampling pipeline should be able to explain where its time and
 // its samples went. A Collector travels in the context.Context the compute
-// stack already threads (core.StratifyContext, kde.GridContext,
-// pks.SelectContext, stream.IngestContext); each stage opens a Span, hangs
+// stack already threads (core.StratifyContext, core.StratifyStreamContext,
+// kde.GridContext, pks.SelectContext); each stage opens a Span, hangs
 // counters and key/value attributes off it, and closes it. When no Collector
 // is attached every call is a no-op — StartSpan returns a nil *Span whose
 // methods are nil-receiver safe — so un-instrumented runs pay one context

@@ -17,7 +17,6 @@ import (
 	"github.com/gpusampling/sieve/internal/sampler"
 	"github.com/gpusampling/sieve/internal/sampler/rss"
 	"github.com/gpusampling/sieve/internal/sampler/twophase"
-	"github.com/gpusampling/sieve/internal/stream"
 	"github.com/gpusampling/sieve/internal/workloads"
 )
 
@@ -312,8 +311,8 @@ func TestRunStreamProfiles(t *testing.T) {
 		t.Errorf("profile with Rows and Source: err = %v, want a refusal", err)
 	}
 
-	if sampler.DefaultSeed != stream.DefaultSeed {
-		t.Fatalf("sampler.DefaultSeed %d != stream.DefaultSeed %d: a zero seed would move every stream plan", sampler.DefaultSeed, stream.DefaultSeed)
+	if sampler.DefaultSeed != core.DefaultSeed {
+		t.Fatalf("sampler.DefaultSeed %d != core.DefaultSeed %d: a zero seed would move every stream plan", sampler.DefaultSeed, core.DefaultSeed)
 	}
 	small := sampler.Options{Stream: true, ReservoirSize: 8}
 	fromRows, err := sampler.Run(ctx, "sieve", &sampler.Profile{Rows: p.Rows}, small)

@@ -25,7 +25,7 @@ func (sieveSampler) Plan(ctx context.Context, p *Profile, opts Options) (*core.R
 		if src == nil {
 			src = core.SliceSource(p.Rows)
 		}
-		// DefaultSeed is also the stream layer's default reservoir seed.
+		// DefaultSeed equals core.DefaultSeed, the default reservoir seed.
 		return core.StratifyStreamContext(ctx, src, core.StreamOptions{Options: opts.Core, ReservoirSize: opts.ReservoirSize, Seed: uint64(opts.Seed)})
 	}
 	// The plan is the profile's base stratification itself: on a memoized

@@ -19,6 +19,7 @@ func FuzzRead(f *testing.F) {
 	f.Add("sieve-trace 2\nkernel k\ninvocation 0\ngrid 1 1 1\nblock 32 1 1\nwarps 1\ninstrs 0\n")
 	f.Add("sieve-trace 1\nkernel k\ninvocation 0\ngrid 1 1 1\nblock 32 1 1\nwarps 1\ninstrs 1\n0 1000 LDG ffffffff beef\n")
 	f.Add("garbage\nmore garbage")
+	f.Add("sieve-trace 0\nkernel 0\ninvocation 0\ngrid 0 0 0\nblock 0 0 0\nwarps 0\ninstrs  100000000")
 	f.Fuzz(func(t *testing.T, in string) {
 		tr, err := Read(strings.NewReader(in))
 		if err != nil {

@@ -116,6 +116,10 @@ func (t *Trace) Validate() error {
 // format version written in the header; readers reject newer versions.
 const formatVersion = 2
 
+// maxPreallocInstrs bounds the instruction slice Read allocates before it has
+// read any instruction line.
+const maxPreallocInstrs = 4096
+
 // Write serializes the trace in the plain-text format.
 func (t *Trace) Write(w io.Writer) error {
 	if err := t.Validate(); err != nil {
@@ -200,7 +204,9 @@ func Read(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: negative instruction count %d", nInstrs)
 	}
 
-	t.Instrs = make([]Instr, 0, nInstrs)
+	// The header's count is unchecked input until the lines are read, so it
+	// only sizes the first allocation up to maxPreallocInstrs.
+	t.Instrs = make([]Instr, 0, min(nInstrs, maxPreallocInstrs))
 	for line := 1; sc.Scan(); line++ {
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 0 {

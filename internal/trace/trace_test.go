@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -303,5 +304,22 @@ func TestGenerateEmitsCoalescingDegrees(t *testing.T) {
 	got := float64(linesSum) / float64(memOps)
 	if got < want*0.5 || got > want*2+1 {
 		t.Fatalf("mean coalescing degree %.1f far from profiled %.1f", got, want)
+	}
+}
+
+// TestReadDoesNotTrustInstrCount feeds a header that promises 10^8
+// instructions and holds none: Read must reject it without first allocating
+// room for all of them.
+func TestReadDoesNotTrustInstrCount(t *testing.T) {
+	in := "sieve-trace 2\nkernel k\ninvocation 0\ngrid 1 1 1\nblock 32 1 1\nwarps 1\ninstrs 100000000\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(strings.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Read accepted a trace missing its instructions")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("Read allocated %d bytes for an empty instruction list", grew)
 	}
 }
