@@ -53,11 +53,12 @@ bench-stream:
 
 # Plan-service request latency: a full cache-miss sampling request vs the
 # content-hash cache-hit fast path over loopback HTTP, plus the handler in
-# process (sampled and unsampled hits, misses on a long-running server), five
-# one-second runs each, recorded to BENCH_serve.json.
+# process (sampled and unsampled hits, misses on a long-running server) and
+# the CSV parse a miss starts with (ParseRows and the streaming CSVScanner on
+# the lmc fixture), five one-second runs each, recorded to BENCH_serve.json.
 bench-serve:
-	$(GO) test -run XXX -bench 'BenchmarkServe' \
-		-benchmem -benchtime 1s -count 5 -json ./internal/server > BENCH_serve.json
+	$(GO) test -run XXX -bench 'BenchmarkServe|BenchmarkParseRows|BenchmarkCSVScanner' \
+		-benchmem -benchtime 1s -count 5 -json ./internal/server ./internal/profiler > BENCH_serve.json
 	@echo "benchmark event stream written to BENCH_serve.json"
 
 # Observability overhead: the full sampling pipeline with no collector vs one

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/gpusampling/sieve/internal/core"
 )
@@ -118,4 +120,124 @@ func TestWriteCSVRejectsDuplicateCollected(t *testing.T) {
 	if err := p.WriteCSV(&buf); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("err = %v, want duplicate-column rejection", err)
 	}
+}
+
+// TestCSVScannerErrorLines pins the physical line each error names: blank
+// lines and a quoted kernel name spanning two lines count as lines, a bad
+// field inside a multi-line record names the line that holds it, and a
+// field-count error names its line once. Every case must also match the
+// encoding/csv reference parse.
+func TestCSVScannerErrorLines(t *testing.T) {
+	const h = "kernel,index,seq,cta_size,instruction_count\n"
+	const atoiX = `strconv.Atoi: parsing "x": invalid syntax`
+	cases := []struct{ in, want string }{
+		{h + "\n\nk,x,0,128,5\n", "profiler: line 4: bad index: " + atoiX},
+		{h + "k,0,0,128,5\nk,1,1\n", "profiler: record on line 3: wrong number of fields"},
+		{h + "\nk,0,0,128,5\n\nk,1,1,128,5,6\n", "profiler: record on line 5: wrong number of fields"},
+		{h + "\"a\nb\",0,0,128,5\nk,1,1,x,5\n", "profiler: line 4: bad cta_size: " + atoiX},
+		{h + "\"a\nb\",x,0,128,5\n", "profiler: line 3: bad index: " + atoiX},
+		{h + "k,0,0,128,5\n\n\"a\nb\",1,1,128,5\n\nk,2,2\n", "profiler: record on line 7: wrong number of fields"},
+		{h + "k,0,0,128,5\r\n\r\nk,1,1,128,zz\r\n",
+			`profiler: line 4: bad instruction_count: strconv.ParseFloat: parsing "zz": invalid syntax`},
+		{h + "\nk,0,0,128,5\nk\"q,1,1,128,5\n", `profiler: parse error on line 4, column 2: bare " in non-quoted-field`},
+	}
+	for _, tc := range cases {
+		_, _, err := scanAll(tc.in)
+		if fmt.Sprint(err) != tc.want {
+			t.Errorf("%q: err = %v, want %s", tc.in, err, tc.want)
+		}
+		if _, _, ref := referenceScan(tc.in); fmt.Sprint(ref) != tc.want {
+			t.Errorf("%q: reference err = %v, want %s", tc.in, ref, tc.want)
+		}
+	}
+}
+
+// TestParsedKernelsOwnTheirStrings parses a body that, as in sieved, is a
+// string view of a byte buffer, then overwrites the buffer: no parsed kernel
+// name may change, so no row aliases its input. It covers the fast path and
+// a hand-off to encoding/csv.
+func TestParsedKernelsOwnTheirStrings(t *testing.T) {
+	fixture := loadLMCFixture(t)
+	quoted := strings.Replace(fixture, "\n", "\n\"q,1\",-1,0,128,5\n", 1) // hand-off after the header
+	for name, text := range map[string]string{"fast path": fixture, "hand-off": quoted} {
+		t.Run(name, func(t *testing.T) {
+			parsers := map[string]func(string) ([]core.InvocationProfile, error){
+				"ParseRows": ParseRows,
+				"ReadCSV": func(s string) ([]core.InvocationProfile, error) {
+					p, err := ReadCSV(strings.NewReader(s))
+					if err != nil {
+						return nil, err
+					}
+					return p.Rows(), nil
+				},
+			}
+			_, recs, err := referenceScan(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]string, len(recs))
+			for i, r := range recs {
+				want[i] = r.Kernel
+			}
+			for pname, parse := range parsers {
+				body := []byte(text)
+				rows, err := parse(unsafe.String(unsafe.SliceData(body), len(body)))
+				if err != nil {
+					t.Fatalf("%s: %v", pname, err)
+				}
+				kernels := make([]string, len(rows))
+				for i, r := range rows {
+					kernels[i] = r.Kernel
+				}
+				if !reflect.DeepEqual(kernels, want) {
+					t.Fatalf("%s: kernel names differ from the reference parse", pname)
+				}
+				for i := range body {
+					body[i] = '#'
+				}
+				if !reflect.DeepEqual(kernels, want) {
+					t.Fatalf("%s: kernel names changed with the input buffer", pname)
+				}
+			}
+		})
+	}
+}
+
+// TestParseRowsAllocs pins ParseRows's allocations on the lmc fixture to the
+// distinct kernel names plus a constant: one interned string per kernel, not
+// one allocation per row.
+func TestParseRowsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	fixture := loadLMCFixture(t)
+	rows, err := ParseRows(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernels := make(map[string]bool)
+	for _, r := range rows {
+		kernels[r.Kernel] = true
+	}
+	bound := float64(len(kernels) + 64)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ParseRows(fixture); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > bound {
+		t.Fatalf("ParseRows allocates %.0f times on %d rows, want at most %.0f (%d kernels + 64)",
+			allocs, len(rows), bound, len(kernels))
+	}
+	t.Logf("%.0f allocs for %d rows of %d kernels", allocs, len(rows), len(kernels))
+}
+
+// loadLMCFixture reads the checked-in lmc@0.01 profile.
+func loadLMCFixture(tb testing.TB) string {
+	tb.Helper()
+	b, err := os.ReadFile("../../testdata/profile_lmc_scale0.01.csv")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return string(b)
 }

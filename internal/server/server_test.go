@@ -210,6 +210,9 @@ func TestMalformedRequests(t *testing.T) {
 	}{
 		{"garbage CSV", "text/csv", "not,a,profile\n1,2,3\n", "", http.StatusBadRequest},
 		{"bad metric column", "text/csv", "kernel,index,seq,cta_size,bogus\nk,0,0,128,1\n", "", http.StatusBadRequest},
+		{"short row after blank lines", "text/csv", "kernel,index,seq,cta_size,instruction_count\n\n\nk,0,0\n", "", http.StatusBadRequest},
+		{"bad row after a two-line quoted kernel", "text/csv",
+			"kernel,index,seq,cta_size,instruction_count\n\"a\nb\",0,0,128,5\nk,x,1,128,5\n", "", http.StatusBadRequest},
 		{"negative theta", "text/csv", testCSV(), "?theta=-1", http.StatusBadRequest},
 		{"unparsable theta", "text/csv", testCSV(), "?theta=abc", http.StatusBadRequest},
 		{"unknown selection", "text/csv", testCSV(), "?selection=psychic", http.StatusBadRequest},

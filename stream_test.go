@@ -2,8 +2,12 @@ package sieve
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestSampleStreamMatchesSample drives stream mode through the public API end
@@ -133,5 +137,46 @@ func TestSampleStreamBoundedReservoir(t *testing.T) {
 	golden := hw.MeasureWorkload(w)
 	if _, err := plan.Speedup(golden); err == nil {
 		t.Fatal("Speedup must refuse a sampled plan")
+	}
+}
+
+// TestCSVSourceOwnsKernelNames streams rows from a body that, as in sieved,
+// is a string view of a byte buffer, then overwrites the buffer: no row's
+// kernel name may change, so a retained row never aliases its input.
+func TestCSVSourceOwnsKernelNames(t *testing.T) {
+	text, err := os.ReadFile("testdata/profile_lmc_scale0.01.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := ReadProfileCSV(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Clone(text)
+	src, err := CSVSource(strings.NewReader(unsafe.String(unsafe.SliceData(body), len(body))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kernels []string
+	for {
+		row, err := src()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernels = append(kernels, row.Kernel)
+	}
+	for i := range body {
+		body[i] = '#'
+	}
+	if len(kernels) != len(ref.Records) {
+		t.Fatalf("%d rows, want %d", len(kernels), len(ref.Records))
+	}
+	for i, k := range kernels {
+		if k != ref.Records[i].Kernel {
+			t.Fatalf("row %d kernel %q, want %q", i, k, ref.Records[i].Kernel)
+		}
 	}
 }
