@@ -87,11 +87,12 @@ bench-load:
 
 # Per-methodology planning cost: one sub-benchmark per registered sampling
 # strategy (sieve, pks, twophase, rss — BenchmarkSamplerPlan iterates the
-# registry, so a new strategy shows up automatically), five one-second runs
-# each, recorded to BENCH_sampler.json. See docs/sampling-methods.md.
+# registry, so a new strategy shows up automatically), plus the pks k-sweep's
+# k-means alone (BenchmarkKMeansSweep), five one-second runs each, recorded
+# to BENCH_sampler.json. See docs/sampling-methods.md.
 bench-sampler:
-	$(GO) test -run XXX -bench 'BenchmarkSamplerPlan' \
-		-benchmem -benchtime 1s -count 5 -json ./internal/sampler > BENCH_sampler.json
+	$(GO) test -run XXX -bench 'BenchmarkSamplerPlan|BenchmarkKMeansSweep' \
+		-benchmem -benchtime 1s -count 5 -json ./internal/sampler ./internal/cluster > BENCH_sampler.json
 	@echo "benchmark event stream written to BENCH_sampler.json"
 
 # Sample observability report + Chrome trace for the checked-in lmc fixture
@@ -107,8 +108,8 @@ serve:
 
 # Packages holding fuzz targets: the profiler CSV readers, the sieved request
 # decoder, the KDE grid's occupied-bin exactness, streaming vs materialized
-# stratification, and the trace reader.
-FUZZ_PKGS = ./internal/profiler ./internal/server ./internal/kde ./internal/core ./internal/trace
+# stratification, the trace reader, and bounded vs plain Lloyd k-means.
+FUZZ_PKGS = ./internal/profiler ./internal/server ./internal/kde ./internal/core ./internal/trace ./internal/cluster
 
 # Short fuzz pass over every fuzz target in FUZZ_PKGS (CI runs the same).
 fuzz-smoke:

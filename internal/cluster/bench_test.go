@@ -7,14 +7,11 @@ import (
 )
 
 // BenchmarkKMeansSweep times the pks k-sweep's clustering alone: k = 1..20
-// over the PCA-reduced characteristic vectors of the four catalog entries
-// the workload-methods benchmark plans, with the sweep's per-k seeds, its
-// 30-iteration cap and one Scratch shared across the sweep.
+// over the PCA-reduced characteristic vectors of catalogEntries, with the
+// sweep's per-k seeds, its 30-iteration cap and one Scratch shared across
+// the sweep.
 func BenchmarkKMeansSweep(b *testing.B) {
-	for _, e := range []struct {
-		name  string
-		scale float64
-	}{{"gst", 1}, {"gru", 0.02}, {"3d-unet", 0.01}, {"ssd-mobilenet", 0.02}} {
+	for _, e := range catalogEntries {
 		ds, err := NewDataset(catalogPoints(b, e.name, e.scale))
 		if err != nil {
 			b.Fatal(err)

@@ -162,3 +162,14 @@ func AgglomerativeCuts(points [][]float64, ks []int) (map[int]*Result, error) {
 	}
 	return out, nil
 }
+
+// sqDist is the squared Euclidean distance between two equal-length points,
+// accumulated in dimension order.
+func sqDist(a, b []float64) float64 {
+	var acc float64
+	for i := range a {
+		d := a[i] - b[i]
+		acc += d * d
+	}
+	return acc
+}

@@ -1,6 +1,6 @@
 // Package cluster implements the k-means clustering substrate used by the
 // PKS baseline (Baddouh et al., MICRO 2021): k-means++ seeding, Lloyd
-// iterations with empty-cluster repair, and cluster-quality metrics.
+// iterations with empty-cluster repair, and agglomerative clustering.
 //
 // Determinism: all randomness flows through the caller-supplied *rand.Rand,
 // so a fixed seed reproduces the same clustering — the property the
@@ -31,6 +31,17 @@
 // reseated point's bounds are invalidated, and the final pass computes each
 // skipped point's distance with the same expression the scan uses, so
 // inertia is summed from the same numbers in the same order.
+//
+// The hot loops (the nearest-centroid scan, the k-means++ distance update
+// and the centroid sums) have fixed-width cases for rows of 2, 3 and 4
+// coordinates, the widths PCA leaves for 33 of the 40 catalog workloads;
+// every other width takes the stride loop. A fixed-width case adds the same
+// terms in the same dimension order as the loop it replaces, and starting a
+// distance from its first square instead of from 0 changes no bit (0 + x is
+// x for every square x, NaN included), so every Result is the same to the
+// bit whichever path computed it. sqDistFlat keeps only the stride loop: a
+// width switch would stop the compiler inlining it into its callers, which
+// costs more than the switch saves.
 package cluster
 
 import (
@@ -379,13 +390,44 @@ func (s *Scratch) updatePass(ds *Dataset, centroids []float64, k int, sums []flo
 		}
 	}
 
-	// Phase 3.
+	// Phase 3, with a fixed-width case for each width PCA usually leaves.
 	clear(sizes)
-	for i, a := range assign {
-		sizes[a]++
-		acc := sums[a*dim : (a+1)*dim]
-		for d, v := range ds.data[i*dim : (i+1)*dim] {
-			acc[d] += v
+	p := ds.data[:len(assign)*dim]
+	switch dim {
+	case 2:
+		for _, a := range assign {
+			sizes[a]++
+			acc := sums[2*a : 2*a+2]
+			acc[0] += p[0]
+			acc[1] += p[1]
+			p = p[2:]
+		}
+	case 3:
+		for _, a := range assign {
+			sizes[a]++
+			acc := sums[3*a : 3*a+3]
+			acc[0] += p[0]
+			acc[1] += p[1]
+			acc[2] += p[2]
+			p = p[3:]
+		}
+	case 4:
+		for _, a := range assign {
+			sizes[a]++
+			acc := sums[4*a : 4*a+4]
+			acc[0] += p[0]
+			acc[1] += p[1]
+			acc[2] += p[2]
+			acc[3] += p[3]
+			p = p[4:]
+		}
+	default:
+		for i, a := range assign {
+			sizes[a]++
+			acc := sums[a*dim : (a+1)*dim]
+			for d, v := range p[i*dim : (i+1)*dim] {
+				acc[d] += v
+			}
 		}
 	}
 }
@@ -538,14 +580,16 @@ func seedPlusPlus(ds *Dataset, k int, rng *rand.Rand, s *Scratch) {
 
 	// dMin[i] tracks the squared distance from point i to its nearest
 	// already-chosen centroid; updated incrementally as centroids are added.
-	dMin, near, second := s.dMin, s.assign, s.lower
+	dMin := s.dMin
+	near, second := s.assign[:len(dMin)], s.lower[:len(dMin)]
 	first := s.centroids[:dim]
 	// total is the potential Σ dMin, summed in point order as each update
 	// loop settles dMin[i], so it needs no pass of its own.
 	var total float64
-	for i := 0; i < ds.n; i++ {
-		dMin[i], near[i], second[i] = sqDistFlat(ds.row(i), first), 0, math.Inf(1)
-		total += dMin[i]
+	sqDistsTo(ds, first, dMin)
+	for i, d := range dMin {
+		near[i], second[i] = 0, math.Inf(1)
+		total += d
 	}
 	for chosen := 1; chosen < k; chosen++ {
 		var next int
@@ -567,8 +611,10 @@ func seedPlusPlus(ds *Dataset, k int, rng *rand.Rand, s *Scratch) {
 		cent := s.centroids[chosen*dim : (chosen+1)*dim]
 		copy(cent, ds.row(next))
 		total = 0
-		for i := 0; i < ds.n; i++ {
-			if d := sqDistFlat(ds.row(i), cent); d < dMin[i] {
+		dist := s.upper[:len(dMin)] // free until lloyd sets the bounds
+		sqDistsTo(ds, cent, dist)
+		for i, d := range dist {
+			if d < dMin[i] {
 				dMin[i], second[i], near[i] = d, dMin[i], chosen
 			} else if d < second[i] {
 				second[i] = d
@@ -578,21 +624,93 @@ func seedPlusPlus(ds *Dataset, k int, rng *rand.Rand, s *Scratch) {
 	}
 }
 
+// sqDistsTo sets out[i] to sqDistFlat(point i, cent) for the first
+// len(out) points.
+func sqDistsTo(ds *Dataset, cent, out []float64) {
+	dim := ds.dim
+	p := ds.data[:len(out)*dim]
+	switch dim {
+	case 2:
+		c0, c1 := cent[0], cent[1]
+		for i := range out {
+			d0, d1 := p[0]-c0, p[1]-c1
+			out[i] = d0*d0 + d1*d1
+			p = p[2:]
+		}
+	case 3:
+		c0, c1, c2 := cent[0], cent[1], cent[2]
+		for i := range out {
+			d0, d1, d2 := p[0]-c0, p[1]-c1, p[2]-c2
+			out[i] = d0*d0 + d1*d1 + d2*d2
+			p = p[3:]
+		}
+	case 4:
+		c0, c1, c2, c3 := cent[0], cent[1], cent[2], cent[3]
+		for i := range out {
+			d0, d1, d2, d3 := p[0]-c0, p[1]-c1, p[2]-c2, p[3]-c3
+			out[i] = d0*d0 + d1*d1 + d2*d2 + d3*d3
+			p = p[4:]
+		}
+	default:
+		for i := range out {
+			out[i] = sqDistFlat(p[i*dim:(i+1)*dim], cent)
+		}
+	}
+}
+
 // nearestFlat returns the index of the centroid closest to p, its exact
 // squared distance, and the squared distance to the second-closest centroid
-// (+Inf when k is 1). Ties go to the lower index. Candidates that cannot
-// beat the second-best-so-far abort the accumulation early
+// (+Inf when k is 1). Ties go to the lower index. Rows of 2 to 4
+// coordinates take a fixed-width scan. In rows of 5 or more, candidates that
+// cannot beat the second-best-so-far abort the accumulation early
 // (partial-distance pruning); the pruning never fires on the winning or the
 // second centroid, so both returned distances are the full, bitwise-exact
 // sums in dimension order.
 func nearestFlat(p, centroids []float64, k, dim int) (int, float64, float64) {
 	best, bestD, secondD := 0, math.Inf(1), math.Inf(1)
+	switch dim {
+	case 2:
+		p0, p1 := p[0], p[1]
+		cent := centroids[:2*k]
+		for c := 0; len(cent) >= 2; c, cent = c+1, cent[2:] {
+			d0, d1 := p0-cent[0], p1-cent[1]
+			if acc := d0*d0 + d1*d1; acc < bestD {
+				best, bestD, secondD = c, acc, bestD
+			} else if acc < secondD {
+				secondD = acc
+			}
+		}
+		return best, bestD, secondD
+	case 3:
+		p0, p1, p2 := p[0], p[1], p[2]
+		cent := centroids[:3*k]
+		for c := 0; len(cent) >= 3; c, cent = c+1, cent[3:] {
+			d0, d1, d2 := p0-cent[0], p1-cent[1], p2-cent[2]
+			if acc := d0*d0 + d1*d1 + d2*d2; acc < bestD {
+				best, bestD, secondD = c, acc, bestD
+			} else if acc < secondD {
+				secondD = acc
+			}
+		}
+		return best, bestD, secondD
+	case 4:
+		p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
+		cent := centroids[:4*k]
+		for c := 0; len(cent) >= 4; c, cent = c+1, cent[4:] {
+			d0, d1, d2, d3 := p0-cent[0], p1-cent[1], p2-cent[2], p3-cent[3]
+			if acc := d0*d0 + d1*d1 + d2*d2 + d3*d3; acc < bestD {
+				best, bestD, secondD = c, acc, bestD
+			} else if acc < secondD {
+				secondD = acc
+			}
+		}
+		return best, bestD, secondD
+	}
 	for c := 0; c < k; c++ {
 		cent := centroids[c*dim : (c+1)*dim]
 		var acc float64
-		if dim <= 4 {
-			// Tiny rows (the common case after PCA): the pruning branch
-			// costs more than it saves.
+		if dim == 1 {
+			// A single term leaves nothing to prune.
 			for j, v := range cent {
 				diff := p[j] - v
 				acc += diff * diff
@@ -633,28 +751,6 @@ func farthestFlat(ds *Dataset, centroids []float64, assign []int) int {
 // rows, accumulated in dimension order (the canonical summation order every
 // distance in this package uses, so results are reproducible bitwise).
 func sqDistFlat(a, b []float64) float64 {
-	var acc float64
-	for i := range a {
-		d := a[i] - b[i]
-		acc += d * d
-	}
-	return acc
-}
-
-// nearest returns the index of the centroid (rows of a [][]float64) closest
-// to p — the row-slice counterpart of nearestFlat, used by the quality
-// metrics and tests.
-func nearest(p []float64, centroids [][]float64) int {
-	best, bestD := 0, math.Inf(1)
-	for c, cent := range centroids {
-		if d := sqDist(p, cent); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best
-}
-
-func sqDist(a, b []float64) float64 {
 	var acc float64
 	for i := range a {
 		d := a[i] - b[i]

@@ -9,6 +9,18 @@ import (
 
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// nearest returns the index of the centroid (rows of a [][]float64) closest
+// to p, ties to the lower index.
+func nearest(p []float64, centroids [][]float64) int {
+	best, bestD := 0, math.Inf(1)
+	for c, cent := range centroids {
+		if d := sqDist(p, cent); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
+}
+
 // twoBlobs builds two well-separated 2-D Gaussian blobs.
 func twoBlobs(n int, seed int64) [][]float64 {
 	r := rng(seed)

@@ -25,7 +25,7 @@ func plainSeeds(ds *Dataset, k int, rng *rand.Rand) []float64 {
 	copy(centroids, ds.row(rng.Intn(n)))
 	dMin := make([]float64, n)
 	for i := range dMin {
-		dMin[i] = sqDistFlat(ds.row(i), centroids[:dim])
+		dMin[i] = plainSqDist(ds.row(i), centroids[:dim])
 	}
 	for chosen := 1; chosen < k; chosen++ {
 		var total float64
@@ -48,7 +48,7 @@ func plainSeeds(ds *Dataset, k int, rng *rand.Rand) []float64 {
 		cent := centroids[chosen*dim : (chosen+1)*dim]
 		copy(cent, ds.row(next))
 		for i := range dMin {
-			if d := sqDistFlat(ds.row(i), cent); d < dMin[i] {
+			if d := plainSqDist(ds.row(i), cent); d < dMin[i] {
 				dMin[i] = d
 			}
 		}
@@ -58,9 +58,10 @@ func plainSeeds(ds *Dataset, k int, rng *rand.Rand) []float64 {
 
 // plainLloyd is textbook Lloyd: every iteration scans every point against
 // every centroid, with no bounds and no pruning. It is the reference the
-// bounded kernel must match bit for bit. It seeds with plainSeeds, shares
-// the distance sum and the farthest-point choice of empty-cluster repair
-// with the production code, and reports how many repairs it made.
+// bounded kernel must match bit for bit. It seeds with plainSeeds and
+// shares no distance code with the production kernels, so a fault in one
+// of their fixed-width sums cannot be mirrored here. It reports how many
+// empty-cluster repairs it made.
 func plainLloyd(ds *Dataset, cfg *Config, rng *rand.Rand) (*Result, int) {
 	n, dim, k := ds.n, ds.dim, cfg.K
 	centroids := plainSeeds(ds, k, rng)
@@ -70,7 +71,7 @@ func plainLloyd(ds *Dataset, cfg *Config, rng *rand.Rand) (*Result, int) {
 	nearest := func(i int) (int, float64) {
 		best, bestD := 0, math.Inf(1)
 		for c := 0; c < k; c++ {
-			if d := sqDistFlat(ds.row(i), centroids[c*dim:(c+1)*dim]); d < bestD {
+			if d := plainSqDist(ds.row(i), centroids[c*dim:(c+1)*dim]); d < bestD {
 				best, bestD = c, d
 			}
 		}
@@ -93,7 +94,14 @@ func plainLloyd(ds *Dataset, cfg *Config, rng *rand.Rand) (*Result, int) {
 		for c := 0; c < k; c++ {
 			cent := next[c*dim : (c+1)*dim]
 			if sizes[c] == 0 {
-				far := farthestFlat(ds, centroids, assign)
+				// Repair reseats the point farthest from its centroid.
+				far, farD := 0, -1.0
+				for i := 0; i < n; i++ {
+					a := assign[i]
+					if d := plainSqDist(ds.row(i), centroids[a*dim:(a+1)*dim]); d > farD {
+						far, farD = i, d
+					}
+				}
 				copy(cent, ds.row(far))
 				assign[far] = c
 				sizes[c] = 1
@@ -106,7 +114,7 @@ func plainLloyd(ds *Dataset, cfg *Config, rng *rand.Rand) (*Result, int) {
 		}
 		var moved float64
 		for c := 0; c < k; c++ {
-			moved = math.Max(moved, sqDistFlat(centroids[c*dim:(c+1)*dim], next[c*dim:(c+1)*dim]))
+			moved = math.Max(moved, plainSqDist(centroids[c*dim:(c+1)*dim], next[c*dim:(c+1)*dim]))
 		}
 		centroids, next = next, centroids
 		if moved <= cfg.Tolerance {
@@ -128,6 +136,17 @@ func plainLloyd(ds *Dataset, cfg *Config, rng *rand.Rand) (*Result, int) {
 		res.Centroids[c] = append([]float64(nil), centroids[c*dim:(c+1)*dim]...)
 	}
 	return res, repairs
+}
+
+// plainSqDist is the reference's squared distance: the textbook sum over
+// dimensions in order, for every width.
+func plainSqDist(a, b []float64) float64 {
+	var acc float64
+	for j := range a {
+		d := a[j] - b[j]
+		acc += d * d
+	}
+	return acc
 }
 
 // plainKMeans is KMeansDataset over plainLloyd: restart seeds drawn up
@@ -252,14 +271,14 @@ func latticePoints(side, dim, reps int) [][]float64 {
 	return points
 }
 
-// clumpPoints puts n points on just `sites` distinct 2-D locations: once k
-// exceeds the sites, seeding repeats a location and plain Lloyd must repair
-// the empty clusters that follow.
-func clumpPoints(n, sites int) [][]float64 {
+// clumpPoints puts n points on just `sites` distinct locations in 2 to 4
+// dimensions: once k exceeds the sites, seeding repeats a location and plain
+// Lloyd must repair the empty clusters that follow.
+func clumpPoints(n, sites, dim int) [][]float64 {
 	points := make([][]float64, n)
 	for i := range points {
 		s := float64(i % sites)
-		points[i] = []float64{s * 3, s * s}
+		points[i] = []float64{s * 3, s * s, 5 - s, s / 2}[:dim]
 	}
 	return points
 }
@@ -274,6 +293,18 @@ func sameResult(got, want *Result, nan bool) bool {
 	return reflect.DeepEqual(got, want)
 }
 
+// catalogEntries are the catalog workloads whose PCA points the
+// differential test and BenchmarkKMeansSweep cluster: the four entries the
+// workload-methods benchmark plans (reduced to widths 2 and 3) and lmr@0.01
+// (width 4).
+var catalogEntries = []struct {
+	name  string
+	scale float64
+}{{"gst", 1}, {"gru", 0.02}, {"3d-unet", 0.01}, {"ssd-mobilenet", 0.02}, {"lmr", 0.01}}
+
+// differentialCases returns the differential test's cases. Each width with
+// fixed-width kernels (2, 3 and 4) has an empty-cluster repair case, a NaN
+// case and a low-MaxIterations case; other widths take the stride loop.
 func differentialCases(tb testing.TB) []diffCase {
 	cases := []diffCase{
 		{name: "dim1", points: gaussianPoints(1, 300, 1)},
@@ -283,17 +314,20 @@ func differentialCases(tb testing.TB) []diffCase {
 		{name: "lattice1d", points: latticePoints(9, 1, 4)},
 		{name: "lattice2d", points: latticePoints(6, 2, 3)},
 		{name: "lattice5d", points: latticePoints(2, 5, 3)},
-		{name: "identical", points: clumpPoints(40, 1), repair: true},
-		{name: "clumps", points: clumpPoints(60, 7), repair: true},
+		{name: "identical", points: clumpPoints(40, 1, 2), repair: true},
+		{name: "clumps", points: clumpPoints(60, 7, 2), repair: true},
+		{name: "clumps3d", points: clumpPoints(60, 7, 3), repair: true},
+		{name: "clumps4d", points: clumpPoints(60, 7, 4), repair: true},
 		{name: "maxiter1", points: gaussianPoints(5, 200, 3), maxIter: 1},
+		{name: "maxiter2d", points: gaussianPoints(9, 200, 2), maxIter: 2},
+		{name: "maxiter4d", points: gaussianPoints(11, 200, 4), maxIter: 2},
 		{name: "maxiter3", points: gaussianPoints(6, 200, 12), maxIter: 3},
 		{name: "restarts", points: gaussianPoints(7, 150, 5), restarts: 3},
 		{name: "nan", points: nanPoints(8, 200, 3), nan: true},
+		{name: "nan2d", points: nanPoints(10, 200, 2), nan: true},
+		{name: "nan4d", points: nanPoints(12, 200, 4), nan: true},
 	}
-	for _, e := range []struct {
-		name  string
-		scale float64
-	}{{"gst", 1}, {"gru", 0.02}, {"3d-unet", 0.01}, {"ssd-mobilenet", 0.02}} {
+	for _, e := range catalogEntries {
 		cases = append(cases, diffCase{
 			name:    fmt.Sprintf("%s@%g", e.name, e.scale),
 			points:  catalogPoints(tb, e.name, e.scale),
@@ -351,4 +385,65 @@ func TestBoundedLloydMatchesPlainLloyd(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzKMeansMatchesPlainLloyd is the differential test over generated
+// inputs: widths 1 to 5 (the fixed-width kernels and the stride loop on
+// both sides of them), up to 300 points and k up to 20. With raw bytes, each
+// coordinate is a small multiple of 1/4 taken from them in turn, so exact
+// ties and duplicate points are common, and the byte 0x7f is a NaN; without,
+// the points are gaussianPoints. MaxIterations is maxIter mod 31, where 0
+// is the package default.
+func FuzzKMeansMatchesPlainLloyd(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint16(200), uint8(20), uint8(30), []byte(nil))
+	f.Add(int64(2), uint8(3), uint16(150), uint8(12), uint8(0), []byte(nil))
+	f.Add(int64(3), uint8(1), uint16(90), uint8(9), uint8(2), []byte{0, 4, 4, 8, 200})
+	f.Add(int64(4), uint8(2), uint16(60), uint8(15), uint8(0), []byte{1, 2, 3, 1, 2, 3, 9})
+	f.Add(int64(5), uint8(3), uint16(120), uint8(10), uint8(1), []byte{5, 0x7f, 250, 12, 40})
+	f.Add(int64(6), uint8(4), uint16(250), uint8(20), uint8(5), []byte(nil))
+	f.Add(int64(7), uint8(5), uint16(300), uint8(7), uint8(0), []byte{0, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, seed int64, width uint8, n uint16, k uint8, maxIter uint8, raw []byte) {
+		// Widths 1–5, point counts 1–300 and k 1–20 are taken as given;
+		// other values wrap into those ranges.
+		dim := 1 + (int(width)+4)%5
+		count := 1 + (int(n)+299)%300
+		var points [][]float64
+		if len(raw) == 0 {
+			points = gaussianPoints(seed, count, dim)
+		} else {
+			points = make([][]float64, count)
+			for i := range points {
+				points[i] = make([]float64, dim)
+				for j := range points[i] {
+					b := raw[(i*dim+j)%len(raw)]
+					points[i][j] = float64(int8(b)) / 4
+					if b == 0x7f {
+						points[i][j] = math.NaN()
+					}
+				}
+			}
+		}
+		hasNaN := false
+		for _, p := range points {
+			for _, v := range p {
+				hasNaN = hasNaN || math.IsNaN(v)
+			}
+		}
+		ds, err := NewDataset(points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{K: min(1+(int(k)+19)%20, count), MaxIterations: int(maxIter) % 31}
+		cfg.Rng = rand.New(rand.NewSource(seed))
+		want, _ := plainKMeans(t, ds, cfg)
+		cfg.Rng = rand.New(rand.NewSource(seed))
+		got, err := KMeansDataset(ds, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(got, want, hasNaN) {
+			t.Fatalf("width %d, %d points, k=%d: bounded Lloyd diverges from plain Lloyd (inertia %v vs %v, iterations %d vs %d)",
+				dim, count, cfg.K, got.Inertia, want.Inertia, got.Iterations, want.Iterations)
+		}
+	})
 }

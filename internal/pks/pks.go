@@ -106,15 +106,16 @@ const HierarchicalSampleCap = 400
 // as a full scan, while the bounded assignment step skips most distance
 // computations and most runs converge well before MaxIterations.
 //
-// 32 Mi keeps a sweep inline while it costs less than about 25 ms of CPU
-// (2-vCPU Xeon). On idle cores a two-worker pool would finish such a sweep
-// in roughly 60% of the inline wall time from about 13 Mi up
-// (3d-unet@0.01; ssd-mobilenet@0.02 at 23 Mi), at the same CPU. But a plan
-// service runs as many plans as there are cores, and a pooled sweep takes
-// every core from the plans running beside it: in sieved, a cheap plan
-// requested during pooled pks sweeps took twice as long as during inline
-// ones, and the workload-methods benchmark's p50 fell by a third, and
-// varied less from run to run, with these sweeps inline. Larger sweeps
+// 32 Mi keeps a sweep inline while it costs less than about 14 ms of CPU
+// (2-vCPU Xeon; BenchmarkSelectPoolCrossover's sweep takes 8.5 ms at
+// 19.2 Mi). On idle cores a two-worker pool finishes a sweep in 55–60% of
+// the inline wall time at every size that benchmark measures, 1.2 to
+// 19.2 Mi, at the same CPU, so there is no crossover to tune for. But a
+// plan service runs as many plans as there are cores, and a pooled sweep
+// takes every core from the plans running beside it: in sieved, a cheap
+// plan requested during pooled pks sweeps took twice as long as during
+// inline ones, and the workload-methods benchmark's p50 fell by a third,
+// and varied less from run to run, with these sweeps inline. Larger sweeps
 // (lmc@0.01 is 60 Mi) still fan out. Tunable via Options.MinParallelWork.
 const DefaultMinParallelWork = 32 << 20
 
