@@ -29,10 +29,10 @@ const (
 )
 
 // PKSOptions configures the PKS baseline. The k = 1..MaxK sweep runs across
-// GOMAXPROCS workers by default when its estimated cost clears the
-// MinParallelWork threshold (set Parallelism to 1 for sequential execution;
-// results are byte-identical either way), and Restarts adds deterministic
-// k-means restarts per candidate k.
+// GOMAXPROCS workers by default when its estimated cost reaches 32 Mi
+// point-coordinate operations; Parallelism is the one scheduling setting,
+// and 1 forces sequential execution. Results are byte-identical either way.
+// Each candidate k gets one k-means++ fit, as in the original PKS.
 type PKSOptions = pks.Options
 
 // PKSPlan is a complete PKS selection: the clusters, their

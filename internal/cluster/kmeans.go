@@ -48,10 +48,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-
-	"github.com/gpusampling/sieve/internal/stats"
 )
 
 // Result describes a k-means clustering.
@@ -79,14 +75,6 @@ type Config struct {
 	Tolerance float64
 	// Rng supplies randomness for k-means++ seeding; required.
 	Rng *rand.Rand
-	// Restarts runs the whole algorithm this many times from independent
-	// seedings and keeps the lowest-inertia clustering (default 1; ties break
-	// toward the earlier restart). Restart seeds are drawn from Rng up front,
-	// so the result does not depend on Parallelism or scheduling.
-	Restarts int
-	// Parallelism bounds concurrent restarts: 0 selects GOMAXPROCS, 1 runs
-	// them sequentially. A single run (Restarts ≤ 1) is always sequential.
-	Parallelism int
 }
 
 // Dataset is a columnar (flat, row-major) point set: point i occupies
@@ -126,8 +114,8 @@ func (d *Dataset) Len() int { return d.n }
 func (d *Dataset) row(i int) []float64 { return d.data[i*d.dim : (i+1)*d.dim] }
 
 // Scratch holds the per-run Lloyd state (centroids, assignment, sizes,
-// seeding distances) so repeated runs — restarts, or a k-sweep over the same
-// dataset — allocate nothing after the first use. A zero Scratch is ready;
+// seeding distances) so repeated runs — a k-sweep over the same dataset —
+// allocate nothing after the first use. A zero Scratch is ready;
 // it grows to the largest (n, dim, k) it has seen.
 type Scratch struct {
 	centroids  []float64 // k*dim, current centroids
@@ -198,58 +186,8 @@ func KMeansDataset(ds *Dataset, cfg Config, scratch *Scratch) (*Result, error) {
 	if scratch == nil {
 		scratch = &Scratch{}
 	}
-	if cfg.Restarts == 1 {
-		lloyd(ds, &cfg, cfg.Rng, scratch)
-		return materialize(ds, &cfg, scratch), nil
-	}
-	// Draw every restart seed from the shared Rng before fanning out: the
-	// per-restart RNGs are then fully determined by the caller's seed and the
-	// parallel result is byte-identical to the sequential one.
-	seeds := make([]int64, cfg.Restarts)
-	for i := range seeds {
-		seeds[i] = cfg.Rng.Int63()
-	}
-	workers := cfg.Parallelism
-	if workers > cfg.Restarts {
-		workers = cfg.Restarts
-	}
-	if workers <= 1 {
-		// Sequential restarts share one scratch; only an improving restart
-		// pays the materialization. Ties break toward the earlier restart,
-		// exactly like the parallel reduction below.
-		var best *Result
-		for _, seed := range seeds {
-			lloyd(ds, &cfg, rand.New(stats.NewDrawSource(seed)), scratch)
-			if best == nil || scratch.inertia < best.Inertia {
-				best = materialize(ds, &cfg, scratch)
-			}
-		}
-		return best, nil
-	}
-	// Parallel restarts: workers own disjoint restart slots and private
-	// scratch; the reduction below walks slots in restart order.
-	results := make([]*Result, cfg.Restarts)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, seed := range seeds {
-		wg.Add(1)
-		go func(i int, seed int64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var s Scratch
-			lloyd(ds, &cfg, rand.New(stats.NewDrawSource(seed)), &s)
-			results[i] = materialize(ds, &cfg, &s)
-		}(i, seed)
-	}
-	wg.Wait()
-	best := results[0]
-	for _, r := range results[1:] {
-		if r.Inertia < best.Inertia {
-			best = r
-		}
-	}
-	return best, nil
+	lloyd(ds, &cfg, cfg.Rng, scratch)
+	return materialize(ds, &cfg, scratch), nil
 }
 
 // materialize copies the scratch's converged state into a standalone Result.
@@ -558,12 +496,6 @@ func validate(ds *Dataset, cfg *Config) error {
 	}
 	if cfg.Tolerance <= 0 {
 		cfg.Tolerance = 1e-9
-	}
-	if cfg.Restarts <= 0 {
-		cfg.Restarts = 1
-	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return nil
 }

@@ -149,40 +149,22 @@ func plainSqDist(a, b []float64) float64 {
 	return acc
 }
 
-// plainKMeans is KMeansDataset over plainLloyd: restart seeds drawn up
-// front, lowest inertia kept, ties to the earlier restart.
+// plainKMeans is KMeansDataset over plainLloyd.
 func plainKMeans(tb testing.TB, ds *Dataset, cfg Config) (*Result, int) {
 	tb.Helper()
 	if err := validate(ds, &cfg); err != nil {
 		tb.Fatal(err)
 	}
-	if cfg.Restarts == 1 {
-		return plainLloyd(ds, &cfg, cfg.Rng)
-	}
-	seeds := make([]int64, cfg.Restarts)
-	for i := range seeds {
-		seeds[i] = cfg.Rng.Int63()
-	}
-	var best *Result
-	repairs := 0
-	for _, seed := range seeds {
-		r, n := plainLloyd(ds, &cfg, rand.New(rand.NewSource(seed)))
-		repairs += n
-		if best == nil || r.Inertia < best.Inertia {
-			best = r
-		}
-	}
-	return best, repairs
+	return plainLloyd(ds, &cfg, cfg.Rng)
 }
 
 // diffCase is one dataset and configuration of the differential test.
 type diffCase struct {
-	name     string
-	points   [][]float64
-	maxIter  int  // Config.MaxIterations (0: the package default)
-	restarts int  // Config.Restarts (0: 1)
-	repair   bool // the reference must make at least one empty-cluster repair
-	nan      bool // the points hold a NaN, so results compare by their printed form
+	name    string
+	points  [][]float64
+	maxIter int  // Config.MaxIterations (0: the package default)
+	repair  bool // the reference must make at least one empty-cluster repair
+	nan     bool // the points hold a NaN, so results compare by their printed form
 }
 
 // catalogPoints returns the PCA-reduced characteristic vectors pks clusters
@@ -322,7 +304,7 @@ func differentialCases(tb testing.TB) []diffCase {
 		{name: "maxiter2d", points: gaussianPoints(9, 200, 2), maxIter: 2},
 		{name: "maxiter4d", points: gaussianPoints(11, 200, 4), maxIter: 2},
 		{name: "maxiter3", points: gaussianPoints(6, 200, 12), maxIter: 3},
-		{name: "restarts", points: gaussianPoints(7, 150, 5), restarts: 3},
+		{name: "gauss5d", points: gaussianPoints(7, 150, 5)},
 		{name: "nan", points: nanPoints(8, 200, 3), nan: true},
 		{name: "nan2d", points: nanPoints(10, 200, 2), nan: true},
 		{name: "nan4d", points: nanPoints(12, 200, 4), nan: true},
@@ -341,8 +323,7 @@ func differentialCases(tb testing.TB) []diffCase {
 // assignment step: for k = 1..20 and five seeds per k (derived the way the
 // pks sweep derives them), every Result — centroids, assignments, sizes,
 // inertia, iterations — equals textbook Lloyd's exactly. Each k runs on a
-// Scratch shared across the sweep, as pks runs it, and restarts also run at
-// Parallelism 2.
+// Scratch shared across the sweep, as pks runs it.
 func TestBoundedLloydMatchesPlainLloyd(t *testing.T) {
 	for _, tc := range differentialCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -355,7 +336,7 @@ func TestBoundedLloydMatchesPlainLloyd(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
 				for k := 1; k <= 20 && k <= ds.Len(); k++ {
 					rngSeed := seed + int64(k)*7919
-					cfg := Config{K: k, MaxIterations: tc.maxIter, Restarts: tc.restarts, Parallelism: 1}
+					cfg := Config{K: k, MaxIterations: tc.maxIter}
 					cfg.Rng = rand.New(rand.NewSource(rngSeed))
 					want, n := plainKMeans(t, ds, cfg)
 					repairs += n
@@ -367,16 +348,6 @@ func TestBoundedLloydMatchesPlainLloyd(t *testing.T) {
 					if !sameResult(got, want, tc.nan) {
 						t.Fatalf("seed %d k=%d: bounded Lloyd diverges from plain Lloyd (inertia %v vs %v, iterations %d vs %d)",
 							seed, k, got.Inertia, want.Inertia, got.Iterations, want.Iterations)
-					}
-					if tc.restarts > 1 {
-						cfg.Rng, cfg.Parallelism = rand.New(rand.NewSource(rngSeed)), 2
-						got, err := KMeansDataset(ds, cfg, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !sameResult(got, want, tc.nan) {
-							t.Fatalf("seed %d k=%d parallelism 2: restarts diverge from plain Lloyd", seed, k)
-						}
 					}
 				}
 			}

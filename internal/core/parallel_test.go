@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"github.com/gpusampling/sieve/internal/obs"
 )
 
 // synthProfile builds a deterministic multi-kernel profile mixing Tier-1,
@@ -73,14 +75,14 @@ func TestStratifyParallelMatchesSequential(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// MinParallelWork: 1 forces the pool even on these small synthetic
+			// minRows 1 forces the pool even on these small synthetic
 			// profiles, so the parallel path itself is what gets compared.
-			seq, err := StratifyContext(context.Background(), tc.profile, Options{Parallelism: 1, Tier3Splitter: tc.splitter, MinParallelWork: 1})
+			seq, err := stratify(context.Background(), tc.profile, Options{Parallelism: 1, Tier3Splitter: tc.splitter}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 2, 7, 64} {
-				par, err := StratifyContext(context.Background(), tc.profile, Options{Parallelism: workers, Tier3Splitter: tc.splitter, MinParallelWork: 1})
+				par, err := stratify(context.Background(), tc.profile, Options{Parallelism: workers, Tier3Splitter: tc.splitter}, 1)
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", workers, err)
 				}
@@ -93,11 +95,11 @@ func TestStratifyParallelMatchesSequential(t *testing.T) {
 func TestStratifyParallelAcrossSeeds(t *testing.T) {
 	for seed := int64(10); seed < 15; seed++ {
 		profile := synthProfile(seed, 12, 50)
-		seq, err := StratifyContext(context.Background(), profile, Options{Parallelism: 1, MinParallelWork: 1})
+		seq, err := stratify(context.Background(), profile, Options{Parallelism: 1}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := StratifyContext(context.Background(), profile, Options{Parallelism: 8, MinParallelWork: 1})
+		par, err := stratify(context.Background(), profile, Options{Parallelism: 8}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,21 +112,46 @@ func TestStratifyNegativeParallelismRejected(t *testing.T) {
 	if _, err := StratifyContext(context.Background(), profile, Options{Parallelism: -1}); err == nil {
 		t.Fatal("want error for negative parallelism")
 	}
-	if _, err := StratifyContext(context.Background(), profile, Options{MinParallelWork: -3}); err == nil {
-		t.Fatal("want error for negative MinParallelWork")
+}
+
+// TestStratifyDefaultWorkGate pins where StratifyContext starts the worker
+// pool, as its core.stratify span reports it: inline one row under
+// minParallelRows, on more than one worker at minParallelRows.
+func TestStratifyDefaultWorkGate(t *testing.T) {
+	profile := synthProfile(31, 40, 200)
+	if len(profile) < minParallelRows {
+		t.Fatalf("fixture has %d rows, want at least %d", len(profile), minParallelRows)
+	}
+	for _, tc := range []struct {
+		rows int
+		pool bool
+	}{{minParallelRows - 1, false}, {minParallelRows, true}} {
+		c := obs.New()
+		ctx := obs.WithCollector(context.Background(), c)
+		if _, err := StratifyContext(ctx, profile[:tc.rows], Options{Parallelism: 2}); err != nil {
+			t.Fatal(err)
+		}
+		sp := c.Report().Find("core.stratify")
+		if sp == nil {
+			t.Fatal("no core.stratify span")
+		}
+		workers, _ := sp.Attrs["workers"].(int)
+		if pooled := workers > 1; pooled != tc.pool {
+			t.Errorf("%d rows: %d workers, want pool %v", tc.rows, workers, tc.pool)
+		}
 	}
 }
 
 // TestStratifyWorkGateMatchesForcedPool proves the work-size gate is purely
-// a scheduling decision: routing a profile inline (high threshold) and
-// forcing it onto the pool (threshold 1) produce identical plans.
+// a scheduling decision: routing a profile inline (the default threshold)
+// and forcing it onto the pool (threshold 1) produce identical plans.
 func TestStratifyWorkGateMatchesForcedPool(t *testing.T) {
 	profile := synthProfile(21, 18, 60)
-	inline, err := StratifyContext(context.Background(), profile, Options{Parallelism: 4, MinParallelWork: 1 << 30})
+	inline, err := StratifyContext(context.Background(), profile, Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := StratifyContext(context.Background(), profile, Options{Parallelism: 4, MinParallelWork: 1})
+	pooled, err := stratify(context.Background(), profile, Options{Parallelism: 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,16 +153,11 @@ type Options struct {
 	// Tier3Splitter picks the Tier-3 splitting algorithm.
 	Tier3Splitter Splitter
 	// Parallelism bounds the workers stratifying kernels concurrently:
-	// 0 selects GOMAXPROCS, 1 runs sequentially. Kernels are independent and
+	// 0 selects GOMAXPROCS, 1 runs sequentially. Profiles under 2048 rows
+	// run sequentially whatever it says. Kernels are independent and
 	// reassembled in deterministic order, so the result is byte-identical at
 	// any parallelism.
 	Parallelism int
-	// MinParallelWork is the profile size (rows) below which stratification
-	// ignores Parallelism and runs the per-kernel loop inline: small
-	// profiles finish faster without goroutine and scheduling overhead.
-	// 0 selects DefaultMinParallelWork; negative is an error. Set to 1 to
-	// force the worker pool on any profile.
-	MinParallelWork int
 }
 
 // MethodSieve names the default methodology: the paper's stratified sampler
@@ -170,12 +165,13 @@ type Options struct {
 // legacy plan documents and cache keys stay byte-stable.
 const MethodSieve = "sieve"
 
-// DefaultMinParallelWork is the profile-row threshold below which the
-// per-kernel worker pool is skipped. BenchmarkStratify on the default
-// fixture (~25k rows) shows single-digit-percent pool gains at best, and
-// sub-thousand-row profiles stratify in well under the cost of spinning up
-// workers, so the crossover sits comfortably above typical small inputs.
-const DefaultMinParallelWork = 2048
+// minParallelRows is the profile-row threshold below which the per-kernel
+// worker pool is skipped: small profiles finish faster without goroutine
+// and scheduling overhead. BenchmarkStratify on the default fixture (~25k
+// rows) shows single-digit-percent pool gains at best, and sub-thousand-row
+// profiles stratify in well under the cost of spinning up workers, so the
+// crossover sits comfortably above typical small inputs.
+const minParallelRows = 2048
 
 // withDefaults returns the options with zero values replaced by defaults.
 func (o Options) withDefaults() (Options, error) {
@@ -203,12 +199,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Parallelism < 0 {
 		return o, fmt.Errorf("core: negative parallelism %d", o.Parallelism)
-	}
-	if o.MinParallelWork == 0 {
-		o.MinParallelWork = DefaultMinParallelWork
-	}
-	if o.MinParallelWork < 0 {
-		return o, fmt.Errorf("core: negative MinParallelWork %d", o.MinParallelWork)
 	}
 	return o, nil
 }
@@ -283,6 +273,13 @@ type Result struct {
 // kernels are discarded and the workers return to the runtime — and the call
 // reports ctx.Err().
 func StratifyContext(ctx context.Context, profile []InvocationProfile, opts Options) (*Result, error) {
+	return stratify(ctx, profile, opts, minParallelRows)
+}
+
+// stratify is StratifyContext with the profile size below which the
+// per-kernel loop runs inline as a parameter, so tests can force the worker
+// pool (minRows 1) without a setting shared between them.
+func stratify(ctx context.Context, profile []InvocationProfile, opts Options, minRows int) (*Result, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -348,7 +345,7 @@ func StratifyContext(ctx context.Context, profile []InvocationProfile, opts Opti
 	// Work-size gate: profiles below the threshold run inline — the pool's
 	// scheduling decision, never its result, depends on input size.
 	workers := min(opts.Parallelism, len(kernelOrder))
-	if len(profile) < opts.MinParallelWork {
+	if len(profile) < minRows {
 		workers = 1
 	}
 	if sp.Active() {

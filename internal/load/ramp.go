@@ -109,17 +109,6 @@ func (r Ramp) TargetAt(elapsed time.Duration) float64 {
 	return r[len(r)-1].Target
 }
 
-// Peak returns the schedule's maximum target.
-func (r Ramp) Peak() float64 {
-	var peak float64
-	for _, s := range r {
-		if s.Target > peak {
-			peak = s.Target
-		}
-	}
-	return peak
-}
-
 // String renders the schedule back in the parseable offset:target form.
 func (r Ramp) String() string {
 	parts := make([]string, len(r))

@@ -32,9 +32,6 @@ func TestParseRamp(t *testing.T) {
 			t.Errorf("TargetAt(%s) = %g, want %g", c.at, got, c.want)
 		}
 	}
-	if r.Peak() != 5000 {
-		t.Errorf("Peak = %g", r.Peak())
-	}
 }
 
 func TestParseRampBareNumberAndSeconds(t *testing.T) {

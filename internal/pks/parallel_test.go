@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/gpusampling/sieve/internal/gpu"
+	"github.com/gpusampling/sieve/internal/obs"
 	"github.com/gpusampling/sieve/internal/profiler"
 	"github.com/gpusampling/sieve/internal/workloads"
 )
@@ -35,34 +36,33 @@ func TestSelectParallelMatchesSequential(t *testing.T) {
 		name string
 		opts Options
 		n    int
+		// minWork is selectSweep's threshold: 1 forces the pool on even
+		// these small fixtures so the parallel sweep path itself is what
+		// gets compared; the default routes sweeps this small inline.
+		minWork int64
 	}{
-		// MinParallelWork: 1 forces the pool on even these small fixtures so
-		// the parallel sweep path itself is what gets compared; the
-		// work-gated default (which routes sweeps this small inline) is
-		// covered by TestSelectWorkGateMatchesForcedPool below.
-		{"kmeans-first", Options{Seed: 1, MinParallelWork: 1}, 300},
-		{"kmeans-random", Options{Seed: 2, Selection: SelectRandom, MinParallelWork: 1}, 300},
-		{"kmeans-centroid", Options{Seed: 3, Selection: SelectCentroid, MinParallelWork: 1}, 300},
-		{"kmeans-restarts", Options{Seed: 4, Restarts: 3, MinParallelWork: 1}, 200},
-		{"hierarchical", Options{Seed: 5, Clustering: AlgoHierarchical, MinParallelWork: 1}, 150},
-		{"subsampled", Options{Seed: 6, ClusterSampleCap: 50, MinParallelWork: 1}, 400},
-		{"single-invocation", Options{Seed: 7, MinParallelWork: 1}, 1},
-		{"two-invocations", Options{Seed: 8, MinParallelWork: 1}, 2},
-		{"work-gated-default", Options{Seed: 9}, 300},
+		{"kmeans-first", Options{Seed: 1}, 300, 1},
+		{"kmeans-random", Options{Seed: 2, Selection: SelectRandom}, 300, 1},
+		{"kmeans-centroid", Options{Seed: 3, Selection: SelectCentroid}, 300, 1},
+		{"hierarchical", Options{Seed: 5, Clustering: AlgoHierarchical}, 150, 1},
+		{"subsampled", Options{Seed: 6, ClusterSampleCap: 50}, 400, 1},
+		{"single-invocation", Options{Seed: 7}, 1, 1},
+		{"two-invocations", Options{Seed: 8}, 2, 1},
+		{"work-gated-default", Options{Seed: 9}, 300, minParallelWork},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			features, golden := synthFeatures(tc.opts.Seed, tc.n)
 			seqOpts := tc.opts
 			seqOpts.Parallelism = 1
-			seq, err := SelectContext(context.Background(), features, golden, seqOpts)
+			seq, err := selectSweep(context.Background(), features, golden, seqOpts, tc.minWork)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 3, 16} {
 				parOpts := tc.opts
 				parOpts.Parallelism = workers
-				par, err := SelectContext(context.Background(), features, golden, parOpts)
+				par, err := selectSweep(context.Background(), features, golden, parOpts, tc.minWork)
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", workers, err)
 				}
@@ -92,29 +92,69 @@ func TestSelectParallelAcrossSeeds(t *testing.T) {
 	}
 }
 
-func TestSelectInvalidParallelismAndRestarts(t *testing.T) {
+func TestSelectInvalidParallelism(t *testing.T) {
 	features, golden := synthFeatures(1, 10)
 	if _, err := SelectContext(context.Background(), features, golden, Options{Parallelism: -2}); err == nil {
 		t.Fatal("want error for negative parallelism")
 	}
-	if _, err := SelectContext(context.Background(), features, golden, Options{Restarts: -1}); err == nil {
-		t.Fatal("want error for negative restarts")
+}
+
+// TestSelectDefaultWorkGate pins where SelectContext starts the sweep's
+// worker pool, as its pks.select span reports it: inline for the largest
+// fixture prefix whose sweepWork is under minParallelWork, on two workers
+// for one invocation more.
+func TestSelectDefaultWorkGate(t *testing.T) {
+	opts, err := Options{Seed: 1, Parallelism: 2}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := SelectContext(context.Background(), features, golden, Options{MinParallelWork: -5}); err == nil {
-		t.Fatal("want error for negative MinParallelWork")
+	features, golden := synthFeatures(12, 8000)
+	work := func(n int) int64 {
+		points, err := reduce(features[:n], opts.VarianceFraction)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sweepWork(points, opts, opts.MaxK)
+	}
+	// Guess the boundary from the work per invocation of the whole fixture,
+	// then step to it, so each prefix's own PCA width is what counts.
+	n := int(minParallelWork / (work(len(features)) / int64(len(features))))
+	for work(n) >= minParallelWork {
+		n--
+	}
+	for work(n+1) < minParallelWork {
+		n++
+	}
+	t.Logf("boundary at n=%d: work %d then %d", n, work(n), work(n+1))
+	for _, tc := range []struct {
+		n       int
+		workers int
+	}{{n, 1}, {n + 1, 2}} {
+		c := obs.New()
+		ctx := obs.WithCollector(context.Background(), c)
+		if _, err := SelectContext(ctx, features[:tc.n], golden[:tc.n], opts); err != nil {
+			t.Fatal(err)
+		}
+		sp := c.Report().Find("pks.select")
+		if sp == nil {
+			t.Fatal("no pks.select span")
+		}
+		if got := sp.Attrs["sweep_workers"]; got != tc.workers {
+			t.Errorf("n=%d (work %d, threshold %d): sweep_workers %v, want %d", tc.n, work(tc.n), int64(minParallelWork), got, tc.workers)
+		}
 	}
 }
 
 // TestSelectWorkGateMatchesForcedPool proves the work-size gate is purely a
-// scheduling decision: routing a sweep inline (high threshold) and forcing
-// it onto the pool (threshold 1) produce identical results.
+// scheduling decision: routing a sweep inline (the default threshold) and
+// forcing it onto the pool (threshold 1) produce identical results.
 func TestSelectWorkGateMatchesForcedPool(t *testing.T) {
 	features, golden := synthFeatures(11, 350)
-	inline, err := SelectContext(context.Background(), features, golden, Options{Seed: 11, Parallelism: 4, MinParallelWork: 1 << 62})
+	inline, err := SelectContext(context.Background(), features, golden, Options{Seed: 11, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := SelectContext(context.Background(), features, golden, Options{Seed: 11, Parallelism: 4, MinParallelWork: 1})
+	pooled, err := selectSweep(context.Background(), features, golden, Options{Seed: 11, Parallelism: 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,33 +163,11 @@ func TestSelectWorkGateMatchesForcedPool(t *testing.T) {
 	}
 }
 
-// TestSelectRestartsNeverWorsenDistortion checks that adding restarts keeps
-// the chosen clustering at least as good as advertised: the reported
-// k-selection error is still the minimum across the sweep.
-func TestSelectRestartsNeverWorsenDistortion(t *testing.T) {
-	features, golden := synthFeatures(9, 200)
-	for _, restarts := range []int{1, 2, 5} {
-		res, err := SelectContext(context.Background(), features, golden, Options{Seed: 3, Restarts: restarts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.KSelectionError < 0 || res.K < 1 {
-			t.Fatalf("restarts %d: invalid result k=%d err=%g", restarts, res.K, res.KSelectionError)
-		}
-		total := 0
-		for i := range res.Clusters {
-			total += res.Clusters[i].Size()
-		}
-		if total != len(features) {
-			t.Fatalf("restarts %d: clusters cover %d of %d invocations", restarts, total, len(features))
-		}
-	}
-}
-
 // BenchmarkSelectPoolCrossover measures the idle-core side of the trade-off
-// DefaultMinParallelWork weighs: the k-sweep over the first n invocations
-// of the gru workload (scale 0.04) for growing n, run inline and forced onto
-// a two-worker pool. Each sub-benchmark is named with the sweep's sweepWork
+// minParallelWork weighs: the k-sweep over the first n invocations of the
+// gru workload (scale 0.08, 3507 invocations) for growing n, run inline and
+// forced onto a two-worker pool, with n = 2400 and 3200 on either side of
+// the threshold. Each sub-benchmark is named with the sweep's sweepWork
 // estimate. Run it with -cpu 1,2: at GOMAXPROCS 1 the two workers share one
 // core, so ns/op is the sweep's CPU cost and the pool's overhead shows
 // directly; at 2 it is the wall time.
@@ -162,7 +180,7 @@ func BenchmarkSelectPoolCrossover(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := workloads.Generate(spec, 0.04)
+	w, err := workloads.Generate(spec, 0.08)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -175,7 +193,7 @@ func BenchmarkSelectPoolCrossover(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, n := range []int{100, 200, 400, 800, 1600} {
+	for _, n := range []int{100, 200, 400, 800, 1600, 2400, 3200} {
 		features, golden := allFeatures[:n], allGolden[:n]
 		points, err := reduce(features, DefaultVarianceFraction)
 		if err != nil {
@@ -183,15 +201,16 @@ func BenchmarkSelectPoolCrossover(b *testing.B) {
 		}
 		work := sweepWork(points, opts, DefaultMaxK)
 		for _, mode := range []struct {
-			name string
-			opts Options
+			name    string
+			opts    Options
+			minWork int64
 		}{
-			{"inline", Options{Seed: 1, Parallelism: 1}},
-			{"pool", Options{Seed: 1, Parallelism: 2, MinParallelWork: 1}},
+			{"inline", Options{Seed: 1, Parallelism: 1}, minParallelWork},
+			{"pool", Options{Seed: 1, Parallelism: 2}, 1},
 		} {
 			b.Run(fmt.Sprintf("n=%d/work=%.1fMi/%s", n, float64(work)/(1<<20), mode.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := SelectContext(context.Background(), features, golden, mode.opts); err != nil {
+					if _, err := selectSweep(context.Background(), features, golden, mode.opts, mode.minWork); err != nil {
 						b.Fatal(err)
 					}
 				}

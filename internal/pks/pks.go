@@ -99,25 +99,26 @@ func (a ClusteringAlgo) String() string {
 // dendrogram is O(n²) in space and worse in time).
 const HierarchicalSampleCap = 400
 
-// DefaultMinParallelWork is the estimated sweep size (point-coordinate
-// operations: fit points × dims × Lloyd iterations × Σk × restarts) below
-// which the k-sweep runs inline instead of fanning out to a worker pool.
-// The estimate is a deliberate upper bound: it counts every Lloyd iteration
-// as a full scan, while the bounded assignment step skips most distance
-// computations and most runs converge well before MaxIterations.
+// minParallelWork is the estimated sweep size (point-coordinate operations:
+// fit points × dims × Lloyd iterations × Σk) below which the k-sweep runs
+// inline instead of fanning out to a worker pool. The estimate is a
+// deliberate upper bound: it counts every Lloyd iteration as a full scan,
+// while the bounded assignment step skips most distance computations and
+// most runs converge well before MaxIterations.
 //
-// 32 Mi keeps a sweep inline while it costs less than about 14 ms of CPU
-// (2-vCPU Xeon; BenchmarkSelectPoolCrossover's sweep takes 8.5 ms at
-// 19.2 Mi). On idle cores a two-worker pool finishes a sweep in 55–60% of
-// the inline wall time at every size that benchmark measures, 1.2 to
-// 19.2 Mi, at the same CPU, so there is no crossover to tune for. But a
+// 32 Mi keeps a sweep inline while it costs less than about 21 ms of CPU:
+// BenchmarkSelectPoolCrossover at -cpu 1 -count 5 (2-vCPU Xeon, medians)
+// sweeps 28.8 Mi in 19.2 ms and 38.5 Mi in 25.1 ms. On idle cores a
+// two-worker pool finishes a sweep in 51–61% of the inline wall time at
+// every size that benchmark measures, 1.2 to 38.5 Mi, at the same CPU, so
+// there is no crossover to tune for. But a
 // plan service runs as many plans as there are cores, and a pooled sweep
 // takes every core from the plans running beside it: in sieved, a cheap
 // plan requested during pooled pks sweeps took twice as long as during
 // inline ones, and the workload-methods benchmark's p50 fell by a third,
 // and varied less from run to run, with these sweeps inline. Larger sweeps
-// (lmc@0.01 is 60 Mi) still fan out. Tunable via Options.MinParallelWork.
-const DefaultMinParallelWork = 32 << 20
+// (lmc@0.01 is 60 Mi) still fan out.
+const minParallelWork = 32 << 20
 
 // Options configures a PKS run.
 type Options struct {
@@ -140,18 +141,10 @@ type Options struct {
 	Clustering ClusteringAlgo
 	// Parallelism bounds the workers running the k = 1..MaxK sweep
 	// concurrently: 0 selects GOMAXPROCS, 1 runs the sweep sequentially.
-	// Every candidate k derives its RNG from Seed alone, so the result is
-	// byte-identical at any parallelism.
+	// Sweeps estimated under 32 Mi point-coordinate operations run
+	// sequentially whatever it says. Every candidate k derives its RNG from
+	// Seed alone, so the result is byte-identical at any parallelism.
 	Parallelism int
-	// Restarts is the per-k k-means restart count forwarded to the
-	// clustering layer (default 1, the original PKS behaviour).
-	Restarts int
-	// MinParallelWork is the estimated sweep cost (in point-coordinate
-	// operations) below which the k-sweep ignores Parallelism and runs
-	// inline — small sweeps lose more to goroutine and channel overhead
-	// than they gain from concurrency. 0 selects DefaultMinParallelWork;
-	// negative is an error. Set to 1 to force the pool on any sweep.
-	MinParallelWork int64
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -183,18 +176,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Parallelism < 0 {
 		return o, fmt.Errorf("pks: negative parallelism %d", o.Parallelism)
-	}
-	if o.Restarts == 0 {
-		o.Restarts = 1
-	}
-	if o.Restarts < 0 {
-		return o, fmt.Errorf("pks: negative restarts %d", o.Restarts)
-	}
-	if o.MinParallelWork == 0 {
-		o.MinParallelWork = DefaultMinParallelWork
-	}
-	if o.MinParallelWork < 0 {
-		return o, fmt.Errorf("pks: negative MinParallelWork %d", o.MinParallelWork)
 	}
 	switch o.Clustering {
 	case AlgoKMeans:
@@ -244,6 +225,13 @@ type Result struct {
 // already-running candidates finish, queued ones never start, the worker pool
 // drains — and the call reports ctx.Err().
 func SelectContext(ctx context.Context, features [][]float64, goldenCycles []float64, opts Options) (*Result, error) {
+	return selectSweep(ctx, features, goldenCycles, opts, minParallelWork)
+}
+
+// selectSweep is SelectContext with the sweep size below which the k-sweep
+// runs inline as a parameter, so tests can force the worker pool (minWork 1)
+// without a setting shared between them.
+func selectSweep(ctx context.Context, features [][]float64, goldenCycles []float64, opts Options, minWork int64) (*Result, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -327,12 +315,8 @@ func SelectContext(ctx context.Context, features [][]float64, goldenCycles []flo
 	if workers > maxK {
 		workers = maxK
 	}
-	if sweepWork(fitSet, opts, maxK) < opts.MinParallelWork {
+	if sweepWork(fitSet, opts, maxK) < minWork {
 		workers = 1
-	}
-	clusterPar := 1 // the sweep already occupies the workers
-	if workers <= 1 {
-		clusterPar = opts.Parallelism // sequential sweep: restarts may fan out
 	}
 	runK := func(k int, scratch *cluster.Scratch) {
 		_, ksp := obs.StartSpan(ctx, "pks.k")
@@ -344,7 +328,6 @@ func SelectContext(ctx context.Context, features [][]float64, goldenCycles []flo
 			var err error
 			km, err = cluster.KMeansDataset(fitDS, cluster.Config{
 				K: k, Rng: rng, MaxIterations: opts.MaxIterations,
-				Restarts: opts.Restarts, Parallelism: clusterPar,
 			}, scratch)
 			if err != nil {
 				failures[k] = fmt.Errorf("pks: k=%d: %w", k, err)
@@ -416,19 +399,18 @@ func SelectContext(ctx context.Context, features [][]float64, goldenCycles []flo
 
 // sweepWork estimates the k-sweep's cost in point-coordinate operations:
 // every candidate k runs up to MaxIterations Lloyd passes over the fitting
-// sample, each touching n·dim·k coordinates, per restart. The estimate is an
-// upper bound (Lloyd usually converges early, and the bounded assignment
-// step rescans only the points its bounds cannot settle), which is the
-// right bias for a parallelize/inline decision: an overestimate
-// occasionally fans out work that would have been fine inline, never the
-// reverse.
+// sample, each touching n·dim·k coordinates. The estimate is an upper bound
+// (Lloyd usually converges early, and the bounded assignment step rescans
+// only the points its bounds cannot settle), which is the right bias for a
+// parallelize/inline decision: an overestimate occasionally fans out work
+// that would have been fine inline, never the reverse.
 func sweepWork(fitSet [][]float64, opts Options, maxK int) int64 {
 	if len(fitSet) == 0 {
 		return 0
 	}
 	sumK := int64(maxK) * int64(maxK+1) / 2
 	return int64(len(fitSet)) * int64(len(fitSet[0])) *
-		int64(opts.MaxIterations) * sumK * int64(opts.Restarts)
+		int64(opts.MaxIterations) * sumK
 }
 
 // distortion is the per-invocation representativeness error of a clustering:

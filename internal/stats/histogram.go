@@ -54,15 +54,6 @@ func (h *Histogram) Bin(x float64) int {
 	return b
 }
 
-// Total returns the number of binned samples.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // Mode returns the index of the most populated bin (the lowest such index on
 // ties).
 func (h *Histogram) Mode() int {
@@ -73,15 +64,6 @@ func (h *Histogram) Mode() int {
 		}
 	}
 	return best
-}
-
-// Edges returns the n+1 bin edges.
-func (h *Histogram) Edges() []float64 {
-	edges := make([]float64, len(h.Counts)+1)
-	for i := range edges {
-		edges[i] = h.Lo + float64(i)*h.Width
-	}
-	return edges
 }
 
 // FreedmanDiaconisBins suggests a bin count for xs using the

@@ -14,8 +14,8 @@ func TestNewHistogramBasic(t *testing.T) {
 	if len(h.Counts) != 5 {
 		t.Fatalf("bins = %d, want 5", len(h.Counts))
 	}
-	if h.Total() != len(xs) {
-		t.Fatalf("Total = %d, want %d", h.Total(), len(xs))
+	if got := sumCounts(h); got != len(xs) {
+		t.Fatalf("counts sum to %d, want %d", got, len(xs))
 	}
 	for i, c := range h.Counts {
 		if c != 2 {
@@ -75,8 +75,8 @@ func TestHistogramTotalPreserved(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Total() != n {
-			t.Fatalf("lost samples: total %d, want %d", h.Total(), n)
+		if got := sumCounts(h); got != n {
+			t.Fatalf("lost samples: total %d, want %d", got, n)
 		}
 	}
 }
@@ -92,21 +92,33 @@ func TestHistogramMode(t *testing.T) {
 	}
 }
 
+// TestHistogramEdges checks that bin i spans [Lo + i·Width, Lo + (i+1)·Width):
+// each interior edge opens the bin above it.
 func TestHistogramEdges(t *testing.T) {
 	h, err := NewHistogram([]float64{0, 8}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := h.Edges()
-	want := []float64{0, 2, 4, 6, 8}
-	if len(edges) != len(want) {
-		t.Fatalf("edges = %v", edges)
+	if h.Lo != 0 || !almostEqual(h.Width, 2, 1e-12) {
+		t.Fatalf("Lo = %g, Width = %g, want 0 and 2", h.Lo, h.Width)
 	}
-	for i := range want {
-		if !almostEqual(edges[i], want[i], 1e-12) {
-			t.Fatalf("edges[%d] = %g, want %g", i, edges[i], want[i])
+	for i, edge := range []float64{0, 2, 4, 6} {
+		if got := h.Bin(edge); got != i {
+			t.Fatalf("Bin(%g) = %d, want %d", edge, got, i)
+		}
+		if got := h.Bin(edge + 1.9); got != i {
+			t.Fatalf("Bin(%g) = %d, want %d", edge+1.9, got, i)
 		}
 	}
+}
+
+// sumCounts returns the number of samples h binned.
+func sumCounts(h *Histogram) int {
+	total := 0
+	for _, c := range h.Counts {
+		total += c
+	}
+	return total
 }
 
 func TestFreedmanDiaconisBins(t *testing.T) {

@@ -36,13 +36,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddAll folds every value of xs into the accumulator.
-func (a *Accumulator) AddAll(xs []float64) {
-	for _, x := range xs {
-		a.Add(x)
-	}
-}
-
 // N returns the number of accumulated samples.
 func (a *Accumulator) N() int { return a.n }
 

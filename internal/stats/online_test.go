@@ -49,15 +49,3 @@ func TestAccumulatorZeroValue(t *testing.T) {
 		t.Fatal("singleton min/max should equal the sample")
 	}
 }
-
-func TestAccumulatorAddAll(t *testing.T) {
-	var a, b Accumulator
-	xs := []float64{1, 2, 3, 4, 5}
-	a.AddAll(xs)
-	for _, x := range xs {
-		b.Add(x)
-	}
-	if a.Mean() != b.Mean() || a.Variance() != b.Variance() || a.N() != b.N() {
-		t.Fatal("AddAll should match element-wise Add")
-	}
-}

@@ -64,26 +64,3 @@ func Spearman(a, b []float64) (float64, error) {
 	}
 	return cov / math.Sqrt(va*vb), nil
 }
-
-// PearsonCorrelation returns the linear correlation coefficient of two
-// paired samples. Constant sides correlate trivially and return 1.
-func PearsonCorrelation(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("stats: pearson: %d vs %d samples", len(a), len(b))
-	}
-	if len(a) < 2 {
-		return 1, nil
-	}
-	ma, mb := Mean(a), Mean(b)
-	var cov, va, vb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
-	}
-	if va == 0 || vb == 0 {
-		return 1, nil
-	}
-	return cov / math.Sqrt(va*vb), nil
-}

@@ -94,21 +94,3 @@ func TestSpearmanInvariantUnderMonotoneTransform(t *testing.T) {
 		t.Fatalf("Spearman changed under monotone transform: %g vs %g", before, after)
 	}
 }
-
-func TestPearsonCorrelation(t *testing.T) {
-	got, err := PearsonCorrelation([]float64{1, 2, 3}, []float64{2, 4, 6})
-	if err != nil || math.Abs(got-1) > 1e-12 {
-		t.Fatalf("perfect linear Pearson = %g, %v", got, err)
-	}
-	got, err = PearsonCorrelation([]float64{1, 2, 3}, []float64{6, 4, 2})
-	if err != nil || math.Abs(got+1) > 1e-12 {
-		t.Fatalf("anti-linear Pearson = %g, %v", got, err)
-	}
-	if _, err := PearsonCorrelation([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("want error for mismatched lengths")
-	}
-	got, err = PearsonCorrelation([]float64{7, 7}, []float64{1, 2})
-	if err != nil || got != 1 {
-		t.Fatalf("constant-side Pearson = %g, %v", got, err)
-	}
-}

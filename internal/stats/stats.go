@@ -68,27 +68,6 @@ func CoV(xs []float64) float64 {
 	return StdDev(xs) / math.Abs(mean)
 }
 
-// WeightedMean returns the weighted arithmetic mean Σ w_i·x_i / Σ w_i.
-// It returns an error when the slices differ in length, a weight is negative,
-// or the total weight is zero.
-func WeightedMean(xs, ws []float64) (float64, error) {
-	if len(xs) != len(ws) {
-		return 0, fmt.Errorf("stats: weighted mean: %d values vs %d weights", len(xs), len(ws))
-	}
-	var num, den float64
-	for i, x := range xs {
-		if ws[i] < 0 {
-			return 0, fmt.Errorf("stats: weighted mean: negative weight %g at index %d", ws[i], i)
-		}
-		num += ws[i] * x
-		den += ws[i]
-	}
-	if den == 0 {
-		return 0, fmt.Errorf("stats: weighted mean: zero total weight")
-	}
-	return num / den, nil
-}
-
 // WeightedHarmonicMean returns 1 / Σ (w_i / x_i) with the weights normalized
 // to sum to one. This is the estimator Sieve uses to combine per-stratum IPC
 // values into an application-level IPC (Section III-D of the paper).
@@ -217,25 +196,4 @@ func Median(xs []float64) float64 {
 		return 0
 	}
 	return m
-}
-
-// Normalize returns ws scaled so that the entries sum to one. It returns an
-// error when a weight is negative or the sum is zero. The input is not
-// modified.
-func Normalize(ws []float64) ([]float64, error) {
-	var sum float64
-	for i, w := range ws {
-		if w < 0 {
-			return nil, fmt.Errorf("stats: normalize: negative weight %g at index %d", w, i)
-		}
-		sum += w
-	}
-	if sum == 0 {
-		return nil, fmt.Errorf("stats: normalize: zero total weight")
-	}
-	out := make([]float64, len(ws))
-	for i, w := range ws {
-		out[i] = w / sum
-	}
-	return out, nil
 }

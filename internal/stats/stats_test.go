@@ -98,25 +98,6 @@ func TestCoVScaleInvariance(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	got, err := WeightedMean([]float64{1, 3}, []float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 2.5, 1e-12) {
-		t.Fatalf("WeightedMean = %g, want 2.5", got)
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("want error on length mismatch")
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{-1}); err == nil {
-		t.Fatal("want error on negative weight")
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{0}); err == nil {
-		t.Fatal("want error on zero total weight")
-	}
-}
-
 func TestWeightedHarmonicMean(t *testing.T) {
 	// Equal weights over {1, 3}: harmonic mean = 2/(1/1 + 1/3) = 1.5.
 	got, err := WeightedHarmonicMean([]float64{1, 3}, []float64{1, 1})
@@ -269,48 +250,5 @@ func TestMedian(t *testing.T) {
 	}
 	if got := Median(nil); got != 0 {
 		t.Fatalf("Median(nil) = %g, want 0", got)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out, err := Normalize([]float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 0.25 || out[1] != 0.75 {
-		t.Fatalf("Normalize = %v", out)
-	}
-	if _, err := Normalize([]float64{0, 0}); err == nil {
-		t.Fatal("want error on zero sum")
-	}
-	if _, err := Normalize([]float64{1, -1}); err == nil {
-		t.Fatal("want error on negative weight")
-	}
-}
-
-func TestNormalizeSumsToOne(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		ws := make([]float64, len(raw))
-		var nonzero bool
-		for i, v := range raw {
-			ws[i] = math.Mod(math.Abs(v), 100)
-			if ws[i] > 0 {
-				nonzero = true
-			}
-		}
-		if !nonzero {
-			return true
-		}
-		out, err := Normalize(ws)
-		if err != nil {
-			return false
-		}
-		return almostEqual(Sum(out), 1, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

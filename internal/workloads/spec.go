@@ -379,19 +379,6 @@ func BySuite(suite string) ([]Spec, error) {
 	return out, nil
 }
 
-// Suites returns the distinct suite names in catalog order.
-func Suites() []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, s := range Catalog() {
-		if !seen[s.Suite] {
-			seen[s.Suite] = true
-			out = append(out, s.Suite)
-		}
-	}
-	return out
-}
-
 // Names returns all workload names, sorted.
 func Names() []string {
 	var out []string

@@ -82,9 +82,6 @@ func TestByNameAndBySuite(t *testing.T) {
 	if _, err := BySuite("NoSuchSuite"); err == nil {
 		t.Fatal("want error for unknown suite")
 	}
-	if got := len(Suites()); got != 5 {
-		t.Fatalf("Suites = %d, want 5", got)
-	}
 	if got := len(Names()); got != 40 {
 		t.Fatalf("Names = %d, want 40", got)
 	}

@@ -89,10 +89,10 @@ const (
 
 // Options configures Sample. The zero value uses the paper's defaults
 // (θ = 0.4, dominant-CTA-first selection, KDE splitting) and stratifies
-// kernels in parallel across GOMAXPROCS workers when the profile is large
-// enough to amortize the pool (MinParallelWork rows); set Parallelism to 1
-// to force sequential execution. Results are byte-identical at any
-// parallelism and any work threshold.
+// kernels in parallel across GOMAXPROCS workers when the profile has at
+// least 2048 rows, enough to amortize the pool; Parallelism is the one
+// scheduling setting, and 1 forces sequential execution. Results are
+// byte-identical at any parallelism.
 type Options = core.Options
 
 // InvocationProfile is one profiled kernel invocation: kernel name,
