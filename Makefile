@@ -85,11 +85,11 @@ loadtest:
 bench-load:
 	./scripts/bench_load.sh
 
-# Per-methodology planning cost: one sub-benchmark per registered sampling
-# strategy (sieve, pks, twophase, rss — BenchmarkSamplerPlan iterates the
-# registry, so a new strategy shows up automatically), plus the pks k-sweep's
-# k-means alone (BenchmarkKMeansSweep), five one-second runs each, recorded
-# to BENCH_sampler.json. See docs/sampling-methods.md.
+# Per-methodology planning cost: one sub-benchmark per sampling method
+# (sieve, pks, twophase, rss — BenchmarkSamplerPlan iterates
+# sampler.Names(), so a new method shows up automatically), plus the pks
+# k-sweep's k-means alone (BenchmarkKMeansSweep), five one-second runs each,
+# recorded to BENCH_sampler.json. See docs/sampling-methods.md.
 bench-sampler:
 	$(GO) test -run XXX -bench 'BenchmarkSamplerPlan|BenchmarkKMeansSweep' \
 		-benchmem -benchtime 1s -count 5 -json ./internal/sampler ./internal/cluster > BENCH_sampler.json

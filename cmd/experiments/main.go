@@ -39,7 +39,7 @@ func main() {
 		theta      = cliflags.Theta(flag.CommandLine)
 		seed       = cliflags.Seed(flag.CommandLine)
 		workers    = cliflags.Parallelism(flag.CommandLine, "workers")
-		method     = flag.String("method", "", "comma-separated sampling methodologies the accuracy tables compare beside sieve and pks (empty = every registered strategy)")
+		method     = flag.String("method", "", "comma-separated sampling methodologies the accuracy tables compare beside sieve and pks (empty = every method)")
 		logLevel   = cliflags.LogLevel(flag.CommandLine)
 	)
 	report, traceOut := cliflags.Report(flag.CommandLine)

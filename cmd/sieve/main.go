@@ -123,10 +123,7 @@ func run(cfg runConfig) error {
 		return fmt.Errorf("-profile-out needs a materialized profile; drop it or drop -stream")
 	}
 	method := sampler.Canonical(cfg.Method)
-	if _, err := sampler.New(method); err != nil {
-		return err
-	}
-	if err := sampler.CheckStream(method, cfg.Stream); err != nil {
+	if err := sampler.Check(method, cfg.Stream); err != nil {
 		return err
 	}
 

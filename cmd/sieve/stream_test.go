@@ -116,8 +116,8 @@ func samePlan(p *sieve.Plan, w *api.Plan) bool {
 	return true
 }
 
-// TestStreamRejectsNonSieveMethods: -stream under any registered method but
-// sieve fails with sampler.CheckStream's one message.
+// TestStreamRejectsNonSieveMethods: -stream under any method but
+// sieve fails with sampler.Check's one message.
 func TestStreamRejectsNonSieveMethods(t *testing.T) {
 	for _, method := range sampler.Names() {
 		if method == core.MethodSieve {
@@ -126,7 +126,7 @@ func TestStreamRejectsNonSieveMethods(t *testing.T) {
 		cfg := base()
 		cfg.Workload, cfg.Stream, cfg.Method = "gru", true, method
 		err := run(cfg)
-		if want := sampler.CheckStream(method, true); err == nil || err.Error() != want.Error() {
+		if want := sampler.Check(method, true); err == nil || err.Error() != want.Error() {
 			t.Errorf("-method %s -stream: err = %v, want %v", method, err, want)
 		}
 	}

@@ -1,6 +1,6 @@
 // Command sieveload is the capacity-aware load harness for a running sieved
 // — single node or a -peers cluster. It drives the service through
-// registered workload scenarios (JSON sample, raw-CSV sample, batch,
+// four workload scenarios (JSON sample, raw-CSV sample, batch,
 // plan re-reads) in a closed loop (ramped worker pools) or an open loop
 // (paced QPS), with zipfian or uniform popularity over a catalog of Table I
 // profiles, and writes a BENCH_load.json report: per-workload latency

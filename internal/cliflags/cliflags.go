@@ -74,9 +74,8 @@ func Arch(fs *flag.FlagSet) *string {
 }
 
 // Method registers the shared -method flag selecting the sampling
-// methodology. The help text enumerates whatever strategies the binary
-// actually links (the sampler registry is populated by package init), so it
-// never drifts from the registered set.
+// methodology. The help text enumerates sampler.Names(), the fixed table of
+// the four methods, so it never drifts from it.
 func Method(fs *flag.FlagSet) *string {
 	return fs.String("method", core.MethodSieve,
 		"sampling methodology: "+strings.Join(sampler.Names(), ", "))

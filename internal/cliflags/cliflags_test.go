@@ -94,3 +94,20 @@ func TestSharedRegistrars(t *testing.T) {
 		t.Fatalf("parsed seed=%d arch=%s stream=%v reservoir=%d", *seed, *arch, *stream, *reservoir)
 	}
 }
+
+// TestMethodHelpNamesEveryMethod: the -method help lists all four methods
+// in any binary that links this package, whatever else that binary links.
+func TestMethodHelpNamesEveryMethod(t *testing.T) {
+	fs := newSet()
+	Method(fs)
+	f := fs.Lookup("method")
+	if f == nil {
+		t.Fatal("method flag not registered")
+	}
+	if want := "sampling methodology: pks, rss, sieve, twophase"; f.Usage != want {
+		t.Fatalf("method help = %q, want %q", f.Usage, want)
+	}
+	if f.DefValue != "sieve" {
+		t.Fatalf("method default = %q, want sieve", f.DefValue)
+	}
+}

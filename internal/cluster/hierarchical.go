@@ -5,25 +5,16 @@ import (
 	"math"
 )
 
-// Agglomerative performs bottom-up hierarchical clustering with average
-// linkage (UPGMA) until k clusters remain — the clustering style TBPoint
-// (Huang et al., IPDPS 2014) uses to group kernel invocations, referenced in
-// the Sieve paper's related work.
+// AgglomerativeCuts performs bottom-up hierarchical clustering with average
+// linkage (UPGMA) — the clustering style TBPoint (Huang et al., IPDPS 2014)
+// uses to group kernel invocations, referenced in the Sieve paper's related
+// work. It builds one dendrogram and returns the clustering at each
+// requested cut level k. Building once and cutting many times is what makes
+// a k-sweep over hierarchical clusterings affordable.
 //
 // The distance matrix is O(n²); callers cluster a bounded sample and assign
 // the rest to the nearest resulting centroid (as the PKS pipeline does for
 // k-means).
-func Agglomerative(points [][]float64, k int) (*Result, error) {
-	cuts, err := AgglomerativeCuts(points, []int{k})
-	if err != nil {
-		return nil, err
-	}
-	return cuts[k], nil
-}
-
-// AgglomerativeCuts builds one dendrogram and returns the clustering at each
-// requested cut level k. Building once and cutting many times is what makes
-// a k-sweep over hierarchical clusterings affordable.
 func AgglomerativeCuts(points [][]float64, ks []int) (map[int]*Result, error) {
 	n := len(points)
 	if n == 0 {

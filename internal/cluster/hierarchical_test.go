@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// cutAt is the k-cluster cut of one dendrogram over pts.
+func cutAt(pts [][]float64, k int) (*Result, error) {
+	cuts, err := AgglomerativeCuts(pts, []int{k})
+	if err != nil {
+		return nil, err
+	}
+	return cuts[k], nil
+}
+
 func TestAgglomerativeValidation(t *testing.T) {
 	good := [][]float64{{1}, {2}}
 	cases := []struct {
@@ -20,7 +29,7 @@ func TestAgglomerativeValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Agglomerative(c.pts, c.k); err == nil {
+			if _, err := cutAt(c.pts, c.k); err == nil {
 				t.Fatal("want error")
 			}
 		})
@@ -29,7 +38,7 @@ func TestAgglomerativeValidation(t *testing.T) {
 
 func TestAgglomerativeSeparatesBlobs(t *testing.T) {
 	pts := twoBlobs(30, 77)
-	res, err := Agglomerative(pts, 2)
+	res, err := cutAt(pts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +69,7 @@ func TestAgglomerativeSeparatesBlobs(t *testing.T) {
 
 func TestAgglomerativeKEqualsN(t *testing.T) {
 	pts := [][]float64{{0}, {5}, {10}}
-	res, err := Agglomerative(pts, 3)
+	res, err := cutAt(pts, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +80,7 @@ func TestAgglomerativeKEqualsN(t *testing.T) {
 
 func TestAgglomerativeK1(t *testing.T) {
 	pts := [][]float64{{0, 0}, {2, 2}, {4, 4}}
-	res, err := Agglomerative(pts, 1)
+	res, err := cutAt(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +95,7 @@ func TestAgglomerativeK1(t *testing.T) {
 func TestAgglomerativeMergesNearestFirst(t *testing.T) {
 	// Points at 0, 1, 10: at k=2, {0,1} must merge, 10 stays alone.
 	pts := [][]float64{{0}, {1}, {10}}
-	res, err := Agglomerative(pts, 2)
+	res, err := cutAt(pts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +110,7 @@ func TestAgglomerativeMergesNearestFirst(t *testing.T) {
 func TestAgglomerativeInvariants(t *testing.T) {
 	pts := twoBlobs(20, 3)
 	for _, k := range []int{1, 2, 5, 10} {
-		res, err := Agglomerative(pts, k)
+		res, err := cutAt(pts, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,14 +148,14 @@ func TestAgglomerativeCuts(t *testing.T) {
 	if cuts[1].Inertia < cuts[2].Inertia || cuts[2].Inertia < cuts[4].Inertia {
 		t.Fatalf("inertia not monotone: %g, %g, %g", cuts[1].Inertia, cuts[2].Inertia, cuts[4].Inertia)
 	}
-	// The k=2 cut must match the direct call.
-	direct, err := Agglomerative(pts, 2)
+	// The k=2 cut must match a dendrogram cut at k=2 alone.
+	direct, err := cutAt(pts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range direct.Assignments {
 		if direct.Assignments[i] != cuts[2].Assignments[i] {
-			t.Fatal("direct call diverges from dendrogram cut")
+			t.Fatal("a single cut diverges from the same level of a multi-cut")
 		}
 	}
 	if _, err := AgglomerativeCuts(pts, nil); err == nil {

@@ -70,12 +70,13 @@ type Config struct {
 	K int
 	// MaxIterations bounds Lloyd iterations (default 100).
 	MaxIterations int
-	// Tolerance stops iteration when no centroid moves more than this
-	// squared distance (default 1e-9).
-	Tolerance float64
 	// Rng supplies randomness for k-means++ seeding; required.
 	Rng *rand.Rand
 }
+
+// tolerance stops Lloyd iteration when no centroid moves more than this
+// squared distance.
+const tolerance = 1e-9
 
 // Dataset is a columnar (flat, row-major) point set: point i occupies
 // data[i*dim : (i+1)*dim]. Flattening once and iterating with a stride keeps
@@ -274,7 +275,7 @@ func lloyd(ds *Dataset, cfg *Config, rng *rand.Rand, s *Scratch) {
 		}
 		rivalDrifts(s.drift, s.rivalDrift)
 		centroids, next = next, centroids
-		if moved <= cfg.Tolerance {
+		if moved <= tolerance {
 			break
 		}
 	}
@@ -493,9 +494,6 @@ func validate(ds *Dataset, cfg *Config) error {
 	}
 	if cfg.MaxIterations <= 0 {
 		cfg.MaxIterations = 100
-	}
-	if cfg.Tolerance <= 0 {
-		cfg.Tolerance = 1e-9
 	}
 	return nil
 }

@@ -117,7 +117,7 @@ func plainLloyd(ds *Dataset, cfg *Config, rng *rand.Rand) (*Result, int) {
 			moved = math.Max(moved, plainSqDist(centroids[c*dim:(c+1)*dim], next[c*dim:(c+1)*dim]))
 		}
 		centroids, next = next, centroids
-		if moved <= cfg.Tolerance {
+		if moved <= tolerance {
 			break
 		}
 	}

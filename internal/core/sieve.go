@@ -240,8 +240,8 @@ type Result struct {
 	Sampled bool
 	// Method names the methodology that produced the plan. Empty means the
 	// default Sieve stratified sampler — kept empty (rather than "sieve") so
-	// plans from the pre-registry code paths and plans routed through the
-	// default strategy stay byte-identical.
+	// plans from core directly and plans routed through sampler.Run's
+	// default method stay byte-identical.
 	Method string
 	// Interval, when non-nil, carries a methodology-supplied confidence
 	// interval on the plan's relative estimation error (e.g. ranked-set

@@ -17,11 +17,6 @@ import (
 	"github.com/gpusampling/sieve/internal/sampler"
 	"github.com/gpusampling/sieve/internal/stats"
 	"github.com/gpusampling/sieve/internal/workloads"
-
-	// Link the alternate sampling methodologies into the evaluation so the
-	// accuracy tables can compare every registered strategy.
-	_ "github.com/gpusampling/sieve/internal/sampler/rss"
-	_ "github.com/gpusampling/sieve/internal/sampler/twophase"
 )
 
 // Config holds the experiment-wide knobs.
@@ -44,14 +39,14 @@ type Config struct {
 	Ctx context.Context
 	// Methods selects the sampling methodologies the accuracy comparisons
 	// add to sieve and pks (canonical names, e.g. "twophase", "rss"); nil
-	// or empty selects every registered strategy. Sieve and PKS are always
+	// or empty selects every other method. Sieve and PKS are always
 	// planned and compared, since the other figures read their plans.
 	Methods []string
 }
 
 // methodNames lists the methodologies every workload is planned with, in
 // table order: the two paper baselines, then the configured (or every
-// registered) extra strategy.
+// other) method.
 func (c Config) methodNames() []string {
 	names := []string{core.MethodSieve, sampler.MethodPKS}
 	extra := c.Methods
@@ -119,7 +114,7 @@ type Evaluation struct {
 
 // MethodEval is one sampling methodology's accuracy on one workload.
 type MethodEval struct {
-	// Method is the canonical registry name.
+	// Method is the canonical method name.
 	Method string
 	// Error is |predicted-measured|/measured cycles.
 	Error float64

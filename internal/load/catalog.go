@@ -32,7 +32,7 @@ var DefaultProfileNames = []string{
 var DefaultScales = []float64{0.25, 0.5, 1.0}
 
 // BuildCatalog crosses workload names with scale factors into the profile
-// catalog, validating every name against the Table I registry and rendering
+// catalog, validating every name against the Table I workloads and rendering
 // each entry's profile CSV when withCSV is set (required by the sample-csv
 // scenario; skippable otherwise to save startup time). Order is
 // names-major, so under zipfian popularity the first name's scales form the

@@ -25,7 +25,7 @@ type Config struct {
 	// Targets are the sieved base URLs to drive. Requests pick a target at
 	// random per call, so a peered cluster sees cross-owner traffic.
 	Targets []string
-	// Workloads are the scenario names to run concurrently (registry keys).
+	// Workloads are the scenario names to run concurrently (WorkloadNames).
 	Workloads []string
 	// Mode selects the loop: ModeClosed ramps worker counts, ModeOpen ramps
 	// offered QPS.

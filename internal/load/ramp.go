@@ -1,6 +1,6 @@
 // Package load is the sieved load-generation harness behind cmd/sieveload:
 // a closed- and open-loop driver that pushes a running sieved (single node
-// or peered cluster) through a registry of pluggable workload scenarios,
+// or peered cluster) through a fixed table of four workload scenarios,
 // records latency per workload × status class, and emits a machine-readable
 // benchmark report with the targets' own /metrics deltas attached.
 //

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"github.com/gpusampling/sieve/api"
@@ -131,7 +129,7 @@ func (w *Worker) client() *client.Client {
 // either loop mode. Implementations must be safe for concurrent Do calls
 // (each call gets its own Worker).
 type Workload interface {
-	// Name is the registry key and the report/metric label.
+	// Name selects the scenario and is its report/metric label.
 	Name() string
 	// Cap is the scenario's concurrency capacity hint: the most workers the
 	// closed loop should ever grant it under the shared budget (0 =
@@ -143,51 +141,26 @@ type Workload interface {
 	Do(ctx context.Context, w *Worker) (status int, err error)
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]func() Workload{}
-)
+// workloads is the fixed table of load scenarios, sorted by name.
+var workloads = [...]Workload{batchWorkload{}, planfetchWorkload{}, sampleWorkload{}, sampleCSVWorkload{}}
 
-// Register adds a workload scenario factory under its name. Built-ins
-// register at init; external packages may add their own before building a
-// Runner.
-func Register(name string, factory func() Workload) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("load: workload %q registered twice", name))
-	}
-	registry[name] = factory
-}
-
-// NewWorkload instantiates a registered scenario by name.
+// NewWorkload returns the named scenario.
 func NewWorkload(name string) (Workload, error) {
-	registryMu.RLock()
-	factory, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("load: unknown workload %q (have %v)", name, WorkloadNames())
+	for _, w := range workloads {
+		if w.Name() == name {
+			return w, nil
+		}
 	}
-	return factory(), nil
+	return nil, fmt.Errorf("load: unknown workload %q (have %v)", name, WorkloadNames())
 }
 
-// WorkloadNames lists the registered scenario names, sorted.
+// WorkloadNames lists the scenario names, sorted.
 func WorkloadNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
+	names := make([]string, len(workloads))
+	for i, w := range workloads {
+		names[i] = w.Name()
 	}
-	sort.Strings(names)
 	return names
-}
-
-func init() {
-	Register("sample", func() Workload { return sampleWorkload{} })
-	Register("sample-csv", func() Workload { return sampleCSVWorkload{} })
-	Register("batch", func() Workload { return batchWorkload{} })
-	Register("planfetch", func() Workload { return planfetchWorkload{} })
 }
 
 // statusOf folds a client call's outcome into (HTTP status, transport

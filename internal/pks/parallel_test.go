@@ -110,11 +110,11 @@ func TestSelectDefaultWorkGate(t *testing.T) {
 	}
 	features, golden := synthFeatures(12, 8000)
 	work := func(n int) int64 {
-		points, err := reduce(features[:n], opts.VarianceFraction)
+		points, err := reduce(features[:n], DefaultVarianceFraction)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sweepWork(points, opts, opts.MaxK)
+		return sweepWork(points, opts.MaxK)
 	}
 	// Guess the boundary from the work per invocation of the whole fixture,
 	// then step to it, so each prefix's own PCA width is what counts.
@@ -189,17 +189,13 @@ func BenchmarkSelectPoolCrossover(b *testing.B) {
 		b.Fatal(err)
 	}
 	allFeatures, allGolden := full.Features(), hw.MeasureWorkload(w)
-	opts, err := Options{}.withDefaults()
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, n := range []int{100, 200, 400, 800, 1600, 2400, 3200} {
 		features, golden := allFeatures[:n], allGolden[:n]
 		points, err := reduce(features, DefaultVarianceFraction)
 		if err != nil {
 			b.Fatal(err)
 		}
-		work := sweepWork(points, opts, DefaultMaxK)
+		work := sweepWork(points, DefaultMaxK)
 		for _, mode := range []struct {
 			name    string
 			opts    Options

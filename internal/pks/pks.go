@@ -36,6 +36,9 @@ const DefaultMaxK = 20
 // DefaultVarianceFraction is the PCA explained-variance retention target.
 const DefaultVarianceFraction = 0.9
 
+// maxIterations bounds the Lloyd iterations of each candidate k's fit.
+const maxIterations = 30
+
 // DefaultClusterSampleCap bounds the number of points k-means iterates over;
 // larger profiles are fitted on a deterministic stride-subsample and every
 // invocation is then assigned to its nearest centroid. This keeps the
@@ -104,7 +107,7 @@ const HierarchicalSampleCap = 400
 // inline instead of fanning out to a worker pool. The estimate is a
 // deliberate upper bound: it counts every Lloyd iteration as a full scan,
 // while the bounded assignment step skips most distance computations and
-// most runs converge well before MaxIterations.
+// most runs converge well before maxIterations.
 //
 // 32 Mi keeps a sweep inline while it costs less than about 21 ms of CPU:
 // BenchmarkSelectPoolCrossover at -cpu 1 -count 5 (2-vCPU Xeon, medians)
@@ -124,15 +127,10 @@ const minParallelWork = 32 << 20
 type Options struct {
 	// MaxK caps the k-means sweep (DefaultMaxK if zero).
 	MaxK int
-	// VarianceFraction is the PCA retention target
-	// (DefaultVarianceFraction if zero).
-	VarianceFraction float64
 	// Selection is the representative policy.
 	Selection Policy
 	// Seed drives k-means++ and random selection.
 	Seed int64
-	// MaxIterations bounds Lloyd iterations per k (30 if zero).
-	MaxIterations int
 	// ClusterSampleCap bounds the k-means fitting set
 	// (DefaultClusterSampleCap if zero; negative disables subsampling).
 	ClusterSampleCap int
@@ -154,19 +152,10 @@ func (o Options) withDefaults() (Options, error) {
 	if o.MaxK < 1 {
 		return o, fmt.Errorf("pks: MaxK %d < 1", o.MaxK)
 	}
-	if o.VarianceFraction == 0 {
-		o.VarianceFraction = DefaultVarianceFraction
-	}
-	if o.VarianceFraction <= 0 || o.VarianceFraction > 1 {
-		return o, fmt.Errorf("pks: variance fraction %g outside (0, 1]", o.VarianceFraction)
-	}
 	switch o.Selection {
 	case SelectFirst, SelectRandom, SelectCentroid:
 	default:
 		return o, fmt.Errorf("pks: unknown selection policy %d", o.Selection)
-	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 30
 	}
 	if o.ClusterSampleCap == 0 {
 		o.ClusterSampleCap = DefaultClusterSampleCap
@@ -264,7 +253,7 @@ func selectSweep(ctx context.Context, features [][]float64, goldenCycles []float
 		sp.SetAttr("parallelism", opts.Parallelism)
 	}
 
-	points, err := reduce(features, opts.VarianceFraction)
+	points, err := reduce(features, DefaultVarianceFraction)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +304,7 @@ func selectSweep(ctx context.Context, features [][]float64, goldenCycles []float
 	if workers > maxK {
 		workers = maxK
 	}
-	if sweepWork(fitSet, opts, maxK) < minWork {
+	if sweepWork(fitSet, maxK) < minWork {
 		workers = 1
 	}
 	runK := func(k int, scratch *cluster.Scratch) {
@@ -327,7 +316,7 @@ func selectSweep(ctx context.Context, features [][]float64, goldenCycles []float
 		if km == nil {
 			var err error
 			km, err = cluster.KMeansDataset(fitDS, cluster.Config{
-				K: k, Rng: rng, MaxIterations: opts.MaxIterations,
+				K: k, Rng: rng, MaxIterations: maxIterations,
 			}, scratch)
 			if err != nil {
 				failures[k] = fmt.Errorf("pks: k=%d: %w", k, err)
@@ -398,19 +387,18 @@ func selectSweep(ctx context.Context, features [][]float64, goldenCycles []float
 }
 
 // sweepWork estimates the k-sweep's cost in point-coordinate operations:
-// every candidate k runs up to MaxIterations Lloyd passes over the fitting
+// every candidate k runs up to maxIterations Lloyd passes over the fitting
 // sample, each touching n·dim·k coordinates. The estimate is an upper bound
 // (Lloyd usually converges early, and the bounded assignment step rescans
 // only the points its bounds cannot settle), which is the right bias for a
 // parallelize/inline decision: an overestimate occasionally fans out work
 // that would have been fine inline, never the reverse.
-func sweepWork(fitSet [][]float64, opts Options, maxK int) int64 {
+func sweepWork(fitSet [][]float64, maxK int) int64 {
 	if len(fitSet) == 0 {
 		return 0
 	}
 	sumK := int64(maxK) * int64(maxK+1) / 2
-	return int64(len(fitSet)) * int64(len(fitSet[0])) *
-		int64(opts.MaxIterations) * sumK
+	return int64(len(fitSet)) * int64(len(fitSet[0])) * maxIterations * sumK
 }
 
 // distortion is the per-invocation representativeness error of a clustering:

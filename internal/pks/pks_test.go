@@ -39,7 +39,6 @@ func TestOptionsValidation(t *testing.T) {
 		opts Options
 	}{
 		{"negative MaxK", Options{MaxK: -1}},
-		{"variance fraction > 1", Options{VarianceFraction: 1.5}},
 		{"bad policy", Options{Selection: Policy(99)}},
 	}
 	for _, c := range cases {

@@ -8,26 +8,18 @@ import (
 	"github.com/gpusampling/sieve/internal/pks"
 )
 
-// MethodPKS names the Principal Kernel Selection baseline strategy.
+// MethodPKS names the Principal Kernel Selection baseline.
 const MethodPKS = "pks"
 
-// pksSampler adapts the PKS baseline (12-characteristic PCA + k-means sweep
-// calibrated against golden cycles) to the Sampler interface. The selection
-// is exactly pks.SelectContext's — same clusters, same representatives,
-// pinned by tests — re-expressed as a core plan: one stratum per cluster
+// planPKS plans with the PKS baseline (12-characteristic PCA + k-means sweep
+// calibrated against golden cycles). The selection is exactly
+// pks.SelectContext's — same clusters, same representatives, pinned by
+// tests — re-expressed as a core plan: one stratum per cluster
 // (synthetic "pks-cluster-NNN" labels, since clusters span kernels) with the
 // CountWeighted flag set so Predict reproduces the PKS estimator (Σ cluster
 // size × representative cycles) rather than Sieve's instruction-share
 // harmonic mean.
-type pksSampler struct{}
-
-func (pksSampler) Name() string { return MethodPKS }
-
-func (pksSampler) Plan(ctx context.Context, p *Profile, opts Options) (*core.Result, error) {
-	opts, err := opts.WithDefaults()
-	if err != nil {
-		return nil, err
-	}
+func planPKS(ctx context.Context, p *Profile, opts Options) (*core.Result, error) {
 	if len(p.Features) != len(p.Rows) {
 		return nil, fmt.Errorf("pks needs one feature vector per profile row (%d features for %d rows); feature vectors come from the full profiler, so run pks in workload mode", len(p.Features), len(p.Rows))
 	}
@@ -66,8 +58,4 @@ func (pksSampler) Plan(ctx context.Context, p *Profile, opts Options) (*core.Res
 	res.Method = MethodPKS
 	res.CountWeighted = true
 	return res, nil
-}
-
-func init() {
-	Register(MethodPKS, func() Sampler { return pksSampler{} })
 }

@@ -1,19 +1,19 @@
-// Package rss implements ranked-set sampling with repeated subsampling, in
-// the style of the NVIDIA CPU-sampling work (*CPU Simulation with Ranked Set
-// Sampling and Repeated Subsampling*). Within each base stratum the
-// representative is chosen by a ranked-set draw — m seeded candidates are
-// ranked by instruction count and the median rank is selected, which
-// concentrates selection on centrally representative invocations without
-// measuring the whole stratum — and the whole selection is then repeated R
-// times under derived seeds. The spread of the R resampled estimates yields
-// a confidence interval on the plan's relative estimation error, attached to
-// the plan as core.ErrorInterval: an error bar instead of a single point
-// estimate, with width shrinking as 1/√R.
+// Ranked-set sampling with repeated subsampling, in the style of the NVIDIA
+// CPU-sampling work (*CPU Simulation with Ranked Set Sampling and Repeated
+// Subsampling*). Within each base stratum the representative is chosen by a
+// ranked-set draw — m seeded candidates are ranked by instruction count and
+// the median rank is selected, which concentrates selection on centrally
+// representative invocations without measuring the whole stratum — and the
+// whole selection is then repeated R times under derived seeds. The spread
+// of the R resampled estimates yields a confidence interval on the plan's
+// relative estimation error, attached to the plan as core.ErrorInterval: an
+// error bar instead of a single point estimate, with width shrinking as 1/√R.
 //
 // Every draw derives deterministically from Options.Seed, the stratum
 // position and the resample number, so the same seed produces a
 // byte-identical plan and interval.
-package rss
+
+package sampler
 
 import (
 	"context"
@@ -22,16 +22,18 @@ import (
 	"sort"
 
 	"github.com/gpusampling/sieve/internal/core"
-	"github.com/gpusampling/sieve/internal/sampler"
 	"github.com/gpusampling/sieve/internal/stats"
 )
 
-// Method is the registry name.
-const Method = "rss"
+// MethodRSS names ranked-set sampling with repeated subsampling.
+const MethodRSS = "rss"
 
-type rankedSet struct{}
-
-func (rankedSet) Name() string { return Method }
+const (
+	// setSize is the ranked-set draw size m.
+	setSize = 5
+	// resamples is the repeated-subsampling count R behind the interval.
+	resamples = 16
+)
 
 // subSeed mixes the run seed with the stratum position and resample number
 // (splitmix64-style finalizer) so every draw has an independent,
@@ -69,22 +71,15 @@ func rankedPick(rng *rand.Rand, members []int, rowByIndex map[int]core.Invocatio
 	return cand[(m-1)/2].Index
 }
 
-// Plan stratifies with the base Sieve pipeline, replaces each stratum's
+// planRSS stratifies with the base Sieve pipeline, replaces each stratum's
 // representative with a ranked-set selection, and attaches the
 // repeated-subsampling error interval.
-func (rankedSet) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Options) (*core.Result, error) {
-	opts, err := opts.WithDefaults()
-	if err != nil {
-		return nil, err
-	}
+func planRSS(ctx context.Context, p *Profile, opts Options) (*core.Result, error) {
 	base, err := p.Stratify(ctx, opts.Core) // shared: read, never written
 	if err != nil {
 		return nil, err
 	}
-	rowByIndex := make(map[int]core.InvocationProfile, len(p.Rows))
-	for _, r := range p.Rows {
-		rowByIndex[r.Index] = r
-	}
+	rowByIndex := rowsByIndex(p.Rows)
 
 	// One generator serves every draw: reseeding it with a draw's subSeed
 	// gives exactly the stream a fresh rand.NewSource(subSeed) would, at
@@ -98,22 +93,22 @@ func (rankedSet) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Opti
 			Kernel:         s.Kernel,
 			Tier:           s.Tier,
 			Members:        append([]int(nil), s.Invocations...),
-			Representative: rankedPick(rng, s.Invocations, rowByIndex, opts.SetSize),
+			Representative: rankedPick(rng, s.Invocations, rowByIndex, setSize),
 		}
 	}
 	res, err := core.Assemble(p.Rows, specs, base.Theta)
 	if err != nil {
 		return nil, err
 	}
-	res.Method = Method
+	res.Method = MethodRSS
 
 	// Repeated subsampling: rerun the ranked-set selection R times under
 	// derived seeds and estimate total instructions from each selection
 	// (count-expansion: Σ stratum size × selected count). The signed
 	// relative errors of the R estimates against the known total give the
 	// interval — mean, standard error s/√R, and a ±2·stderr band.
-	errs := make([]float64, opts.Resamples)
-	for r := 1; r <= opts.Resamples; r++ {
+	errs := make([]float64, resamples)
+	for r := 1; r <= resamples; r++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -121,23 +116,19 @@ func (rankedSet) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Opti
 		for h := range base.Strata {
 			s := &base.Strata[h]
 			rng.Seed(subSeed(opts.Seed, h, r))
-			rep := rankedPick(rng, s.Invocations, rowByIndex, opts.SetSize)
+			rep := rankedPick(rng, s.Invocations, rowByIndex, setSize)
 			est += float64(len(s.Invocations)) * rowByIndex[rep].InstructionCount
 		}
 		errs[r-1] = (est - base.TotalInstructions) / base.TotalInstructions
 	}
 	mean := stats.Mean(errs)
-	stderr := stats.StdDev(errs) / math.Sqrt(float64(opts.Resamples))
+	stderr := stats.StdDev(errs) / math.Sqrt(float64(resamples))
 	res.Interval = &core.ErrorInterval{
 		Mean:      mean,
 		StdErr:    stderr,
 		Low:       mean - 2*stderr,
 		High:      mean + 2*stderr,
-		Resamples: opts.Resamples,
+		Resamples: resamples,
 	}
 	return res, nil
-}
-
-func init() {
-	sampler.Register(Method, func() sampler.Sampler { return rankedSet{} })
 }

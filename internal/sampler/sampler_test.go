@@ -15,8 +15,6 @@ import (
 	"github.com/gpusampling/sieve/internal/pks"
 	"github.com/gpusampling/sieve/internal/profiler"
 	"github.com/gpusampling/sieve/internal/sampler"
-	"github.com/gpusampling/sieve/internal/sampler/rss"
-	"github.com/gpusampling/sieve/internal/sampler/twophase"
 	"github.com/gpusampling/sieve/internal/workloads"
 )
 
@@ -47,58 +45,52 @@ func testProfile(tb testing.TB, name string, scale float64) *sampler.Profile {
 	return &sampler.Profile{Rows: icProf.Rows(), Features: fullProf.Features(), GoldenCycles: hw.MeasureWorkload(w)}
 }
 
-func TestRegistryHasAllFourMethods(t *testing.T) {
-	names := sampler.Names()
-	for _, want := range []string{"sieve", "pks", "twophase", "rss"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("registry %v missing %q", names, want)
-		}
-	}
+// TestCheckMethodNames: the empty name is sieve, and an unknown name gets
+// the error text sieved sends as a 400 body, listing the four methods.
+func TestCheckMethodNames(t *testing.T) {
 	if sampler.Canonical("") != "sieve" {
 		t.Errorf("Canonical(\"\") = %q, want sieve", sampler.Canonical(""))
 	}
-	if _, err := sampler.New(""); err != nil {
-		t.Errorf("New(\"\"): %v", err)
+	for _, name := range append(sampler.Names(), "") {
+		if err := sampler.Check(name, false); err != nil {
+			t.Errorf("Check(%q): %v", name, err)
+		}
 	}
-	_, err := sampler.New("bogus")
-	if err == nil || !strings.Contains(err.Error(), "registered") {
-		t.Errorf("New(bogus) = %v, want unknown-method error listing registered names", err)
+	const want = `sampler: unknown method "bogus" (registered: [pks rss sieve twophase])`
+	if err := sampler.Check("bogus", false); err == nil || err.Error() != want {
+		t.Errorf("Check(bogus) = %v, want %s", err, want)
+	}
+	if err := sampler.Check("bogus", true); err == nil || err.Error() != want {
+		t.Errorf("Check(bogus, stream) = %v, want %s", err, want)
 	}
 }
 
-// TestSieveIdentity pins the refactor's core acceptance criterion: a plan
-// built through the registry's sieve strategy is identical — every field,
-// including the unexported prediction indexes — to one built by calling
-// core.StratifyContext directly, so pre-registry golden fixtures and cache
-// keys keep working without re-goldening.
+// TestSieveIdentity pins the sieve method's contract: a plan built through
+// Run is identical — every field, including the unexported prediction
+// indexes — to one built by calling core.StratifyContext directly, so plain
+// core golden fixtures and cache keys keep working without re-goldening.
 func TestSieveIdentity(t *testing.T) {
 	p := testProfile(t, "lmc", 0.02)
 	direct, err := core.StratifyContext(context.Background(), p.Rows, core.Options{})
 	if err != nil {
 		t.Fatalf("direct: %v", err)
 	}
-	viaRegistry, err := sampler.Run(context.Background(), "sieve", p, sampler.Options{})
+	viaRun, err := sampler.Run(context.Background(), "sieve", p, sampler.Options{})
 	if err != nil {
-		t.Fatalf("registry: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	if !reflect.DeepEqual(direct, viaRegistry) {
-		t.Fatalf("registry sieve plan differs from direct core.StratifyContext plan")
+	if !reflect.DeepEqual(direct, viaRun) {
+		t.Fatalf("Run's sieve plan differs from direct core.StratifyContext plan")
 	}
-	if viaRegistry.Method != "" {
-		t.Fatalf("sieve plan Method = %q, want empty (wire back-compat)", viaRegistry.Method)
+	if viaRun.Method != "" {
+		t.Fatalf("sieve plan Method = %q, want empty (wire back-compat)", viaRun.Method)
 	}
-	if viaRegistry.Interval != nil {
+	if viaRun.Interval != nil {
 		t.Fatalf("sieve plan carries an interval; default method must not")
 	}
 }
 
-// TestPKSIdentity pins the PKS side: the registry strategy's strata are
+// TestPKSIdentity pins the PKS side: the pks method's strata are
 // exactly pks.SelectContext's clusters (same members, same representatives,
 // same order) and the count-weighted plan predicts the PKS estimator's cycle
 // total, Σ cluster size × representative cycles, kept here as a test-local
@@ -112,7 +104,7 @@ func TestPKSIdentity(t *testing.T) {
 	}
 	plan, err := sampler.Run(context.Background(), "pks", p, sampler.Options{PKS: popts})
 	if err != nil {
-		t.Fatalf("registry pks: %v", err)
+		t.Fatalf("pks via Run: %v", err)
 	}
 	if plan.Method != "pks" || !plan.CountWeighted {
 		t.Fatalf("plan method/countweighted = %q/%v, want pks/true", plan.Method, plan.CountWeighted)
@@ -160,7 +152,7 @@ func TestPKSIdentity(t *testing.T) {
 // otherwise — the fixture is chosen so the seeds actually diverge.
 func TestSeedDeterminism(t *testing.T) {
 	p := testProfile(t, "lmc", 0.02)
-	for _, method := range []string{twophase.Method, rss.Method} {
+	for _, method := range []string{sampler.MethodTwoPhase, sampler.MethodRSS} {
 		t.Run(method, func(t *testing.T) {
 			a, err := sampler.Run(context.Background(), method, p, sampler.Options{Seed: 42})
 			if err != nil {
@@ -203,7 +195,7 @@ func TestTwophaseRefinesBasePlan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("base: %v", err)
 	}
-	plan, err := sampler.Run(context.Background(), twophase.Method, p, sampler.Options{Seed: 1})
+	plan, err := sampler.Run(context.Background(), sampler.MethodTwoPhase, p, sampler.Options{Seed: 1})
 	if err != nil {
 		t.Fatalf("twophase: %v", err)
 	}
@@ -217,31 +209,6 @@ func TestTwophaseRefinesBasePlan(t *testing.T) {
 	// floating-point ULP noise but nothing more.
 	if rel := math.Abs(plan.TotalInstructions-base.TotalInstructions) / base.TotalInstructions; rel > 1e-12 {
 		t.Fatalf("total instructions drifted: %g vs %g (rel %g)", plan.TotalInstructions, base.TotalInstructions, rel)
-	}
-}
-
-// TestRSSIntervalNarrowsWithResamples pins the repeated-subsampling
-// contract: more resamples shrink the interval monotonically (width is
-// 4·s/√R) on a synthetic workload under fixed seeds.
-func TestRSSIntervalNarrowsWithResamples(t *testing.T) {
-	p := testProfile(t, "lmc", 0.02)
-	prev := math.Inf(1)
-	for _, r := range []int{8, 32, 128, 512} {
-		plan, err := sampler.Run(context.Background(), rss.Method, p, sampler.Options{Seed: 5, Resamples: r})
-		if err != nil {
-			t.Fatalf("R=%d: %v", r, err)
-		}
-		if plan.Interval == nil || plan.Interval.Resamples != r {
-			t.Fatalf("R=%d: interval %+v", r, plan.Interval)
-		}
-		width := plan.Interval.High - plan.Interval.Low
-		if width <= 0 || math.IsNaN(width) {
-			t.Fatalf("R=%d: degenerate width %g", r, width)
-		}
-		if width >= prev {
-			t.Fatalf("R=%d: width %g did not narrow (previous %g)", r, width, prev)
-		}
-		prev = width
 	}
 }
 
@@ -277,7 +244,7 @@ func TestRunReturnsStrategyErrors(t *testing.T) {
 
 // TestRunStreamProfiles: stream mode is an option of the sieve method only,
 // and a profile sets exactly one of Rows and Source. Every other method is
-// rejected with CheckStream's message (from the root API too), a Source-only
+// rejected with Check's message (from the root API too), a Source-only
 // profile outside stream mode gets an error that says so instead of
 // core's ErrEmptyProfile, and a profile with both is refused. Stream mode's
 // default seed is the stream layer's, so a zero seed plans the reservoirs
@@ -289,16 +256,16 @@ func TestRunStreamProfiles(t *testing.T) {
 		if method == core.MethodSieve {
 			continue
 		}
-		want := sampler.CheckStream(method, true)
+		want := sampler.Check(method, true)
 		if want == nil {
-			t.Fatalf("CheckStream(%s, true) accepts stream mode", method)
+			t.Fatalf("Check(%s, true) accepts stream mode", method)
 		}
 		_, err := sieve.SampleMethodContext(ctx, method, p, sampler.Options{Stream: true})
 		if err == nil || err.Error() != want.Error() {
 			t.Errorf("%s in stream mode: err = %v, want %v", method, err, want)
 		}
 	}
-	if err := sampler.CheckStream("", true); err != nil {
+	if err := sampler.Check("", true); err != nil {
 		t.Errorf("the default method must stream: %v", err)
 	}
 
@@ -417,7 +384,7 @@ func TestMemoizedStratify(t *testing.T) {
 }
 
 // BenchmarkSamplerPlan compares plan-construction cost across the four
-// registered methodologies on the same profile (make bench-sampler →
+// methodologies on the same profile (make bench-sampler →
 // BENCH_sampler.json).
 func BenchmarkSamplerPlan(b *testing.B) {
 	p := testProfile(b, "lmc", 0.1)

@@ -6,20 +6,12 @@ import (
 	"github.com/gpusampling/sieve/internal/core"
 )
 
-// sieveSampler is the default strategy: the paper's stratified sampler,
+// planSieve is the default method: the paper's stratified sampler,
 // delegated wholesale to core.StratifyContext through Profile.Stratify, or in
 // stream mode to core.StratifyStreamContext. Plans are byte-identical to
 // calling core directly — Result.Method stays empty and no interval is
-// attached — so pre-registry golden fixtures and cache keys are unaffected.
-type sieveSampler struct{}
-
-func (sieveSampler) Name() string { return core.MethodSieve }
-
-func (sieveSampler) Plan(ctx context.Context, p *Profile, opts Options) (*core.Result, error) {
-	opts, err := opts.WithDefaults()
-	if err != nil {
-		return nil, err
-	}
+// attached — so the golden fixtures and cache keys of plain core plans hold.
+func planSieve(ctx context.Context, p *Profile, opts Options) (*core.Result, error) {
 	if opts.Stream { // a stream plan may be Sampled, so it skips the memo
 		src := p.Source
 		if src == nil {
@@ -32,8 +24,4 @@ func (sieveSampler) Plan(ctx context.Context, p *Profile, opts Options) (*core.R
 	// profile, the result every caller shares. Returning it is safe only
 	// because nothing downstream of a sampler writes to a plan.
 	return p.Stratify(ctx, opts.Core)
-}
-
-func init() {
-	Register(core.MethodSieve, func() Sampler { return sieveSampler{} })
 }

@@ -1,17 +1,18 @@
-// Package twophase implements two-phase stratified sampling in the style of
-// the NVIDIA CPU-sampling work (*CPU Simulation Using Two-Phase Stratified
-// Sampling*): a cheap pilot subsample measures each base stratum's observed
-// dispersion, and the second phase distributes a representative budget across
-// strata Neyman-style (allocation ∝ stratum size × pilot standard
-// deviation), splitting high-variance strata into finer sub-strata that each
-// get their own representative. Homogeneous strata keep a single
+// Two-phase stratified sampling in the style of the NVIDIA CPU-sampling work
+// (*CPU Simulation Using Two-Phase Stratified Sampling*): a cheap pilot
+// subsample measures each base stratum's observed dispersion, and the second
+// phase distributes a representative budget across strata Neyman-style
+// (allocation ∝ stratum size × pilot standard deviation), splitting
+// high-variance strata into finer sub-strata that each get their own
+// representative. Homogeneous strata keep a single
 // representative; the extra simulation budget concentrates exactly where the
 // instruction-count dispersion — Sieve's proxy for cycle dispersion — says
 // prediction risk lives.
 //
 // Every draw is seeded from Options.Seed, so the same profile, options and
 // seed produce a byte-identical plan at any parallelism.
-package twophase
+
+package sampler
 
 import (
 	"context"
@@ -21,16 +22,15 @@ import (
 	"sort"
 
 	"github.com/gpusampling/sieve/internal/core"
-	"github.com/gpusampling/sieve/internal/sampler"
 	"github.com/gpusampling/sieve/internal/stats"
 )
 
-// Method is the registry name.
-const Method = "twophase"
+// MethodTwoPhase names two-phase stratified sampling.
+const MethodTwoPhase = "twophase"
 
-type twoPhase struct{}
-
-func (twoPhase) Name() string { return Method }
+// pilotFraction is the share of each base stratum the pilot measures. The
+// second phase spends a budget of twice the base stratum count.
+const pilotFraction = 0.2
 
 // pilotSeed derives the per-stratum pilot RNG seed deterministically from
 // the run seed and the stratum's position in the (deterministically ordered)
@@ -39,21 +39,15 @@ func pilotSeed(seed int64, stratum int) int64 {
 	return seed*1_000_003 + int64(stratum)*7919
 }
 
-// Plan stratifies with the base Sieve pipeline, pilots each stratum, and
-// re-cuts the plan under a Neyman allocation of the representative budget.
-func (twoPhase) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Options) (*core.Result, error) {
-	opts, err := opts.WithDefaults()
-	if err != nil {
-		return nil, err
-	}
+// planTwoPhase stratifies with the base Sieve pipeline, pilots each
+// stratum, and re-cuts the plan under a Neyman allocation of the
+// representative budget.
+func planTwoPhase(ctx context.Context, p *Profile, opts Options) (*core.Result, error) {
 	base, err := p.Stratify(ctx, opts.Core) // shared: read, never written
 	if err != nil {
 		return nil, err
 	}
-	rowByIndex := make(map[int]core.InvocationProfile, len(p.Rows))
-	for _, r := range p.Rows {
-		rowByIndex[r.Index] = r
-	}
+	rowByIndex := rowsByIndex(p.Rows)
 
 	// Phase one: pilot each base stratum. The pilot draws a seeded
 	// without-replacement subsample of the stratum's instruction counts and
@@ -73,7 +67,7 @@ func (twoPhase) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Optio
 		if n < 2 {
 			continue // a singleton has no dispersion to measure
 		}
-		pilot := int(math.Ceil(opts.PilotFraction * float64(n)))
+		pilot := int(math.Ceil(pilotFraction * float64(n)))
 		if pilot < 2 {
 			pilot = 2
 		}
@@ -97,13 +91,7 @@ func (twoPhase) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Optio
 	// (D'Hondt) Neyman allocation — each extra representative goes to the
 	// stratum with the largest remaining score per representative, capped by
 	// stratum size. Zero-dispersion strata never attract extra budget.
-	budget := opts.Budget
-	if budget == 0 {
-		budget = 2 * len(base.Strata)
-	}
-	if budget < len(base.Strata) {
-		budget = len(base.Strata)
-	}
+	budget := 2 * len(base.Strata)
 	if budget > len(p.Rows) {
 		budget = len(p.Rows)
 	}
@@ -175,7 +163,7 @@ func (twoPhase) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Optio
 	if err != nil {
 		return nil, err
 	}
-	res.Method = Method
+	res.Method = MethodTwoPhase
 	// The interval is analytic: classical stratified-sampling variance of
 	// the final (post-allocation) plan, centered on zero because the
 	// estimator is unbiased in expectation. Resamples stays 0 to mark it
@@ -191,8 +179,4 @@ func (twoPhase) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Optio
 		High:   bound.TwoSigma,
 	}
 	return res, nil
-}
-
-func init() {
-	sampler.Register(Method, func() sampler.Sampler { return twoPhase{} })
 }

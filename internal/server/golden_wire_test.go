@@ -46,7 +46,7 @@ func TestGoldenSampleWire(t *testing.T) {
 // TestGoldenStreamWire pins the stream-mode /v1/sample envelopes, plan ids
 // included, for a text/csv body and a workload, each with a reservoir small
 // enough to sample the plan. The fixture was captured before stream mode
-// joined the method registry.
+// planned through sampler.Run.
 func TestGoldenStreamWire(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	_, csv := postCSV(t, ts.URL+"/v1/sample?stream=true&reservoir_size=2&seed=7", testCSV())

@@ -282,8 +282,8 @@ func TestMethodRequestCounters(t *testing.T) {
 	}
 }
 
-// TestStreamRejectsNonSieveMethods: stream mode under any registered method
-// but sieve is a 400 carrying sampler.CheckStream's one message, for both
+// TestStreamRejectsNonSieveMethods: stream mode under any method
+// but sieve is a 400 carrying sampler.Check's one message, for both
 // profile sources. resolve answers it before the request is hashed, so no
 // cache lookup or computation is counted.
 func TestStreamRejectsNonSieveMethods(t *testing.T) {
@@ -294,7 +294,7 @@ func TestStreamRejectsNonSieveMethods(t *testing.T) {
 		if method == core.MethodSieve {
 			continue
 		}
-		want := sampler.CheckStream(method, true).Error()
+		want := sampler.Check(method, true).Error()
 		for _, src := range []map[string]any{{"profile_csv": testCSV()}, {"workload": "lmc", "scale": 0.01}} {
 			src["options"] = map[string]any{"method": method, "stream": true}
 			status, body := postSample(t, ts.URL+"/v1/sample", src)

@@ -105,14 +105,14 @@ func newMetrics() *metrics {
 
 // methodRequests returns the sample-request counter of a canonical method
 // name. Requests reach it only after resolve validated the method through
-// sampler.New, so the lookup cannot miss.
+// sampler.Check, so the lookup cannot miss.
 func (m *metrics) methodRequests(method string) *expvar.Int {
 	for _, c := range m.methods {
 		if c.method == method {
 			return c.n
 		}
 	}
-	panic("server: unregistered sampling method " + method)
+	panic("server: unknown sampling method " + method)
 }
 
 // counterDef is one row of the counter table: the metric's base name, its

@@ -22,7 +22,7 @@ import (
 const identitySeed = 7
 
 // TestServedPlanIdentity is the differential contract between sieved and the
-// library: for every registered method, both profile sources and every
+// library: for every method, both profile sources and every
 // request path, the plan bytes the service answers equal marshalPlan of the
 // plan sieve.SampleMethodContext builds in-process with the options the
 // server resolved the request to. The default method is checked in stream

@@ -99,10 +99,7 @@ func TestProfileCacheSharedAcrossMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := rv.opts.WithDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := rv.opts.WithDefaults()
 	sampler.Memoize(snapshot, nil)
 	if _, err := snapshot.Stratify(context.Background(), opts.Core); err != nil {
 		t.Fatal(err)

@@ -446,10 +446,7 @@ func (s *Server) resolve(req *api.SampleRequest) (*resolved, error) {
 		return nil, badRequest{fmt.Errorf("negative reservoir_size %d", req.Options.ReservoirSize)}
 	}
 	method := sampler.Canonical(req.Options.Method)
-	if _, err := sampler.New(method); err != nil {
-		return nil, badRequest{err}
-	}
-	if err := sampler.CheckStream(method, req.Options.Stream); err != nil {
+	if err := sampler.Check(method, req.Options.Stream); err != nil {
 		return nil, badRequest{err}
 	}
 	if method == sampler.MethodPKS && req.ProfileCSV != "" {

@@ -145,7 +145,7 @@ func TestTracedSampleEndToEnd(t *testing.T) {
 	}
 	comp := findSpan(flight.Children, stageCompute.String())
 	// The sampling pipeline's own span subtree (core.stratify on the default
-	// path, sampler.plan for registry methods) nests inside the compute stage.
+	// path, sampler.plan for the other methods) nests inside the compute stage.
 	if findSpan(comp.Children, "core.stratify") == nil {
 		t.Fatal("pipeline subtree not nested under the compute stage")
 	}
@@ -177,7 +177,7 @@ func TestTracedSampleEndToEnd(t *testing.T) {
 }
 
 // TestTracedStreamSample: a sampled stream-mode request plans through the
-// method registry like every other, so its span tree reads compute →
+// method table like every other, so its span tree reads compute →
 // sampler.plan → core.stratify_stream, and sampler.plan's rows attribute
 // counts the rows the stream ingested although the CSV body was never
 // parsed into a table.

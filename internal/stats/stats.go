@@ -120,22 +120,6 @@ func HarmonicMean(xs []float64) (float64, error) {
 	return float64(len(xs)) / acc, nil
 }
 
-// GeometricMean returns the geometric mean of xs via the log-sum form.
-// Non-positive entries yield an error.
-func GeometricMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: geometric mean of empty slice")
-	}
-	var acc float64
-	for i, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geometric mean: non-positive value %g at index %d", x, i)
-		}
-		acc += math.Log(x)
-	}
-	return math.Exp(acc / float64(len(xs))), nil
-}
-
 // Min returns the minimum of xs, or 0 for empty input.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {

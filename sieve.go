@@ -31,11 +31,6 @@ import (
 	"github.com/gpusampling/sieve/internal/core"
 	"github.com/gpusampling/sieve/internal/profiler"
 	"github.com/gpusampling/sieve/internal/sampler"
-
-	// Register the alternate sampling methodologies so SampleMethod and the
-	// sieved service can select them by name.
-	_ "github.com/gpusampling/sieve/internal/sampler/rss"
-	_ "github.com/gpusampling/sieve/internal/sampler/twophase"
 )
 
 // Sentinel errors shared by the sampling entry points. They arrive wrapped
@@ -132,9 +127,8 @@ func SampleContext(ctx context.Context, profile []InvocationProfile, opts Option
 	return core.StratifyContext(ctx, profile, opts)
 }
 
-// Methods lists every registered sampling methodology by name, sorted —
-// "sieve" and "pks" plus the strategy packages linked into the binary
-// (twophase, rss, and any future registrations).
+// Methods lists the four sampling methodologies by name, sorted: "pks",
+// "rss", "sieve" and "twophase".
 func Methods() []string { return sampler.Names() }
 
 // MethodProfile is the input a sampling methodology plans from: the
@@ -143,10 +137,11 @@ func Methods() []string { return sampler.Names() }
 // that feature-clustering methods (pks) require.
 type MethodProfile = sampler.Profile
 
-// MethodOptions carries the methodology knobs: the shared core options plus
-// per-strategy parameters (Seed, PilotFraction, Budget, SetSize, Resamples,
-// PKS) and the default sieve method's bounded-memory stream mode (Stream,
-// ReservoirSize).
+// MethodOptions carries the methodology knobs: the shared core options, the
+// Seed of every seeded draw, the PKS baseline's own options, and the default
+// sieve method's bounded-memory stream mode (Stream, ReservoirSize). The
+// two-phase pilot fraction and budget and the ranked-set draw size and
+// resample count are fixed (0.2, twice the base stratum count, 5 and 16).
 type MethodOptions = sampler.Options
 
 // ErrorInterval is a methodology-supplied confidence interval on a plan's
@@ -154,8 +149,8 @@ type MethodOptions = sampler.Options
 // quantify their own uncertainty (rss resampling, twophase pilot variance).
 type ErrorInterval = core.ErrorInterval
 
-// SampleMethod builds a sampling plan with the named registered methodology
-// ("" selects the default "sieve"). It is SampleMethodContext with
+// SampleMethod builds a sampling plan with the named methodology (""
+// selects the default "sieve"). It is SampleMethodContext with
 // context.Background().
 func SampleMethod(method string, p *MethodProfile, opts MethodOptions) (*Plan, error) {
 	return sampler.Run(context.Background(), method, p, opts)
