@@ -108,8 +108,10 @@ serve:
 
 # Packages holding fuzz targets: the profiler CSV readers, the sieved request
 # decoder, the KDE grid's occupied-bin exactness, streaming vs materialized
-# stratification, the trace reader, and bounded vs plain Lloyd k-means.
-FUZZ_PKGS = ./internal/profiler ./internal/server ./internal/kde ./internal/core ./internal/trace ./internal/cluster
+# stratification, the trace reader, bounded vs plain Lloyd k-means, and the
+# simulator's single-SM identities (Simulate, one-SM SimulateMultiSM and
+# never-converging PKP agree).
+FUZZ_PKGS = ./internal/profiler ./internal/server ./internal/kde ./internal/core ./internal/trace ./internal/cluster ./internal/sim
 
 # Short fuzz pass over every fuzz target in FUZZ_PKGS (CI runs the same).
 fuzz-smoke:

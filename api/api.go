@@ -230,6 +230,7 @@ type LatencyMS struct {
 type DebugMetrics struct {
 	Requests     int64 `json:"requests"`
 	Failures     int64 `json:"failures"`
+	NotFound     int64 `json:"not_found"`
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
 	CacheEntries int64 `json:"cache_entries"`

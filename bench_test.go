@@ -229,7 +229,7 @@ func BenchmarkSimulation(b *testing.B) {
 	}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := simulator.SimulateAll(traces); err != nil {
+			if _, err := simulator.SimulateParallel(traces, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -461,7 +461,7 @@ func BenchmarkAblationPKP(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			proj, err := simulator.SimulateProjected(tr, sieve.PKPOptions{})
+			proj, err := simulator.SimulateProjected(tr)
 			if err != nil {
 				b.Fatal(err)
 			}

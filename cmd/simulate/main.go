@@ -101,7 +101,7 @@ func run(dir, archName string, parallel int, pkp bool, multiSM int, jsonOut stri
 	case pkp:
 		mode = "serial + PKP"
 		for _, tr := range traces {
-			res, err := simulator.SimulateProjected(tr, sieve.PKPOptions{})
+			res, err := simulator.SimulateProjected(tr)
 			if err != nil {
 				return err
 			}
@@ -127,13 +127,12 @@ func run(dir, archName string, parallel int, pkp bool, multiSM int, jsonOut stri
 			})
 		}
 	default:
-		var results []*sieve.SimResult
+		workers := 1
 		if parallel > 0 {
 			mode = fmt.Sprintf("parallel (%d workers)", parallel)
-			results, err = simulator.SimulateParallel(traces, parallel)
-		} else {
-			results, err = simulator.SimulateAll(traces)
+			workers = parallel
 		}
+		results, err := simulator.SimulateParallel(traces, workers)
 		if err != nil {
 			return err
 		}

@@ -58,7 +58,7 @@ func main() {
 	}
 
 	start := time.Now()
-	serial, err := simulator.SimulateAll(traces)
+	serial, err := simulator.SimulateParallel(traces, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func catalogPoints(tb testing.TB, name string, scale float64) [][]float64 {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	full, err := profiler.NewFullProfiler().Profile(w, hw)
+	full, err := profiler.Full(w, hw)
 	if err != nil {
 		tb.Fatal(err)
 	}

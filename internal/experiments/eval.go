@@ -177,11 +177,11 @@ func prepare(spec workloads.Spec, cfg Config) (*prepared, error) {
 	p.golden = hw.MeasureWorkload(w)
 	p.total = stats.Sum(p.golden)
 
-	icProf, err := profiler.NewInstructionCountProfiler().Profile(w, hw)
+	icProf, err := profiler.InstructionCounts(w, hw)
 	if err != nil {
 		return nil, err
 	}
-	fullProf, err := profiler.NewFullProfiler().Profile(w, hw)
+	fullProf, err := profiler.Full(w, hw)
 	if err != nil {
 		return nil, err
 	}

@@ -57,7 +57,7 @@ func (r *Runner) Scaling() ([]ScalingRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			prof, err := profiler.NewInstructionCountProfiler().Profile(w, hw)
+			prof, err := profiler.InstructionCounts(w, hw)
 			if err != nil {
 				return nil, err
 			}

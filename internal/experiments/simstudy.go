@@ -66,7 +66,7 @@ func (r *Runner) SimStudy(maxWarpInstrs int) ([]SimStudyRow, error) {
 		row.Representatives = len(traces)
 
 		start := time.Now()
-		serial, err := simulator.SimulateAll(traces)
+		serial, err := simulator.SimulateParallel(traces, 1)
 		if err != nil {
 			return nil, fmt.Errorf("%s: serial simulation: %w", name, err)
 		}

@@ -40,6 +40,7 @@ type TargetDelta struct {
 	Target       string `json:"target"`
 	Requests     int64  `json:"requests"`
 	Failures     int64  `json:"failures"`
+	NotFound     int64  `json:"not_found"`
 	CacheHits    int64  `json:"cache_hits"`
 	CacheMisses  int64  `json:"cache_misses"`
 	Computations int64  `json:"computations"`
@@ -56,6 +57,7 @@ type ServerSummary struct {
 	Targets      []TargetDelta `json:"targets"`
 	Requests     int64         `json:"requests"`
 	Failures     int64         `json:"failures"`
+	NotFound     int64         `json:"not_found"`
 	CacheHits    int64         `json:"cache_hits"`
 	CacheMisses  int64         `json:"cache_misses"`
 	Computations int64         `json:"computations"`
@@ -207,6 +209,7 @@ func (r *Runner) buildReport(before, after []map[string]float64, elapsed time.Du
 			Target:       r.cfg.Targets[i],
 			Requests:     counter("requests"),
 			Failures:     counter("failures"),
+			NotFound:     counter("not_found"),
 			CacheHits:    counter("cache_hits"),
 			CacheMisses:  counter("cache_misses"),
 			Computations: counter("computations"),
@@ -219,6 +222,7 @@ func (r *Runner) buildReport(before, after []map[string]float64, elapsed time.Du
 		rep.Server.Targets = append(rep.Server.Targets, d)
 		rep.Server.Requests += d.Requests
 		rep.Server.Failures += d.Failures
+		rep.Server.NotFound += d.NotFound
 		rep.Server.CacheHits += d.CacheHits
 		rep.Server.CacheMisses += d.CacheMisses
 		rep.Server.Computations += d.Computations

@@ -184,7 +184,7 @@ func BenchmarkSelectPoolCrossover(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	full, err := profiler.NewFullProfiler().Profile(w, hw)
+	full, err := profiler.Full(w, hw)
 	if err != nil {
 		b.Fatal(err)
 	}

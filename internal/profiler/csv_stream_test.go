@@ -17,7 +17,7 @@ import (
 // it yields exactly what the materializing reader yields.
 func TestCSVScannerMatchesReadCSV(t *testing.T) {
 	w := testWorkload(t, "dwt2d", 1.0)
-	p, err := NewFullProfiler().Profile(w, testHW(t))
+	p, err := Full(w, testHW(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCSVScannerErrors(t *testing.T) {
 // would serialize into a CSV the reader (rightly) rejects.
 func TestWriteCSVRejectsDuplicateCollected(t *testing.T) {
 	w := testWorkload(t, "dwt2d", 1.0)
-	p, err := NewInstructionCountProfiler().Profile(w, testHW(t))
+	p, err := InstructionCounts(w, testHW(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 func FuzzReadCSV(f *testing.F) {
 	w := testWorkloadForFuzz(f)
 	hw := testHWForFuzz(f)
-	full, err := NewFullProfiler().Profile(w, hw)
+	full, err := Full(w, hw)
 	if err != nil {
 		f.Fatal(err)
 	}

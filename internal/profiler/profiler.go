@@ -2,13 +2,13 @@
 // evaluation and produces the per-invocation profile tables that feed the
 // sampling back-ends:
 //
-//   - FullProfiler stands in for Nsight Compute: it collects all twelve
+//   - Full stands in for Nsight Compute: it collects all twelve
 //     microarchitecture-independent characteristics (Table II) per kernel
 //     invocation, at the cost of multiple kernel replays per invocation,
 //     save/restore overhead between passes, and a per-invocation overhead
 //     that grows super-linearly as more kernels are profiled — the
 //     behaviours Section V-C reports.
-//   - InstructionCountProfiler stands in for NVBit instrumentation: it
+//   - InstructionCounts stands in for NVBit instrumentation: it
 //     collects only the dynamic instruction count (plus kernel name,
 //     invocation ID and CTA size), adding a small constant per-instruction
 //     slowdown.
@@ -120,146 +120,113 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// Profiler collects a Profile from a workload executing on a hardware model.
-type Profiler interface {
-	// Name identifies the tool ("nsight-full", "nvbit-instcount").
-	Name() string
-	// Profile runs the workload under the profiler on the given hardware
-	// and returns the profile table.
-	Profile(w *cudamodel.Workload, hw *gpu.Model) (*Profile, error)
+// Tool names, recorded in Profile.Tool.
+const (
+	toolFull             = "nsight-full"
+	toolInstructionCount = "nvbit-instcount"
+	toolTwoLevel         = "nsight-two-level"
+)
+
+// record is the profile row of one invocation with every characteristic.
+func record(inv *cudamodel.Invocation) Record {
+	return Record{
+		Kernel:  inv.Kernel,
+		Index:   inv.Index,
+		Seq:     inv.Seq,
+		CTASize: inv.CTASize(),
+		Chars:   inv.Chars,
+	}
 }
 
 // --- Full (Nsight-style) profiler ------------------------------------------
 
-// FullProfiler collects all twelve characteristics, like Nsight Compute
-// driving PKS.
-type FullProfiler struct {
-	// ReplayPassesBase is the number of kernel replays needed to collect
+// The Nsight cost model's calibrated constants.
+const (
+	// replayPassesBase is the number of kernel replays needed to collect
 	// the twelve metrics for a plain workload (counter multiplexing).
-	ReplayPassesBase int
-	// ExtraPassesTensor is added for tensor-heavy kernels: MLPerf's larger
+	replayPassesBase = 4
+	// extraPassesTensor is added for tensor-heavy kernels: MLPerf's larger
 	// instruction-type diversity needs more collection passes (the paper's
 	// explanation for Fig. 7's larger MLPerf speedups).
-	ExtraPassesTensor int
-	// SaveRestoreSeconds is the per-pass memory save/restore overhead.
-	SaveRestoreSeconds float64
-	// PerInvocationSeconds is the fixed tool overhead per profiled
+	extraPassesTensor = 3
+	// saveRestoreSeconds is the per-pass memory save/restore overhead.
+	saveRestoreSeconds = 0.012
+	// fullPerInvocationSeconds is the fixed tool overhead per profiled
 	// invocation (reporting, serialization).
-	PerInvocationSeconds float64
-	// SuperlinearAt is the profiled-invocation count at which the tool's
+	fullPerInvocationSeconds = 0.003
+	// superlinearAt is the profiled-invocation count at which the tool's
 	// per-invocation overhead has doubled; Nsight becomes progressively
 	// slower as its report database grows.
-	SuperlinearAt float64
-}
+	superlinearAt = 60000
+)
 
-// NewFullProfiler returns a FullProfiler with the calibrated defaults used
-// throughout the experiments.
-func NewFullProfiler() *FullProfiler {
-	return &FullProfiler{
-		ReplayPassesBase:     4,
-		ExtraPassesTensor:    3,
-		SaveRestoreSeconds:   0.012,
-		PerInvocationSeconds: 0.003,
-		SuperlinearAt:        60000,
+// nsightSeconds is the modeled Nsight time of profiling inv as the i-th
+// invocation of a run: every replay pass reruns the kernel and saves and
+// restores memory, and the growth of the report database slows every
+// subsequent invocation.
+func nsightSeconds(inv *cudamodel.Invocation, hw *gpu.Model, i int) float64 {
+	passes := replayPassesBase
+	if inv.Hidden.TensorFraction > 0 {
+		passes += extraPassesTensor
 	}
+	kernelSeconds := hw.Seconds(hw.Cycles(inv))
+	growth := 1 + float64(i)/superlinearAt
+	return (kernelSeconds+saveRestoreSeconds)*float64(passes)*growth +
+		fullPerInvocationSeconds*growth
 }
 
-// Name implements Profiler.
-func (f *FullProfiler) Name() string { return "nsight-full" }
-
-// Profile implements Profiler: collects every characteristic for every
-// invocation and models the multi-pass replay cost.
-func (f *FullProfiler) Profile(w *cudamodel.Workload, hw *gpu.Model) (*Profile, error) {
+// Full profiles the workload like Nsight Compute driving PKS: it collects
+// every characteristic for every invocation and models the multi-pass replay
+// cost.
+func Full(w *cudamodel.Workload, hw *gpu.Model) (*Profile, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Profile{
 		Workload:  w.Name,
 		Suite:     w.Suite,
-		Tool:      f.Name(),
+		Tool:      toolFull,
 		Collected: cudamodel.CharacteristicNames(),
 		Records:   make([]Record, len(w.Invocations)),
 	}
-	var wall float64
 	for i := range w.Invocations {
-		inv := &w.Invocations[i]
-		p.Records[i] = Record{
-			Kernel:  inv.Kernel,
-			Index:   inv.Index,
-			Seq:     inv.Seq,
-			CTASize: inv.CTASize(),
-			Chars:   inv.Chars,
-		}
-		passes := f.ReplayPassesBase
-		if inv.Hidden.TensorFraction > 0 {
-			passes += f.ExtraPassesTensor
-		}
-		kernelSeconds := hw.Seconds(hw.Cycles(inv))
-		// Growth of the report database slows every subsequent invocation.
-		growth := 1 + float64(i)/f.SuperlinearAt
-		wall += (kernelSeconds+f.SaveRestoreSeconds)*float64(passes)*growth +
-			f.PerInvocationSeconds*growth
+		p.Records[i] = record(&w.Invocations[i])
+		p.WallSeconds += nsightSeconds(&w.Invocations[i], hw, i)
 	}
-	p.WallSeconds = wall
 	return p, nil
 }
 
 // --- Instruction-count (NVBit-style) profiler -------------------------------
 
-// InstructionCountProfiler collects only the dynamic instruction count, like
-// NVBit instrumentation driving Sieve.
-type InstructionCountProfiler struct {
-	// InstrumentationOverhead is the relative kernel slowdown of counting
+// The NVBit cost model's calibrated constants.
+const (
+	// instrumentationOverhead is the relative kernel slowdown of counting
 	// instructions inline (NVBit-style SASS injection).
-	InstrumentationOverhead float64
-	// PerInvocationSeconds is the fixed per-launch bookkeeping cost.
-	PerInvocationSeconds float64
-}
+	instrumentationOverhead = 1.0
+	// countPerInvocationSeconds is the fixed per-launch bookkeeping cost.
+	countPerInvocationSeconds = 0.001
+)
 
-// NewInstructionCountProfiler returns an InstructionCountProfiler with the
-// calibrated defaults used throughout the experiments.
-func NewInstructionCountProfiler() *InstructionCountProfiler {
-	return &InstructionCountProfiler{
-		InstrumentationOverhead: 1.0,
-		PerInvocationSeconds:    0.001,
-	}
-}
-
-// Name implements Profiler.
-func (n *InstructionCountProfiler) Name() string { return "nvbit-instcount" }
-
-// Profile implements Profiler: records kernel name, invocation ID, CTA size
-// and instruction count only (Section III-A), in a single instrumented run.
-func (n *InstructionCountProfiler) Profile(w *cudamodel.Workload, hw *gpu.Model) (*Profile, error) {
+// InstructionCounts profiles the workload like NVBit instrumentation driving
+// Sieve: it records kernel name, invocation ID, CTA size and instruction
+// count only (Section III-A), in a single instrumented run.
+func InstructionCounts(w *cudamodel.Workload, hw *gpu.Model) (*Profile, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Profile{
 		Workload:  w.Name,
 		Suite:     w.Suite,
-		Tool:      n.Name(),
+		Tool:      toolInstructionCount,
 		Collected: []string{"instruction_count"},
 		Records:   make([]Record, len(w.Invocations)),
 	}
-	var wall float64
 	for i := range w.Invocations {
 		inv := &w.Invocations[i]
-		p.Records[i] = Record{
-			Kernel:  inv.Kernel,
-			Index:   inv.Index,
-			Seq:     inv.Seq,
-			CTASize: inv.CTASize(),
-			Chars:   cudamodel.Characteristics{InstructionCount: inv.Chars.InstructionCount},
-		}
+		p.Records[i] = record(inv)
+		p.Records[i].Chars = cudamodel.Characteristics{InstructionCount: inv.Chars.InstructionCount}
 		kernelSeconds := hw.Seconds(hw.Cycles(inv))
-		wall += kernelSeconds*(1+n.InstrumentationOverhead) + n.PerInvocationSeconds
+		p.WallSeconds += kernelSeconds*(1+instrumentationOverhead) + countPerInvocationSeconds
 	}
-	p.WallSeconds = wall
 	return p, nil
 }
-
-// Interface conformance checks.
-var (
-	_ Profiler = (*FullProfiler)(nil)
-	_ Profiler = (*InstructionCountProfiler)(nil)
-)

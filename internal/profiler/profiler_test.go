@@ -34,7 +34,7 @@ func testHW(t *testing.T) *gpu.Model {
 
 func TestFullProfilerCollectsEverything(t *testing.T) {
 	w := testWorkload(t, "histo", 1)
-	p, err := NewFullProfiler().Profile(w, testHW(t))
+	p, err := Full(w, testHW(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFullProfilerCollectsEverything(t *testing.T) {
 
 func TestInstructionCountProfilerCollectsOnlyInstructionCount(t *testing.T) {
 	w := testWorkload(t, "histo", 1)
-	p, err := NewInstructionCountProfiler().Profile(w, testHW(t))
+	p, err := InstructionCounts(w, testHW(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestInstructionCountProfilerCollectsOnlyInstructionCount(t *testing.T) {
 func TestFullProfilingIsSlowerThanInstructionCount(t *testing.T) {
 	w := testWorkload(t, "gru", 0.01)
 	hw := testHW(t)
-	full, err := NewFullProfiler().Profile(w, hw)
+	full, err := Full(w, hw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic, err := NewInstructionCountProfiler().Profile(w, hw)
+	ic, err := InstructionCounts(w, hw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +114,11 @@ func TestTensorWorkloadsCostMoreToProfileFully(t *testing.T) {
 	ml := testWorkload(t, "bert", 0.005)
 
 	ratio := func(w *cudamodel.Workload) float64 {
-		full, err := NewFullProfiler().Profile(w, hw)
+		full, err := Full(w, hw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ic, err := NewInstructionCountProfiler().Profile(w, hw)
+		ic, err := InstructionCounts(w, hw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,12 +135,11 @@ func TestSuperlinearGrowth(t *testing.T) {
 	hw := testHW(t)
 	small := testWorkload(t, "gru", 0.01)
 	large := testWorkload(t, "gru", 0.02)
-	f := NewFullProfiler()
-	ps, err := f.Profile(small, hw)
+	ps, err := Full(small, hw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := f.Profile(large, hw)
+	pl, err := Full(large, hw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +189,7 @@ func TestProfileValidateRejections(t *testing.T) {
 
 func TestCSVRoundTripFull(t *testing.T) {
 	w := testWorkload(t, "dwt2d", 1)
-	p, err := NewFullProfiler().Profile(w, testHW(t))
+	p, err := Full(w, testHW(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +216,7 @@ func TestCSVRoundTripFull(t *testing.T) {
 
 func TestCSVRoundTripInstructionCount(t *testing.T) {
 	w := testWorkload(t, "dwt2d", 1)
-	p, err := NewInstructionCountProfiler().Profile(w, testHW(t))
+	p, err := InstructionCounts(w, testHW(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +272,20 @@ func TestWriteCSVRejectsInvalidProfile(t *testing.T) {
 }
 
 func TestProfilerNames(t *testing.T) {
-	if NewFullProfiler().Name() != "nsight-full" {
-		t.Fatal("full profiler name")
+	w := testWorkload(t, "dwt2d", 1)
+	hw := testHW(t)
+	full, err := Full(w, hw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if NewInstructionCountProfiler().Name() != "nvbit-instcount" {
-		t.Fatal("instruction-count profiler name")
+	if full.Tool != "nsight-full" {
+		t.Fatalf("full profiler tool %q", full.Tool)
+	}
+	ic, err := InstructionCounts(w, hw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ic.Tool != "nvbit-instcount" {
+		t.Fatalf("instruction-count profiler tool %q", ic.Tool)
 	}
 }

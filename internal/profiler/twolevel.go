@@ -7,56 +7,43 @@ import (
 	"github.com/gpusampling/sieve/internal/gpu"
 )
 
-// TwoLevelProfiler is the profiling-cost mitigation Baddouh et al. propose
-// for PKS and the Sieve paper describes in Section II-B: detailed 12-metric
-// profiling for a first batch of kernel invocations, followed by low-overhead
-// profiling that collects only kernel names and launch dimensions for the
-// remainder. Characteristics for the cheap remainder are approximated from
-// the detailed batch: each later invocation inherits the mean characteristics
-// observed for its (kernel, CTA size) pair, scaled to its launch size.
+// defaultDetailedBatch is the number of leading invocations TwoLevel
+// profiles in full when its caller asks for the default.
+const defaultDetailedBatch = 2000
+
+// lightPerInvocationSeconds is the cost of recording a name and launch dims
+// for one invocation in TwoLevel's cheap pass.
+const lightPerInvocationSeconds = 0.0002
+
+// TwoLevel profiles the workload with the profiling-cost mitigation Baddouh
+// et al. propose for PKS and the Sieve paper describes in Section II-B:
+// detailed 12-metric profiling (Full's cost model) for the first
+// detailedBatch kernel invocations (≤ 0 selects defaultDetailedBatch),
+// followed by low-overhead profiling that collects only kernel names and
+// launch dimensions for the remainder. Characteristics for the cheap
+// remainder are approximated from the detailed batch: each later invocation
+// inherits the mean characteristics observed for its (kernel, CTA size)
+// pair, scaled to its launch size. A workload no longer than the batch is
+// profiled by Full.
 //
 // The approximation is exactly the weakness the paper exploits: beyond the
 // detailed batch, the profile no longer reflects per-invocation behaviour.
-type TwoLevelProfiler struct {
-	// DetailedBatch is the number of leading invocations profiled in full.
-	DetailedBatch int
-	// Full profiles the detailed batch.
-	Full *FullProfiler
-	// LightPerInvocationSeconds is the cost of recording a name and launch
-	// dims for one invocation.
-	LightPerInvocationSeconds float64
-}
-
-// NewTwoLevelProfiler returns a TwoLevelProfiler with the calibrated
-// defaults used in the experiments.
-func NewTwoLevelProfiler(detailedBatch int) *TwoLevelProfiler {
+func TwoLevel(w *cudamodel.Workload, hw *gpu.Model, detailedBatch int) (*Profile, error) {
 	if detailedBatch <= 0 {
-		detailedBatch = 2000
+		detailedBatch = defaultDetailedBatch
 	}
-	return &TwoLevelProfiler{
-		DetailedBatch:             detailedBatch,
-		Full:                      NewFullProfiler(),
-		LightPerInvocationSeconds: 0.0002,
-	}
-}
-
-// Name implements Profiler.
-func (t *TwoLevelProfiler) Name() string { return "nsight-two-level" }
-
-// Profile implements Profiler.
-func (t *TwoLevelProfiler) Profile(w *cudamodel.Workload, hw *gpu.Model) (*Profile, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	if t.DetailedBatch >= len(w.Invocations) {
-		return t.Full.Profile(w, hw)
+	if detailedBatch >= len(w.Invocations) {
+		return Full(w, hw)
 	}
 
 	// Detailed batch: real characteristics, Nsight cost model.
 	p := &Profile{
 		Workload:  w.Name,
 		Suite:     w.Suite,
-		Tool:      t.Name(),
+		Tool:      toolTwoLevel,
 		Collected: cudamodel.CharacteristicNames(),
 		Records:   make([]Record, len(w.Invocations)),
 	}
@@ -66,22 +53,10 @@ func (t *TwoLevelProfiler) Profile(w *cudamodel.Workload, hw *gpu.Model) (*Profi
 	}
 	sums := make(map[key]*charAccumulator)
 	var wall float64
-	for i := 0; i < t.DetailedBatch; i++ {
+	for i := 0; i < detailedBatch; i++ {
 		inv := &w.Invocations[i]
-		p.Records[i] = Record{
-			Kernel:  inv.Kernel,
-			Index:   inv.Index,
-			Seq:     inv.Seq,
-			CTASize: inv.CTASize(),
-			Chars:   inv.Chars,
-		}
-		passes := t.Full.ReplayPassesBase
-		if inv.Hidden.TensorFraction > 0 {
-			passes += t.Full.ExtraPassesTensor
-		}
-		growth := 1 + float64(i)/t.Full.SuperlinearAt
-		wall += (hw.Seconds(hw.Cycles(inv))+t.Full.SaveRestoreSeconds)*float64(passes)*growth +
-			t.Full.PerInvocationSeconds*growth
+		p.Records[i] = record(inv)
+		wall += nsightSeconds(inv, hw, i)
 		k := key{inv.Kernel, inv.CTASize()}
 		acc, ok := sums[k]
 		if !ok {
@@ -104,7 +79,7 @@ func (t *TwoLevelProfiler) Profile(w *cudamodel.Workload, hw *gpu.Model) (*Profi
 
 	// Light remainder: name + launch dims only; characteristics inherited
 	// from the detailed batch, scaled by launch size.
-	for i := t.DetailedBatch; i < len(w.Invocations); i++ {
+	for i := detailedBatch; i < len(w.Invocations); i++ {
 		inv := &w.Invocations[i]
 		rec := Record{
 			Kernel:  inv.Kernel,
@@ -129,7 +104,7 @@ func (t *TwoLevelProfiler) Profile(w *cudamodel.Workload, hw *gpu.Model) (*Profi
 		rec.Chars = scaleCharacteristics(mean, ratio)
 		rec.Chars.ThreadBlocks = float64(inv.Grid.Count())
 		p.Records[i] = rec
-		wall += t.LightPerInvocationSeconds + hw.Seconds(hw.Cycles(inv))*0.02
+		wall += lightPerInvocationSeconds + hw.Seconds(hw.Cycles(inv))*0.02
 	}
 	p.WallSeconds = wall
 	return p, nil
@@ -192,5 +167,3 @@ func scaleCharacteristics(c cudamodel.Characteristics, ratio float64) cudamodel.
 	c.ThreadBlocks *= ratio
 	return c
 }
-
-var _ Profiler = (*TwoLevelProfiler)(nil)

@@ -1,29 +1,41 @@
 package profiler
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/gpusampling/sieve/internal/cudamodel"
 )
 
 func TestTwoLevelDefaults(t *testing.T) {
-	p := NewTwoLevelProfiler(0)
-	if p.DetailedBatch <= 0 || p.Full == nil || p.LightPerInvocationSeconds <= 0 {
-		t.Fatalf("defaults = %+v", p)
+	// lmc at scale 0.01 has more invocations than the default batch, so
+	// both levels run.
+	w := testWorkload(t, "lmc", 0.01)
+	hw := testHW(t)
+	def, err := TwoLevel(w, hw, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.Name() != "nsight-two-level" {
-		t.Fatal("name")
+	if def.Tool != "nsight-two-level" {
+		t.Fatalf("tool %q", def.Tool)
+	}
+	explicit, err := TwoLevel(w, hw, defaultDetailedBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(def, explicit) {
+		t.Fatal("detailed batch 0 does not select the default batch")
 	}
 }
 
 func TestTwoLevelFallsBackToFullForSmallWorkloads(t *testing.T) {
 	w := testWorkload(t, "dwt2d", 1) // 10 invocations
 	hw := testHW(t)
-	two, err := NewTwoLevelProfiler(100).Profile(w, hw)
+	two, err := TwoLevel(w, hw, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := NewFullProfiler().Profile(w, hw)
+	full, err := Full(w, hw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +50,7 @@ func TestTwoLevelDetailedBatchIsExact(t *testing.T) {
 	w := testWorkload(t, "gru", 0.02)
 	hw := testHW(t)
 	batch := 200
-	p, err := NewTwoLevelProfiler(batch).Profile(w, hw)
+	p, err := TwoLevel(w, hw, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +68,7 @@ func TestTwoLevelRemainderIsApproximated(t *testing.T) {
 	w := testWorkload(t, "gru", 0.02)
 	hw := testHW(t)
 	batch := 200
-	p, err := NewTwoLevelProfiler(batch).Profile(w, hw)
+	p, err := TwoLevel(w, hw, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +104,11 @@ func TestTwoLevelRemainderIsApproximated(t *testing.T) {
 func TestTwoLevelIsCheaperThanFull(t *testing.T) {
 	w := testWorkload(t, "lmc", 0.01)
 	hw := testHW(t)
-	full, err := NewFullProfiler().Profile(w, hw)
+	full, err := Full(w, hw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := NewTwoLevelProfiler(300).Profile(w, hw)
+	two, err := TwoLevel(w, hw, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +116,7 @@ func TestTwoLevelIsCheaperThanFull(t *testing.T) {
 		t.Fatalf("two-level (%gs) should be cheaper than full (%gs)", two.WallSeconds, full.WallSeconds)
 	}
 	// But still more expensive than pure instruction counting.
-	ic, err := NewInstructionCountProfiler().Profile(w, hw)
+	ic, err := InstructionCounts(w, hw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +128,7 @@ func TestTwoLevelIsCheaperThanFull(t *testing.T) {
 
 func TestTwoLevelRejectsInvalidWorkload(t *testing.T) {
 	hw := testHW(t)
-	if _, err := NewTwoLevelProfiler(10).Profile(&cudamodel.Workload{}, hw); err == nil {
+	if _, err := TwoLevel(&cudamodel.Workload{}, hw, 10); err == nil {
 		t.Fatal("want error for invalid workload")
 	}
 }

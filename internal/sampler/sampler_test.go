@@ -34,11 +34,11 @@ func testProfile(tb testing.TB, name string, scale float64) *sampler.Profile {
 	if err != nil {
 		tb.Fatalf("NewModel: %v", err)
 	}
-	icProf, err := profiler.NewInstructionCountProfiler().Profile(w, hw)
+	icProf, err := profiler.InstructionCounts(w, hw)
 	if err != nil {
 		tb.Fatalf("instruction-count profile: %v", err)
 	}
-	fullProf, err := profiler.NewFullProfiler().Profile(w, hw)
+	fullProf, err := profiler.Full(w, hw)
 	if err != nil {
 		tb.Fatalf("full profile: %v", err)
 	}

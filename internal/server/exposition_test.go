@@ -133,6 +133,7 @@ func TestMetricsExposition(t *testing.T) {
 	want := []string{
 		"# TYPE sieved_requests_total counter", "sieved_requests_total",
 		"# TYPE sieved_failures_total counter", "sieved_failures_total",
+		"# TYPE sieved_not_found_total counter", "sieved_not_found_total",
 		"# TYPE sieved_cache_hits_total counter", "sieved_cache_hits_total",
 		"# TYPE sieved_cache_misses_total counter", "sieved_cache_misses_total",
 		"# TYPE sieved_computations_total counter", "sieved_computations_total",
@@ -167,7 +168,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	wantKeys := []string{
-		"requests", "failures", "cache_hits", "cache_misses", "cache_entries",
+		"requests", "failures", "not_found", "cache_hits", "cache_misses", "cache_entries",
 		"computations", "coalesced", "batch_items", "peer_fills", "peer_proxied",
 		"in_flight", "rejected", "rows_ingested",
 		"method_requests", "method_requests.rss", "method_requests.sieve", "method_requests.twophase",

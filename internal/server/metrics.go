@@ -45,7 +45,8 @@ var latencyBuckets = []float64{
 // …), so p99 under errors is visible rather than a blind spot.
 type metrics struct {
 	Requests     expvar.Int // API requests accepted (sample, characterize, plan get, batch)
-	Failures     expvar.Int // requests answered with a 4xx/5xx
+	Failures     expvar.Int // requests answered with a 4xx/5xx, other than not_found
+	NotFound     expvar.Int // plan GETs answered 404: the plan is cached neither here nor on its owner
 	CacheHits    expvar.Int // plans served from the content-hash cache
 	CacheMisses  expvar.Int // plan lookups that missed the cache
 	Computations expvar.Int // sampling runs actually executed (misses minus coalesced/proxied)
@@ -131,6 +132,7 @@ func (m *metrics) counterTable() []counterDef {
 	return []counterDef{
 		{"requests", "counter", &m.Requests},
 		{"failures", "counter", &m.Failures},
+		{"not_found", "counter", &m.NotFound},
 		{"cache_hits", "counter", &m.CacheHits},
 		{"cache_misses", "counter", &m.CacheMisses},
 		{"computations", "counter", &m.Computations},
@@ -192,9 +194,9 @@ func (m *metrics) quantiles() (p50, p99 float64) {
 // counter table. The JSON shape (keys, their order and nesting) is a
 // compatibility contract pinned by TestDebugMetricsJSONShape — monitoring
 // dashboards parse it. cache_entries is not a counter; it follows
-// cache_misses. The counters satisfy cache_hits + cache_misses + failures ==
-// requests for the non-batch endpoints (batch adds batch_items on top of its
-// one request).
+// cache_misses. The counters satisfy cache_hits + cache_misses + failures +
+// not_found == requests for the non-batch endpoints (batch adds batch_items
+// on top of its one request).
 func (m *metrics) handler(cacheLen func() int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var b strings.Builder

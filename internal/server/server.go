@@ -825,8 +825,8 @@ func (s *Server) decodeResolved(w http.ResponseWriter, r *http.Request) (*resolv
 
 // cachedPlan looks id up in the plan cache as the cache stage and counts a
 // hit. Callers count their own misses: a plan GET that misses
-// locally ends as a peer fill or a not-found failure instead, which keeps
-// cache_hits + cache_misses + failures == requests.
+// locally ends as a peer fill or a not_found instead, which keeps
+// cache_hits + cache_misses + failures + not_found == requests.
 func (s *Server) cachedPlan(ctx context.Context, id string) (storedPlan, bool) {
 	_, cache := startStage(ctx, stageCache)
 	p, hit := s.cache.get(id)
@@ -913,7 +913,9 @@ func (s *Server) servePlanGet(w http.ResponseWriter, r *http.Request) int {
 			return http.StatusOK
 		}
 	}
-	s.metrics.Failures.Add(1)
+	// An expected answer, not a failure: plans are evicted, and a client
+	// refetches by recomputing.
+	s.metrics.NotFound.Add(1)
 	writeJSON(w, http.StatusNotFound, &api.Error{Message: "plan not cached (recompute via POST /v1/sample)"})
 	return http.StatusNotFound
 }

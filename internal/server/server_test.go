@@ -80,6 +80,7 @@ func getJSON(t *testing.T, url string, v any) int {
 type metricsDoc struct {
 	Requests     int64 `json:"requests"`
 	Failures     int64 `json:"failures"`
+	NotFound     int64 `json:"not_found"`
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
 	CacheEntries int   `json:"cache_entries"`
@@ -458,7 +459,8 @@ func TestParallelismCappedByServer(t *testing.T) {
 // (ring buffer → shared obs.Histogram) must not move a single key. It also
 // pins the counter arithmetic: every non-batch API request — plan GETs
 // included — counts toward requests, so in this scenario
-// cache_hits + cache_misses + failures == requests exactly.
+// cache_hits + cache_misses + failures + not_found == requests exactly, and
+// the expected plan-GET 404 counts as not_found, not as a failure.
 func TestDebugMetricsJSONShape(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	status, body := postCSV(t, ts.URL+"/v1/sample", testCSV())
@@ -486,13 +488,13 @@ func TestDebugMetricsJSONShape(t *testing.T) {
 	if m.Requests != 3 {
 		t.Fatalf("requests = %d, want 3 (sample + plan hit + plan 404)", m.Requests)
 	}
-	if got := m.CacheHits + m.CacheMisses + m.Failures; got != m.Requests {
-		t.Fatalf("cache_hits(%d) + cache_misses(%d) + failures(%d) = %d, want requests = %d",
-			m.CacheHits, m.CacheMisses, m.Failures, got, m.Requests)
+	if got := m.CacheHits + m.CacheMisses + m.Failures + m.NotFound; got != m.Requests {
+		t.Fatalf("cache_hits(%d) + cache_misses(%d) + failures(%d) + not_found(%d) = %d, want requests = %d",
+			m.CacheHits, m.CacheMisses, m.Failures, m.NotFound, got, m.Requests)
 	}
-	if m.CacheHits != 1 || m.CacheMisses != 1 || m.Failures != 1 || m.Computations != 1 {
-		t.Fatalf("hits/misses/failures/computations = %d/%d/%d/%d, want 1/1/1/1",
-			m.CacheHits, m.CacheMisses, m.Failures, m.Computations)
+	if m.CacheHits != 1 || m.CacheMisses != 1 || m.Failures != 0 || m.NotFound != 1 || m.Computations != 1 {
+		t.Fatalf("hits/misses/failures/not_found/computations = %d/%d/%d/%d/%d, want 1/1/0/1/1",
+			m.CacheHits, m.CacheMisses, m.Failures, m.NotFound, m.Computations)
 	}
 
 	resp, err := http.Get(ts.URL + "/debug/metrics")
@@ -505,7 +507,7 @@ func TestDebugMetricsJSONShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"requests", "failures", "cache_hits", "cache_misses", "cache_entries",
+		"requests", "failures", "not_found", "cache_hits", "cache_misses", "cache_entries",
 		"computations", "coalesced", "batch_items", "peer_fills", "peer_proxied",
 		"in_flight", "rejected", "rows_ingested", "method_requests", "latency_ms",
 	}

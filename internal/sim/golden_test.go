@@ -66,11 +66,6 @@ func goldenTraces(t *testing.T) []goldenTrace {
 	return out
 }
 
-// goldenProjected runs PKP at the given IPC tolerance.
-func goldenProjected(s *Simulator, tr *trace.Trace, tolerance float64) (*PKPResult, error) {
-	return s.SimulateProjected(tr, PKPOptions{Tolerance: tolerance})
-}
-
 // TestGoldenResults pins, field by field, the results of Simulate,
 // SimulateProjected (at the default and a loose tolerance) and
 // SimulateMultiSM at several SM counts on the fixture traces. One line per
@@ -100,8 +95,8 @@ func TestGoldenResults(t *testing.T) {
 		for _, p := range []struct {
 			mode      string
 			tolerance float64
-		}{{"pkp", 0.02}, {"pkp-loose", 0.2}} {
-			proj, err := goldenProjected(s, g.tr, p.tolerance)
+		}{{"pkp", pkpTolerance}, {"pkp-loose", 0.2}} {
+			proj, err := s.simulateProjected(g.tr, p.tolerance)
 			if err != nil {
 				t.Fatalf("%s %s: %v", g.label, p.mode, err)
 			}

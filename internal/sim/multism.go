@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"fmt"
+	"math"
 
 	"github.com/gpusampling/sieve/internal/trace"
 )
@@ -12,8 +12,9 @@ type MultiSMResult struct {
 	Result
 	// SMs is the number of simulated streaming multiprocessors.
 	SMs int
-	// PerSMCycles is each SM's finish cycle; the Result's SMCycles is the
-	// maximum (the kernel ends when its slowest SM drains).
+	// PerSMCycles is each SM's finish cycle, the cycle after its last issue
+	// (0 for an SM none of whose warps has an instruction); the Result's
+	// SMCycles is the maximum (the kernel ends when its slowest SM drains).
 	PerSMCycles []uint64
 	// Imbalance is max/mean of PerSMCycles: 1.0 is a perfectly balanced
 	// launch.
@@ -25,166 +26,37 @@ type MultiSMResult struct {
 // SimulateMultiSM replays a trace across nSMs streaming multiprocessors:
 // warps are distributed round-robin, each SM has a private L1 and its own
 // issue slots, and all SMs share the L2 and a bandwidth-limited DRAM
-// channel. nSMs ≤ 0 selects min(arch SMs, traced warps).
+// channel. nSMs ≤ 0 selects the architecture's SM count; either way nSMs is
+// capped at the traced warps. With one SM it equals Simulate.
 //
 // Compared to Simulate (one SM + wave extrapolation), the multi-SM mode
 // captures inter-SM load imbalance and L2/DRAM contention explicitly.
 func (s *Simulator) SimulateMultiSM(t *trace.Trace, nSMs int) (*MultiSMResult, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
 	if nSMs <= 0 {
 		nSMs = s.arch.SMs
 	}
-	if nSMs > t.Warps {
-		nSMs = t.Warps
+	nSMs = max(min(nSMs, t.Warps), 1)
+	e, err := s.newEngine(t, nSMs)
+	if err != nil {
+		return nil, err
 	}
+	e.run(math.MaxInt)
 
-	perWarp := make([][]trace.Instr, t.Warps)
-	for _, ins := range t.Instrs {
-		perWarp[ins.Warp] = append(perWarp[ins.Warp], ins)
+	res := &MultiSMResult{
+		Result:      *e.result(t),
+		SMs:         nSMs,
+		PerSMCycles: make([]uint64, nSMs),
+		OpMix:       make(map[trace.Opcode]int),
 	}
-
-	type smState struct {
-		warps []int // warp IDs owned by this SM
-		l1    *cache
-		done  bool
-		endAt uint64
-		rr    int
-	}
-	sms := make([]*smState, nSMs)
-	for i := range sms {
-		sms[i] = &smState{l1: newCache(l1Bytes/lineBytes/l1Ways, l1Ways)}
-	}
-	for w := 0; w < t.Warps; w++ {
-		sm := sms[w%nSMs]
-		sm.warps = append(sm.warps, w)
-	}
-
-	mem := newMemSystem(s.arch)
-	warps := make([]warpState, t.Warps)
-	remaining := 0
-	for w := range perWarp {
-		if len(perWarp[w]) == 0 {
-			warps[w].done = true
-			continue
-		}
-		remaining++
-	}
-	if remaining == 0 {
-		return nil, fmt.Errorf("sim: trace has no instructions in any warp")
-	}
-
-	var (
-		cycle    uint64
-		executed int
-	)
-	issueWidth := int(s.arch.IssuePerSM)
-	if issueWidth < 1 {
-		issueWidth = 1
-	}
-	opMix := make(map[trace.Opcode]int)
-
-	for remaining > 0 {
-		anyIssued := false
-		for _, sm := range sms {
-			if sm.done {
-				continue
-			}
-			issued := 0
-			scanned := 0
-			smRemaining := false
-			for scanned < len(sm.warps) {
-				w := sm.warps[(sm.rr+scanned)%len(sm.warps)]
-				scanned++
-				ws := &warps[w]
-				if ws.done {
-					continue
-				}
-				smRemaining = true
-				if issued >= issueWidth || ws.readyAt > cycle {
-					continue
-				}
-				ins := perWarp[w][ws.next]
-				lat := s.latency(ins, sm.l1, mem, cycle)
-				ws.readyAt = cycle + lat
-				ws.next++
-				executed++
-				issued++
-				opMix[ins.Op]++
-				if ws.next == len(perWarp[w]) {
-					ws.done = true
-					remaining--
-					if remaining == 0 {
-						break
-					}
-				}
-			}
-			sm.rr++
-			if issued > 0 {
-				anyIssued = true
-			}
-			if !smRemaining && !sm.done {
-				sm.done = true
-				sm.endAt = cycle
-			}
-		}
-		if remaining == 0 {
-			break
-		}
-		if !anyIssued {
-			// Jump to the earliest wake-up across all SMs.
-			nextWake := ^uint64(0)
-			for w := range warps {
-				if !warps[w].done && warps[w].readyAt > cycle && warps[w].readyAt < nextWake {
-					nextWake = warps[w].readyAt
-				}
-			}
-			if nextWake == ^uint64(0) {
-				return nil, fmt.Errorf("sim: multi-SM deadlock with %d warps remaining", remaining)
-			}
-			cycle = nextWake
-			continue
-		}
-		cycle++
-	}
-
-	res := &MultiSMResult{SMs: nSMs, OpMix: opMix}
-	res.Kernel = t.Kernel
-	res.Invocation = t.Invocation
-	res.WarpInstructions = executed
-	res.PerSMCycles = make([]uint64, nSMs)
 	var sum float64
-	for i, sm := range sms {
-		end := sm.endAt
-		if !sm.done || end == 0 {
-			end = cycle
-		}
-		res.PerSMCycles[i] = end
-		if end > res.SMCycles {
-			res.SMCycles = end
-		}
-		sum += float64(end)
+	for i := range e.sms {
+		res.PerSMCycles[i] = e.sms[i].end
+		sum += float64(e.sms[i].end)
 	}
-	if res.SMCycles > 0 {
-		res.IPC = float64(executed) / float64(res.SMCycles)
+	res.Imbalance = float64(res.SMCycles) / (sum / float64(nSMs))
+	// Every instruction of the trace executes.
+	for i := range t.Instrs {
+		res.OpMix[t.Instrs[i].Op]++
 	}
-	if mean := sum / float64(nSMs); mean > 0 {
-		res.Imbalance = float64(res.SMCycles) / mean
-	}
-	if mem.l1Refs > 0 {
-		res.L1HitRate = float64(mem.l1Hits) / float64(mem.l1Refs)
-	}
-	if mem.l2Refs > 0 {
-		res.L2HitRate = float64(mem.l2Hits) / float64(mem.l2Refs)
-	}
-	// Whole-GPU extrapolation: the traced warps already span nSMs SMs; the
-	// remaining waves of CTAs replay the same shape.
-	totalWarps := float64(t.Grid.Count()) * float64((t.Block.Count()+31)/32)
-	waves := totalWarps / (float64(t.Warps) / float64(nSMs) * float64(s.arch.SMs))
-	if waves < 1 {
-		waves = 1
-	}
-	res.Cycles = float64(res.SMCycles)*waves + s.arch.LaunchOverheadCycles
 	return res, nil
 }

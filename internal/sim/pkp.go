@@ -1,48 +1,31 @@
 package sim
 
 import (
-	"fmt"
+	"math"
 
 	"github.com/gpusampling/sieve/internal/trace"
 )
 
-// PKPOptions configures Principal Kernel Projection (Baddouh et al., MICRO
-// 2021), the intra-invocation sampling technique the Sieve paper discusses in
-// Section II-A: per-kernel IPC converges quickly as execution progresses, so
+// Principal Kernel Projection (Baddouh et al., MICRO 2021) is the
+// intra-invocation sampling technique the Sieve paper discusses in Section
+// II-A: per-kernel IPC converges quickly as execution progresses, so
 // simulation can stop once the running IPC is stable and the remainder of
 // the invocation can be projected. PKP is orthogonal to both Sieve and PKS
 // (it shortens each representative's simulation; they shorten the list of
-// representatives).
-type PKPOptions struct {
-	// WindowInstrs is the warp-instruction epoch between IPC checks
-	// (default 5000).
-	WindowInstrs int
-	// Tolerance is the maximum relative IPC change across consecutive
-	// windows to count as stable (default 0.02).
-	Tolerance float64
-	// StableWindows is how many consecutive stable windows constitute
-	// convergence (default 4).
-	StableWindows int
-	// MinFraction is the minimum fraction of the trace simulated before
-	// early exit is allowed (default 0.25).
-	MinFraction float64
-}
-
-func (o PKPOptions) withDefaults() PKPOptions {
-	if o.WindowInstrs <= 0 {
-		o.WindowInstrs = 5000
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 0.02
-	}
-	if o.StableWindows <= 0 {
-		o.StableWindows = 4
-	}
-	if o.MinFraction <= 0 {
-		o.MinFraction = 0.25
-	}
-	return o
-}
+// representatives). Its calibrated settings:
+const (
+	// pkpWindowInstrs is the warp-instruction epoch between IPC checks.
+	pkpWindowInstrs = 5000
+	// pkpTolerance is the maximum relative IPC change across consecutive
+	// windows to count as stable.
+	pkpTolerance = 0.02
+	// pkpStableWindows is how many consecutive stable windows constitute
+	// convergence.
+	pkpStableWindows = 4
+	// pkpMinFraction is the minimum fraction of the trace simulated before
+	// early exit is allowed.
+	pkpMinFraction = 0.25
+)
 
 // PKPResult is a projected simulation outcome.
 type PKPResult struct {
@@ -57,194 +40,64 @@ type PKPResult struct {
 	Converged bool
 }
 
-// SimulateProjected replays a trace with PKP early exit: once the running
-// IPC is stable across consecutive instruction windows, simulation stops and
-// full-invocation cycles are projected as total instructions divided by the
-// converged IPC.
-func (s *Simulator) SimulateProjected(t *trace.Trace, opts PKPOptions) (*PKPResult, error) {
-	opts = opts.withDefaults()
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	total := len(t.Instrs)
-	minInstrs := int(opts.MinFraction * float64(total))
+// SimulateProjected replays a trace on one SM with PKP early exit: once the
+// running IPC is stable across consecutive instruction windows, simulation
+// stops and full-invocation cycles are projected as total instructions
+// divided by the converged IPC. A trace that never converges runs to the end
+// and equals Simulate.
+func (s *Simulator) SimulateProjected(t *trace.Trace) (*PKPResult, error) {
+	return s.simulateProjected(t, pkpTolerance)
+}
 
-	// Reuse the full simulator on growing prefixes: simulate window by
-	// window using the incremental engine below.
-	eng, err := newEngine(s, t)
+// simulateProjected is SimulateProjected at an explicit IPC tolerance, the
+// seam through which tests compare tolerances.
+func (s *Simulator) simulateProjected(t *trace.Trace, tolerance float64) (*PKPResult, error) {
+	eng, err := s.newEngine(t, 1)
 	if err != nil {
 		return nil, err
 	}
+	total := len(t.Instrs)
+	minInstrs := int(pkpMinFraction * float64(total))
 	var (
 		prevWindowIPC float64
 		stable        int
-		executed      int
 	)
 	for {
 		cycleBefore := eng.cycle
-		n, done := eng.run(opts.WindowInstrs)
-		executed += n
-		windowCycles := eng.cycle - cycleBefore
-		var windowIPC float64
-		if windowCycles > 0 {
-			windowIPC = float64(n) / float64(windowCycles)
-		}
-		if done {
-			res := eng.result(t)
+		n := eng.run(pkpWindowInstrs)
+		if eng.remaining == 0 {
 			return &PKPResult{
-				Result:                *res,
-				SimulatedInstructions: executed,
+				Result:                *eng.result(t),
+				SimulatedInstructions: eng.executed,
 				SimulatedFraction:     1,
-				Converged:             false,
 			}, nil
 		}
-		if prevWindowIPC > 0 && windowIPC > 0 && executed >= minInstrs {
-			delta := windowIPC - prevWindowIPC
-			if delta < 0 {
-				delta = -delta
-			}
-			if delta/prevWindowIPC <= opts.Tolerance {
+		// A window that left the trace unfinished issued its budget, so it
+		// spans at least one cycle and its IPC is positive.
+		windowIPC := float64(n) / float64(eng.cycle-cycleBefore)
+		if prevWindowIPC > 0 && eng.executed >= minInstrs {
+			if math.Abs(windowIPC-prevWindowIPC)/prevWindowIPC <= tolerance {
 				stable++
 			} else {
 				stable = 0
 			}
-			if stable >= opts.StableWindows {
-				// Project with the converged steady-state (window) IPC.
-				ipc := windowIPC
+			if stable >= pkpStableWindows {
 				// Project: the remaining instructions run at the converged
-				// IPC.
+				// steady-state (window) IPC.
 				res := eng.result(t)
-				remaining := float64(total - executed)
-				projCycles := float64(eng.cycle) + remaining/ipc
-				scale := projCycles / float64(eng.cycle)
+				projCycles := float64(eng.cycle) + float64(total-eng.executed)/windowIPC
+				res.Cycles *= projCycles / float64(eng.cycle)
 				res.SMCycles = uint64(projCycles)
-				res.Cycles *= scale
 				res.WarpInstructions = total
-				res.IPC = ipc
+				res.IPC = windowIPC
 				return &PKPResult{
 					Result:                *res,
-					SimulatedInstructions: executed,
-					SimulatedFraction:     float64(executed) / float64(total),
+					SimulatedInstructions: eng.executed,
+					SimulatedFraction:     float64(eng.executed) / float64(total),
 					Converged:             true,
 				}, nil
 			}
 		}
 		prevWindowIPC = windowIPC
 	}
-}
-
-// engine is the incremental core of the simulator, shared by Simulate and
-// SimulateProjected.
-type engine struct {
-	sim       *Simulator
-	perWarp   [][]trace.Instr
-	warps     []warpState
-	remaining int
-	cycle     uint64
-	rr        int
-
-	l1       *cache
-	mem      *memSystem
-	executed int
-}
-
-func newEngine(s *Simulator, t *trace.Trace) (*engine, error) {
-	perWarp := make([][]trace.Instr, t.Warps)
-	for _, ins := range t.Instrs {
-		perWarp[ins.Warp] = append(perWarp[ins.Warp], ins)
-	}
-	e := &engine{
-		sim:     s,
-		perWarp: perWarp,
-		warps:   make([]warpState, t.Warps),
-		l1:      newCache(l1Bytes/lineBytes/l1Ways, l1Ways),
-		mem:     newMemSystem(s.arch),
-	}
-	for w := range perWarp {
-		if len(perWarp[w]) == 0 {
-			e.warps[w].done = true
-			continue
-		}
-		e.remaining++
-	}
-	if e.remaining == 0 {
-		return nil, fmt.Errorf("sim: trace has no instructions in any warp")
-	}
-	return e, nil
-}
-
-// run executes up to budget warp instructions; it reports how many ran and
-// whether the trace is finished.
-func (e *engine) run(budget int) (ran int, done bool) {
-	issueWidth := int(e.sim.arch.IssuePerSM)
-	if issueWidth < 1 {
-		issueWidth = 1
-	}
-	for e.remaining > 0 && ran < budget {
-		issued := 0
-		scanned := 0
-		for issued < issueWidth && scanned < len(e.warps) {
-			w := (e.rr + scanned) % len(e.warps)
-			scanned++
-			ws := &e.warps[w]
-			if ws.done || ws.readyAt > e.cycle {
-				continue
-			}
-			ins := e.perWarp[w][ws.next]
-			lat := e.sim.latency(ins, e.l1, e.mem, e.cycle)
-			ws.readyAt = e.cycle + lat
-			ws.next++
-			ran++
-			issued++
-			e.executed++
-			if ws.next == len(e.perWarp[w]) {
-				ws.done = true
-				e.remaining--
-			}
-		}
-		e.rr = (e.rr + 1) % len(e.warps)
-		if issued == 0 {
-			nextWake := ^uint64(0)
-			for w := range e.warps {
-				if !e.warps[w].done && e.warps[w].readyAt > e.cycle && e.warps[w].readyAt < nextWake {
-					nextWake = e.warps[w].readyAt
-				}
-			}
-			if nextWake == ^uint64(0) {
-				// Should be unreachable: a non-done warp is always ready or
-				// waiting.
-				return ran, true
-			}
-			e.cycle = nextWake
-			continue
-		}
-		e.cycle++
-	}
-	return ran, e.remaining == 0
-}
-
-// result snapshots the engine state into a Result.
-func (e *engine) result(t *trace.Trace) *Result {
-	res := &Result{
-		Kernel:           t.Kernel,
-		Invocation:       t.Invocation,
-		SMCycles:         e.cycle,
-		WarpInstructions: e.executed,
-	}
-	if e.cycle > 0 {
-		res.IPC = float64(e.executed) / float64(e.cycle)
-	}
-	if e.mem.l1Refs > 0 {
-		res.L1HitRate = float64(e.mem.l1Hits) / float64(e.mem.l1Refs)
-	}
-	if e.mem.l2Refs > 0 {
-		res.L2HitRate = float64(e.mem.l2Hits) / float64(e.mem.l2Refs)
-	}
-	totalWarps := float64(t.Grid.Count()) * float64((t.Block.Count()+31)/32)
-	waves := totalWarps / (float64(t.Warps) * float64(e.sim.arch.SMs))
-	if waves < 1 {
-		waves = 1
-	}
-	res.Cycles = float64(e.cycle)*waves + e.sim.arch.LaunchOverheadCycles
-	return res
 }

@@ -8,13 +8,6 @@ import (
 	"github.com/gpusampling/sieve/internal/workloads"
 )
 
-func TestPKPOptionsDefaults(t *testing.T) {
-	o := PKPOptions{}.withDefaults()
-	if o.WindowInstrs <= 0 || o.Tolerance <= 0 || o.StableWindows <= 0 || o.MinFraction <= 0 {
-		t.Fatalf("defaults = %+v", o)
-	}
-}
-
 func TestPKPConvergesOnSteadyTrace(t *testing.T) {
 	// A long homogeneous ALU trace has constant IPC: PKP must converge and
 	// project accurately.
@@ -24,7 +17,7 @@ func TestPKPConvergesOnSteadyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, err := s.SimulateProjected(tr, PKPOptions{})
+	proj, err := s.SimulateProjected(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +39,7 @@ func TestPKPConvergesOnSteadyTrace(t *testing.T) {
 func TestPKPRunsToCompletionOnShortTrace(t *testing.T) {
 	s := mustSim(t)
 	tr := aluTrace(50)
-	proj, err := s.SimulateProjected(tr, PKPOptions{})
+	proj, err := s.SimulateProjected(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +60,7 @@ func TestPKPRunsToCompletionOnShortTrace(t *testing.T) {
 
 func TestPKPRejectsInvalidTrace(t *testing.T) {
 	s := mustSim(t)
-	if _, err := s.SimulateProjected(&trace.Trace{}, PKPOptions{}); err != nil {
+	if _, err := s.SimulateProjected(&trace.Trace{}); err != nil {
 		return
 	}
 	t.Fatal("want error for invalid trace")
@@ -91,7 +84,7 @@ func TestPKPOnGeneratedTraceMatchesFullWithinTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, err := s.SimulateProjected(tr, PKPOptions{})
+	proj, err := s.SimulateProjected(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +108,11 @@ func TestPKPTighterToleranceSimulatesMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := s.SimulateProjected(tr, PKPOptions{Tolerance: 0.2})
+	loose, err := s.simulateProjected(tr, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := s.SimulateProjected(tr, PKPOptions{Tolerance: 0.0005, StableWindows: 8})
+	tight, err := s.simulateProjected(tr, 0.0005)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,22 +123,20 @@ func TestPKPTighterToleranceSimulatesMore(t *testing.T) {
 }
 
 func TestEngineMatchesSimulate(t *testing.T) {
-	// The incremental engine driven to completion must agree exactly with
-	// the one-shot Simulate loop.
+	// The engine driven to completion in small budgets must agree exactly
+	// with one Simulate run.
 	s := mustSim(t)
 	tr := memTrace(800, func(i int) uint64 { return uint64(i%37) * 128 })
 	full, err := s.Simulate(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := newEngine(s, tr)
+	eng, err := s.newEngine(tr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if _, done := eng.run(97); done {
-			break
-		}
+	for eng.remaining > 0 {
+		eng.run(97)
 	}
 	res := eng.result(tr)
 	if res.SMCycles != full.SMCycles || res.WarpInstructions != full.WarpInstructions {

@@ -12,8 +12,10 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/gpusampling/sieve/internal/gpu"
 	"github.com/gpusampling/sieve/internal/trace"
@@ -130,121 +132,197 @@ func New(arch gpu.Arch) (*Simulator, error) {
 // Arch returns the simulated architecture.
 func (s *Simulator) Arch() gpu.Arch { return s.arch }
 
-// warpState tracks one in-flight warp.
-type warpState struct {
-	next    int    // index of the next instruction in the warp's stream
-	readyAt uint64 // cycle at which the warp may issue again
-	done    bool
+// Simulate replays one trace on one modeled SM and returns its result.
+func (s *Simulator) Simulate(t *trace.Trace) (*Result, error) {
+	e, err := s.newEngine(t, 1)
+	if err != nil {
+		return nil, err
+	}
+	e.run(math.MaxInt)
+	return e.result(t), nil
 }
 
-// Simulate replays one trace and returns its result.
-func (s *Simulator) Simulate(t *trace.Trace) (*Result, error) {
+// SimulateParallel replays the traces across workers goroutines (each trace
+// file dispatched to a separate core, as in Section V-G); workers = 1 is the
+// serial run and workers ≤ 0 uses GOMAXPROCS. Results are returned in input
+// order, and a failing trace's error names its kernel and invocation.
+func (s *Simulator) SimulateParallel(traces []*trace.Trace, workers int) ([]*Result, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(traces))
+	out := make([]*Result, len(traces))
+	errs := make([]error, len(traces))
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(traces) {
+					return
+				}
+				out[i], errs[i] = s.Simulate(traces[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("sim: trace %d (%s/%d): %w", i, traces[i].Kernel, traces[i].Invocation, err)
+		}
+	}
+	return out, nil
+}
+
+// --- the warp-issue engine -------------------------------------------------------
+
+// engine is the one warp-issue loop behind every simulation mode. It deals a
+// trace's warps round-robin onto its SMs; each SM has a private L1 and its own
+// issue slots, and all SMs share one memSystem. Each cycle visits the SMs in
+// order, and on each SM issues up to IssuePerSM ready warps, scanning from a
+// round-robin pointer. An SM ends on the cycle after its last issue, so a run
+// to completion ends on the cycle after the trace's last issue.
+type engine struct {
+	arch  gpu.Arch
+	sms   []smState
+	mem   *memSystem
+	cycle uint64
+	// remaining counts warps with instructions left; executed counts issued
+	// warp instructions.
+	remaining, executed int
+}
+
+// smState is one modeled SM: its share of the warps and its private L1.
+type smState struct {
+	warps     []warpState
+	l1        *cache
+	rr        int    // round-robin scan start
+	remaining int    // warps with instructions left
+	end       uint64 // the cycle after the SM's last issue
+}
+
+// warpState tracks one in-flight warp.
+type warpState struct {
+	instrs  []trace.Instr // the warp's stream in program order
+	next    int           // index of the next instruction in instrs
+	readyAt uint64        // cycle at which the warp may issue again
+}
+
+// newEngine validates the trace and deals its warps onto nSMs SMs, warp w to
+// SM w mod nSMs.
+func (s *Simulator) newEngine(t *trace.Trace, nSMs int) (*engine, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	// Split the stream per warp, preserving program order.
-	perWarp := make([][]trace.Instr, t.Warps)
-	for _, ins := range t.Instrs {
-		perWarp[ins.Warp] = append(perWarp[ins.Warp], ins)
+	// Split the stream per warp, preserving program order, into one backing
+	// array.
+	start := make([]int, t.Warps+1)
+	for i := range t.Instrs {
+		start[t.Instrs[i].Warp+1]++
+	}
+	for w := 0; w < t.Warps; w++ {
+		start[w+1] += start[w]
+	}
+	instrs := make([]trace.Instr, len(t.Instrs))
+	fill := append([]int(nil), start[:t.Warps]...)
+	for i := range t.Instrs {
+		w := t.Instrs[i].Warp
+		instrs[fill[w]] = t.Instrs[i]
+		fill[w]++
 	}
 
-	l1 := newCache(l1Bytes/lineBytes/l1Ways, l1Ways)
-	mem := newMemSystem(s.arch)
-
-	warps := make([]warpState, t.Warps)
-	remaining := 0
-	for w := range perWarp {
-		if len(perWarp[w]) == 0 {
-			warps[w].done = true
-			continue
+	e := &engine{arch: s.arch, sms: make([]smState, nSMs), mem: newMemSystem(s.arch)}
+	for i := range e.sms {
+		sm := &e.sms[i]
+		sm.l1 = newCache(l1Bytes/lineBytes/l1Ways, l1Ways)
+		sm.warps = make([]warpState, 0, (t.Warps-i+nSMs-1)/nSMs)
+		for w := i; w < t.Warps; w += nSMs {
+			ws := warpState{instrs: instrs[start[w]:start[w+1]]}
+			if len(ws.instrs) > 0 {
+				sm.remaining++
+			}
+			sm.warps = append(sm.warps, ws)
 		}
-		remaining++
+		e.remaining += sm.remaining
 	}
-	if remaining == 0 {
-		return nil, fmt.Errorf("sim: trace has no instructions in any warp")
-	}
+	return e, nil
+}
 
-	var (
-		cycle    uint64
-		executed int
-	)
-	issueWidth := int(s.arch.IssuePerSM)
-	if issueWidth < 1 {
-		issueWidth = 1
-	}
-	rr := 0 // round-robin pointer
-
-	for remaining > 0 {
+// run simulates whole cycles until at least budget warp instructions have
+// issued or the trace is finished, and returns how many issued.
+func (e *engine) run(budget int) (ran int) {
+	width := max(int(e.arch.IssuePerSM), 1)
+	for e.remaining > 0 && ran < budget {
 		issued := 0
-		scanned := 0
-		for issued < issueWidth && scanned < len(warps) {
-			w := (rr + scanned) % len(warps)
-			scanned++
-			ws := &warps[w]
-			if ws.done || ws.readyAt > cycle {
-				continue
-			}
-			ins := perWarp[w][ws.next]
-			lat := s.latency(ins, l1, mem, cycle)
-			ws.readyAt = cycle + lat
-			ws.next++
-			executed++
-			issued++
-			if ws.next == len(perWarp[w]) {
-				ws.done = true
-				remaining--
+		for i := range e.sms {
+			if e.sms[i].remaining > 0 {
+				issued += e.issue(&e.sms[i], width)
 			}
 		}
-		rr = (rr + 1) % len(warps)
+		ran += issued
 		if issued == 0 {
-			// Nothing ready: jump to the earliest wake-up instead of
-			// stepping cycle by cycle.
-			nextWake := ^uint64(0)
-			for w := range warps {
-				if !warps[w].done && warps[w].readyAt > cycle && warps[w].readyAt < nextWake {
-					nextWake = warps[w].readyAt
-				}
-			}
-			if nextWake == ^uint64(0) {
-				return nil, fmt.Errorf("sim: deadlock with %d warps remaining", remaining)
-			}
-			cycle = nextWake
+			// Nothing ready on any SM: jump to the earliest wake-up instead
+			// of stepping cycle by cycle.
+			e.cycle = e.nextWake()
 			continue
 		}
-		cycle++
+		e.cycle++
 	}
+	return ran
+}
 
-	res := &Result{
-		Kernel:           t.Kernel,
-		Invocation:       t.Invocation,
-		SMCycles:         cycle,
-		WarpInstructions: executed,
+// issue runs one cycle of one SM: up to width ready warps issue, scanning
+// from the SM's round-robin pointer, which then advances by one.
+func (e *engine) issue(sm *smState, width int) (issued int) {
+	n := len(sm.warps)
+	w := sm.rr
+	for scanned := 0; scanned < n && issued < width; scanned++ {
+		ws := &sm.warps[w]
+		if ws.next < len(ws.instrs) && ws.readyAt <= e.cycle {
+			ws.readyAt = e.cycle + e.latency(&ws.instrs[ws.next], sm.l1)
+			ws.next++
+			issued++
+			if ws.next == len(ws.instrs) {
+				sm.remaining--
+				e.remaining--
+			}
+		}
+		if w++; w == n {
+			w = 0
+		}
 	}
-	if cycle > 0 {
-		res.IPC = float64(executed) / float64(cycle)
+	if sm.rr++; sm.rr == n {
+		sm.rr = 0
 	}
-	if mem.l1Refs > 0 {
-		res.L1HitRate = float64(mem.l1Hits) / float64(mem.l1Refs)
+	if issued > 0 {
+		e.executed += issued
+		sm.end = e.cycle + 1
 	}
-	if mem.l2Refs > 0 {
-		res.L2HitRate = float64(mem.l2Hits) / float64(mem.l2Refs)
+	return issued
+}
+
+// nextWake returns the earliest cycle at which a waiting warp becomes ready.
+func (e *engine) nextWake() uint64 {
+	wake := ^uint64(0)
+	for i := range e.sms {
+		warps := e.sms[i].warps
+		for w := range warps {
+			if warps[w].next < len(warps[w].instrs) && warps[w].readyAt < wake {
+				wake = warps[w].readyAt
+			}
+		}
 	}
-	// The modeled SM executes the traced warps; a full launch spreads its
-	// CTAs across all SMs, so whole-GPU cycles scale with the untraced
-	// work divided by the SM count (waves of equal-shaped warps).
-	totalWarps := float64(t.Grid.Count()) * float64((t.Block.Count()+31)/32)
-	tracedWarps := float64(t.Warps)
-	waves := totalWarps / (tracedWarps * float64(s.arch.SMs))
-	if waves < 1 {
-		waves = 1
-	}
-	res.Cycles = float64(cycle)*waves + s.arch.LaunchOverheadCycles
-	return res, nil
+	return wake
 }
 
 // latency computes an instruction's issue-to-ready latency, updating the
 // memory-system state for memory operations.
-func (s *Simulator) latency(ins trace.Instr, l1 *cache, mem *memSystem, cycle uint64) uint64 {
+func (e *engine) latency(ins *trace.Instr, l1 *cache) uint64 {
 	switch {
 	case ins.Op == trace.OpEXIT:
 		return 1
@@ -260,14 +338,11 @@ func (s *Simulator) latency(ins trace.Instr, l1 *cache, mem *memSystem, cycle ui
 		// An uncoalesced warp access touches several lines; the sectors are
 		// fetched in parallel where possible, so the warp's latency is the
 		// worst line's, while every DRAM line consumes channel bandwidth.
-		lines := ins.Lines
-		if lines < 1 {
-			lines = 1
-		}
+		lines := max(ins.Lines, 1)
 		var worst uint64 = latL1
 		for l := 0; l < lines; l++ {
 			line := ins.Addr/lineBytes + uint64(l)
-			if lat := mem.access(l1, line, cycle); lat > worst {
+			if lat := e.mem.access(l1, line, e.cycle); lat > worst {
 				worst = lat
 			}
 		}
@@ -277,49 +352,33 @@ func (s *Simulator) latency(ins trace.Instr, l1 *cache, mem *memSystem, cycle ui
 	}
 }
 
-// --- serial / parallel dispatch ------------------------------------------------
-
-// SimulateAll replays every trace serially and returns per-trace results in
-// input order.
-func (s *Simulator) SimulateAll(traces []*trace.Trace) ([]*Result, error) {
-	out := make([]*Result, len(traces))
-	for i, t := range traces {
-		r, err := s.Simulate(t)
-		if err != nil {
-			return nil, fmt.Errorf("sim: trace %d (%s/%d): %w", i, t.Kernel, t.Invocation, err)
-		}
-		out[i] = r
+// result snapshots the engine into a Result for trace t. The modeled SMs
+// execute the traced warps; a full launch spreads its CTAs across all of the
+// architecture's SMs, so whole-GPU cycles scale with the waves of
+// equal-shaped warps the untraced work adds.
+func (e *engine) result(t *trace.Trace) *Result {
+	res := &Result{
+		Kernel:           t.Kernel,
+		Invocation:       t.Invocation,
+		SMCycles:         e.cycle,
+		WarpInstructions: e.executed,
 	}
-	return out, nil
-}
-
-// SimulateParallel replays the traces across workers goroutines (each trace
-// file dispatched to a separate core, as in Section V-G). workers ≤ 0 uses
-// GOMAXPROCS. Results are returned in input order.
-func (s *Simulator) SimulateParallel(traces []*trace.Trace, workers int) ([]*Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if e.cycle > 0 {
+		res.IPC = float64(e.executed) / float64(e.cycle)
 	}
-	out := make([]*Result, len(traces))
-	errs := make([]error, len(traces))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, t := range traces {
-		wg.Add(1)
-		go func(i int, t *trace.Trace) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i], errs[i] = s.Simulate(t)
-		}(i, t)
+	if e.mem.l1Refs > 0 {
+		res.L1HitRate = float64(e.mem.l1Hits) / float64(e.mem.l1Refs)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sim: trace %d: %w", i, err)
-		}
+	if e.mem.l2Refs > 0 {
+		res.L2HitRate = float64(e.mem.l2Hits) / float64(e.mem.l2Refs)
 	}
-	return out, nil
+	totalWarps := float64(t.Grid.Count()) * float64((t.Block.Count()+31)/32)
+	waves := totalWarps / (float64(t.Warps) / float64(len(e.sms)) * float64(e.arch.SMs))
+	if waves < 1 {
+		waves = 1
+	}
+	res.Cycles = float64(e.cycle)*waves + e.arch.LaunchOverheadCycles
+	return res
 }
 
 // --- simple set-associative LRU cache ------------------------------------------

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/gpusampling/sieve/internal/cudamodel"
@@ -164,7 +165,7 @@ func TestSimulateGeneratedTraces(t *testing.T) {
 		}
 		traces = append(traces, tr)
 	}
-	serial, err := s.SimulateAll(traces)
+	serial, err := s.SimulateParallel(traces, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +187,17 @@ func TestSimulateGeneratedTraces(t *testing.T) {
 
 func TestSimulateParallelPropagatesErrors(t *testing.T) {
 	s := mustSim(t)
-	bad := &trace.Trace{Kernel: "x", Warps: 1} // no instructions
-	if _, err := s.SimulateParallel([]*trace.Trace{bad}, 2); err == nil {
-		t.Fatal("want error")
-	}
-	if _, err := s.SimulateAll([]*trace.Trace{bad}); err == nil {
-		t.Fatal("want error")
+	bad := &trace.Trace{Kernel: "x", Invocation: 7, Warps: 1} // no instructions
+	traces := []*trace.Trace{aluTrace(10), bad}
+	for _, workers := range []int{1, 2} {
+		_, err := s.SimulateParallel(traces, workers)
+		if err == nil {
+			t.Fatalf("workers=%d: want error", workers)
+		}
+		// Serial and parallel runs name the failing trace alike.
+		if !strings.Contains(err.Error(), "trace 1 (x/7)") {
+			t.Fatalf("workers=%d: error %q does not name trace 1 (x/7)", workers, err)
+		}
 	}
 }
 

@@ -6,22 +6,18 @@ import (
 	"github.com/gpusampling/sieve/internal/profiler"
 )
 
-// Profiler collects a per-invocation profile table from a workload running
-// on a hardware model.
-type Profiler = profiler.Profiler
-
 // ProfileInstructionCounts profiles the workload with the lightweight
 // NVBit-style instruction-count profiler — Sieve's input (a single metric
 // per invocation, Section III-A).
 func ProfileInstructionCounts(w *Workload, hw *Hardware) (*Profile, error) {
-	return profiler.NewInstructionCountProfiler().Profile(w, hw)
+	return profiler.InstructionCounts(w, hw)
 }
 
 // ProfileFull profiles the workload with the Nsight-style 12-metric
 // profiler — PKS's input. It is substantially slower (multiple replay
 // passes per invocation), which the profile's WallSeconds records.
 func ProfileFull(w *Workload, hw *Hardware) (*Profile, error) {
-	return profiler.NewFullProfiler().Profile(w, hw)
+	return profiler.Full(w, hw)
 }
 
 // ProfileTwoLevel profiles the workload with the two-level scheme Baddouh et
@@ -31,7 +27,7 @@ func ProfileFull(w *Workload, hw *Hardware) (*Profile, error) {
 // (detailedBatch ≤ 0 selects the default). Cheaper than ProfileFull, but the
 // remainder of the table is an approximation.
 func ProfileTwoLevel(w *Workload, hw *Hardware, detailedBatch int) (*Profile, error) {
-	return profiler.NewTwoLevelProfiler(detailedBatch).Profile(w, hw)
+	return profiler.TwoLevel(w, hw, detailedBatch)
 }
 
 // ReadProfileCSV parses a profile previously written with WriteProfileCSV.

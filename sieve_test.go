@@ -211,7 +211,7 @@ func TestTraceAndSimulateRepresentatives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := simulator.SimulateAll(traces)
+	serial, err := simulator.SimulateParallel(traces, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,14 +51,11 @@ func ReadTrace(r io.Reader) (*Trace, error) { return trace.Read(r) }
 // NewSimulator returns a trace-driven simulator for the architecture.
 func NewSimulator(arch Arch) (*Simulator, error) { return sim.New(arch) }
 
-// PKPOptions configures Principal Kernel Projection: early simulation exit
-// once per-window IPC converges, with the remainder of the invocation
-// projected (the intra-invocation sampling technique of Baddouh et al. that
-// the paper notes is orthogonal to Sieve).
-type PKPOptions = sim.PKPOptions
-
-// PKPResult is a projected simulation outcome, including how much of the
-// trace actually ran.
+// PKPResult is the outcome of Simulator.SimulateProjected, Principal Kernel
+// Projection: simulation exits early once per-window IPC converges and the
+// remainder of the invocation is projected (the intra-invocation sampling
+// technique of Baddouh et al. that the paper notes is orthogonal to Sieve).
+// It records how much of the trace actually ran.
 type PKPResult = sim.PKPResult
 
 // MultiSMResult is the outcome of a multi-SM simulation: per-SM finish
